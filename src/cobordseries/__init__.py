@@ -11,11 +11,10 @@ from .groups import (
     convolve, cyclic, delta, haar_uniform, is_class_function,
     load_cayley_file, quaternion8, symmetric3,
 )
-from .series import FormalSeries, SemidirectElement, semidirect_inverse, semidirect_mul
+from .series import FormalSeries, SemidirectElement
 from .paths import (
     AlgebraPath, CoeffPoly, constant_path, convergence_table, error_ratios,
-    euler_product, exp_const, iterated_integrals, left_log_derivative,
-    solve_left_ode,
+    euler_product, iterated_integrals, left_log_derivative, solve_left_ode,
 )
 from .cells import (
     Cell, CellComplex, Composite, Cosurface, boundary_word, dimension_extend,
@@ -25,11 +24,10 @@ from .cells import (
 )
 from .measures import (
     CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce, cut,
-    factorization_check, gibbs_density, heat_semigroup, higgs_density,
-    is_adapted, is_complex_for_cobordism, markov_check, measure_series,
-    measure_series_multiplicativity, mu_K, paste, phi_A,
-    reorder_max_difference, sigma_action,
+    factorization_check, gibbs_density, higgs_density, is_adapted,
+    is_complex_for_cobordism, markov_check, measure_series,
+    measure_series_multiplicativity, paste, reorder_max_difference,
+    sigma_action,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,6 +12,9 @@ A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
 it.  The bridge between complexes and measures is ``boundary_word``: the
 ordered, signed list of complex positions a domain boundary reads off.
+``word_value`` is the single evaluator of such a word: every ordered
+boundary product (cosurface extension, holonomy, configuration densities)
+goes through it.
 """
 
 from __future__ import annotations
@@ -264,9 +267,10 @@ def _meets_interior(cell: Cell, box) -> bool:
     return True
 
 
-def is_regular(complex_: CellComplex) -> bool:
-    """Cells meet only along shared boundary pieces (no interior overlap)."""
-    cells = complex_.cells
+def is_regular(cells) -> bool:
+    """The cells (a complex or any sequence of cells) meet only along shared
+    boundary pieces (no interior overlap)."""
+    cells = tuple(cells)
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             inter = box_intersect(cells[i].box(), cells[j].box())
@@ -277,34 +281,27 @@ def is_regular(complex_: CellComplex) -> bool:
     return True
 
 
-def covered_volume(target_box, cells, dim) -> int:
-    """Total dim-volume of the parts of the cells inside target_box."""
+def covers(target_box, cells, dim) -> bool:
+    """The dim-dimensional parts of the cells inside target_box fill its
+    whole dim-volume."""
     total = 0
     for cell in cells:
         inter = box_intersect(cell.box(), target_box)
         if inter is not None and box_dim(inter) == dim:
             total += box_volume(inter)
-    return total
+    return total == box_volume(target_box)
 
 
 def is_saturated(complex_: CellComplex, domains) -> bool:
     """The cells exactly cover the boundaries of the (pairwise interior-
     disjoint) domain boxes."""
-    if not is_regular(complex_):
-        return False
     domains = list(domains)
+    if not (is_regular(complex_) and is_regular(domains)):
+        return False
     k = complex_.cells[0].dim if complex_.cells else 0
-    for i in range(len(domains)):
-        for j in range(i + 1, len(domains)):
-            inter = box_intersect(domains[i].box(), domains[j].box())
-            if inter is None:
-                continue
-            if _meets_interior(domains[i], inter) or _meets_interior(domains[j], inter):
-                return False
     for dom in domains:
         for facet, _ in dom.facets():
-            fbox = facet.box()
-            if covered_volume(fbox, complex_.cells, k) != box_volume(fbox):
+            if not covers(facet.box(), complex_.cells, k):
                 return False
     boundary = [f.box() for dom in domains for f, _ in dom.facets()]
     for cell in complex_.cells:
@@ -412,12 +409,8 @@ class Composite:
 
     def __init__(self, parts, alpha, beta):
         parts = tuple(parts)
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                inter = box_intersect(parts[i].box(), parts[j].box())
-                if inter is not None and (_meets_interior(parts[i], inter)
-                                          or _meets_interior(parts[j], inter)):
-                    raise ValueError("composite point set must be embedded")
+        if not is_regular(parts):
+            raise ValueError("composite point set must be embedded")
         self.parts = parts
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
@@ -500,9 +493,8 @@ def _labelled_box(union_box, sign, alpha, beta):
     labels = []
     for facet, default_lbl in cell.facets():
         fbox = facet.box()
-        k = facet.dim
-        in_alpha = covered_volume(fbox, alpha, k) == box_volume(fbox)
-        in_beta = covered_volume(fbox, beta, k) == box_volume(fbox)
+        in_alpha = covers(fbox, alpha, facet.dim)
+        in_beta = covers(fbox, beta, facet.dim)
         if in_alpha and not in_beta:
             lbl = INITIAL
         elif in_beta and not in_alpha:
@@ -547,14 +539,15 @@ def boundary_word(domain: Cell, complex_: CellComplex):
     return word
 
 
-def word_missing_boundary(domain: Cell, complex_: CellComplex) -> bool:
-    """True when some part of the domain boundary has no covering cell."""
-    k = domain.dim - 1
-    for facet, _ in domain.facets():
-        fbox = facet.box()
-        if covered_volume(fbox, complex_.cells, k) != box_volume(fbox):
-            return True
-    return False
+def word_value(group, word, values) -> int:
+    """Ordered product of values[pos] ** exp along a signed word
+    [(pos, +-1)]; ``values`` is indexed by the word's positions."""
+    table, inv = group.table, group.inv_table
+    out = group.identity
+    for pos, exp in word:
+        value = values[pos]
+        out = table[out][value if exp > 0 else inv[value]]
+    return out
 
 
 class Cosurface:
@@ -584,35 +577,25 @@ class Cosurface:
         return v if cell.sign > 0 else self.group.inv(v)
 
     def evaluate_word(self, complex_: CellComplex, word) -> int:
-        out = self.group.identity
-        for pos, exp in word:
-            v = self.value(complex_.cells[pos])
-            if exp < 0:
-                v = self.group.inv(v)
-            out = self.group.mul(out, v)
-        return out
-
-    def evaluate_parts(self, parts) -> int:
-        out = self.group.identity
-        for cell in parts:
-            out = self.group.mul(out, self.value(cell))
-        return out
+        """Ordered product of the word's cell values; only the cells the
+        word reads need a value."""
+        values = {pos: self.value(complex_.cells[pos]) for pos, _ in word}
+        return word_value(self.group, word, values)
 
 
 def holonomy_cosurface(field: Cosurface, path) -> int:
     """Holonomy read against the path orientation: the path is reversed
     (each edge flipped, order inverted) and the field values are multiplied
     in traversal order; reversing the path inverts the result."""
-    group = field.group
-    out = group.identity
-    for edge in reversed(list(path)):
-        out = group.mul(out, field.value(edge.reverse()))
-    return out
+    values = [field.value(edge) for edge in path]
+    word = [(i, -1) for i in reversed(range(len(values)))]
+    return word_value(field.group, word, values)
 
 
 def dimension_extend(cosurface: Cosurface, complex_: CellComplex, domain: Cell) -> int:
     """Value on a (k+1)-cell as the ordered product of the boundary word."""
-    if word_missing_boundary(domain, complex_):
+    k = domain.dim - 1
+    if not all(covers(f.box(), complex_.cells, k) for f, _ in domain.facets()):
         raise ValueError(f"boundary of {domain!r} is not covered by the complex")
     word = boundary_word(domain, complex_)
     return cosurface.evaluate_word(complex_, word)

@@ -62,15 +62,11 @@ def run_series(args):
     return {"groupoid": groupoid.name, "trunc": args.trunc}, cases
 
 
-def suite_paths(order):
-    return convergence_suite_paths(order)
-
-
 def run_expmap(args):
     ns = [int(x) for x in args.n.split(",")]
     rows = []
     ratio_rows = []
-    for name, path in suite_paths(args.grade).items():
+    for name, path in convergence_suite_paths(args.grade).items():
         table = convergence_table(path, ns)
         for row in table:
             rows.append({"n": row["n"], "grade": row["grade"],
@@ -84,7 +80,7 @@ def run_expmap(args):
               "pass": lo <= r["ratio"] <= hi}
              for r in ratio_rows]
     params = {"grade": args.grade, "n": ns, "ratio_band": [lo, hi],
-              "paths": list(suite_paths(args.grade))}
+              "paths": list(convergence_suite_paths(args.grade))}
     return params, cases, rows
 
 
@@ -94,13 +90,14 @@ def _load_group(args):
     return builtin_group(args.group)
 
 
-def chain_instance(length, density):
+def chain_instance(length):
+    """Points 0..length-1 with the unit intervals between them as domains."""
     cells = [point_cell((i,)) for i in range(length)]
     domains = [domain_box(((i, i + 1),)) for i in range(length - 1)]
-    return ComplexMeasure(CellComplex(cells), domains, density)
+    return CellComplex(cells), domains
 
 
-def strip_instance(density):
+def strip_instance():
     """Two unit squares side by side; the shared edge splits the strip."""
     cells = [
         edge_cell((0, 0), 1),   # left side
@@ -112,69 +109,42 @@ def strip_instance(density):
         edge_cell((2, 0), 1),   # right side
     ]
     domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
-    return ComplexMeasure(CellComplex(cells), domains, density)
+    return CellComplex(cells), domains
 
 
 def run_markov(args):
     group = _load_group(args)
     density = SemigroupDensity(group)
-    cases = []
-    for length in (3, 4):
-        measure = chain_instance(length, density)
-        mid = length // 2
-        f_plus = lambda vals: 1.0 if vals[max(vals)] == 0 else 0.0
-        f_minus = lambda vals: 1.0 if vals[min(vals)] == 0 else 0.0
-        _, residual = markov_check(measure, mid, mid, f_plus, f_minus)
-        cases.append({"name": f"chain-{length}", "residual": residual,
-                      "pass": residual <= args.tol})
-    measure = strip_instance(density)
     f_plus = lambda vals: 1.0 if vals[max(vals)] == 0 else 0.0
     f_minus = lambda vals: 1.0 if vals[min(vals)] == 0 else 0.0
-    _, residual = markov_check(measure, 3, 3, f_plus, f_minus)
-    cases.append({"name": "two-plaquette-strip", "residual": residual,
-                  "pass": residual <= args.tol})
+    instances = [(f"chain-{n}", chain_instance(n), n // 2) for n in (3, 4)]
+    instances.append(("two-plaquette-strip", strip_instance(), 3))
+    cases = []
+    for name, (complex_, domains), mid in instances:
+        measure = ComplexMeasure(complex_, domains, density)
+        _, residual = markov_check(measure, mid, mid, f_plus, f_minus)
+        cases.append({"name": name, "residual": residual,
+                      "pass": residual <= args.tol})
     return {"group": group.name, "tol": args.tol}, cases
 
 
 def run_cut_paste(args):
+    """Cut the 3-point chain and the strip at time 1: factorization of the
+    measure and the cut -> paste -> cut round trip."""
     group = _load_group(args)
     density = SemigroupDensity(group)
+    instances = [("interval", CobordismBox(((0, 2),)), chain_instance(3)),
+                 ("plaquette", CobordismBox(((0, 2), (0, 1))), strip_instance())]
     cases = []
-
-    # interval: [0,2] cut at 1
-    cob = CobordismBox(((0, 2),))
-    complex_ = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
-    result = cut(cob, complex_, 1)
-    doms_later = [domain_box(((1, 2),))]
-    doms_earlier = [domain_box(((0, 1),))]
-    ok, residual = factorization_check(result.k, result.k_prime, complex_,
-                                       doms_later, doms_earlier, density,
-                                       tol=args.tol)
-    pasted = paste(result.k, result.k_prime)
-    round_trip = (cut(cob, pasted, 1).k == result.k
-                  and cut(cob, pasted, 1).k_prime == result.k_prime)
-    cases.append({"name": "interval", "residual": residual,
-                  "pass": ok and round_trip})
-
-    # two plaquettes glued along an edge
-    cob2 = CobordismBox(((0, 2), (0, 1)))
-    cells = [
-        edge_cell((0, 0), 1), edge_cell((0, 0), 0), edge_cell((0, 1), 0),
-        edge_cell((1, 0), 1), edge_cell((1, 0), 0), edge_cell((1, 1), 0),
-        edge_cell((2, 0), 1),
-    ]
-    complex2 = CellComplex(cells)
-    result2 = cut(cob2, complex2, 1)
-    doms_later2 = [domain_box(((1, 2), (0, 1)))]
-    doms_earlier2 = [domain_box(((0, 1), (0, 1)))]
-    ok2, residual2 = factorization_check(result2.k, result2.k_prime, complex2,
-                                         doms_later2, doms_earlier2, density,
-                                         tol=args.tol)
-    pasted2 = paste(result2.k, result2.k_prime)
-    round2 = (cut(cob2, pasted2, 1).k == result2.k
-              and cut(cob2, pasted2, 1).k_prime == result2.k_prime)
-    cases.append({"name": "plaquette", "residual": residual2,
-                  "pass": ok2 and round2})
+    for name, cob, (complex_, (earlier, later)) in instances:
+        result = cut(cob, complex_, 1)
+        ok, residual = factorization_check(result.k, result.k_prime, complex_,
+                                           [later], [earlier], density,
+                                           tol=args.tol)
+        again = cut(cob, paste(result.k, result.k_prime), 1)
+        round_trip = again.k == result.k and again.k_prime == result.k_prime
+        cases.append({"name": name, "residual": residual,
+                      "pass": ok and round_trip})
     return {"group": group.name, "tol": args.tol}, cases
 
 

@@ -16,6 +16,10 @@ Every instance satisfies: grade 0 only at the neutral element, grade
 additivity, associativity (if either nested composite is defined, both are
 and they agree), absence of inverses, and finitely many decompositions of
 each element.
+
+All three test integer coordinates with the same check, ``type(x) is int``:
+``bool`` is an ``int`` subclass but never an element, and the inline test
+costs no extra call on the membership check every ``ord``/``compose`` makes.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class NatMonoid(GradedGroupoid):
         return 0
 
     def __contains__(self, element):
-        return isinstance(element, int) and element >= 0
+        return type(element) is int and element >= 0
 
     def ord(self, element):
         self._require(element)
@@ -140,7 +144,7 @@ class IntervalGroupoid(GradedGroupoid):
     """
 
     def __init__(self, a: int, b: int):
-        if not (isinstance(a, int) and isinstance(b, int) and a < b):
+        if not (type(a) is int and type(b) is int and a < b):
             raise ValueError("interval window must satisfy a < b")
         self.window = (a, b)
         self.name = f"interval:{a}..{b}"
@@ -156,7 +160,7 @@ class IntervalGroupoid(GradedGroupoid):
             return False
         a, b = self.window
         lo, hi = element
-        return isinstance(lo, int) and isinstance(hi, int) and a <= lo < hi <= b
+        return type(lo) is int and type(hi) is int and a <= lo < hi <= b
 
     def ord(self, element):
         self._require(element)
@@ -249,8 +253,7 @@ class BoxGroupoid(GradedGroupoid):
         if not (isinstance(element, tuple) and len(element) == self.dim):
             return False
         for (lo, hi), (wlo, whi) in zip(element, self.window):
-            if not (isinstance(lo, int) and isinstance(hi, int)
-                    and wlo <= lo < hi <= whi):
+            if not (type(lo) is int and type(hi) is int and wlo <= lo < hi <= whi):
                 return False
         return True
 

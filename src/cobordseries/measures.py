@@ -5,9 +5,11 @@ The density of a configuration C on a saturated complex K with domains
 ordered boundary product phi_{A_i}(C): each domain reads its boundary word
 off the complex (in complex order, with orientation exponents) and feeds
 the resulting group element to the heat density at time |A_i| = the cell
-count of the domain.  Everything downstream — the Markov property, the
-reordering (non-)invariance, and the cutting/pasting factorization — is
-checked by exhaustive summation over the finite configuration space G^K.
+count of the domain; the word is evaluated by ``cells.word_value``.
+Everything downstream — the Markov property, the reordering
+(non-)invariance, and the cutting/pasting factorization — is checked by
+exhaustive summation over the finite configuration space G^K, and
+``ComplexMeasure.configurations()`` is the single enumerator of that space.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from scipy.linalg import expm
 
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
-    box_volume, covered_volume, domain_box, is_regular, is_saturated,
-    splits, INITIAL, FINAL, _meets_interior,
+    covers, domain_box, is_regular, is_saturated, splits, word_value,
+    INITIAL, FINAL, _inside_closure, _meets_interior,
 )
 from .groups import (
     COUNTING, FiniteGroup, GroupFunction, convolve, delta, is_class_function,
@@ -103,10 +105,6 @@ class SemigroupDensity:
         return self.q(t)
 
 
-def heat_semigroup(group: FiniteGroup, generators=None, t=1.0) -> GroupFunction:
-    return SemigroupDensity(group, generators).q(t)
-
-
 def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
     """Worst deviations from the four semigroup axioms over the given times."""
     group = density.group
@@ -153,22 +151,6 @@ def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
 # the configuration measure
 # ---------------------------------------------------------------------------
 
-def phi_A(domain: Cell, cell: Cell, complex_: CellComplex):
-    """The domain's reading of one complex cell: the cell itself when its
-    orientation matches the induced boundary orientation, its reversal when
-    opposite, None when off the boundary; raises on partial containment."""
-    if complex_ is not None:
-        complex_.index_of(cell)
-    for facet, _ in domain.facets():
-        if box_contains(facet.box(), cell.box()):
-            return cell if cell.sign == facet.sign else cell.reverse()
-    for facet, _ in domain.facets():
-        inter = box_intersect(cell.box(), facet.box())
-        if inter is not None and box_dim(inter) == cell.dim:
-            raise ValueError(f"cell {cell!r} lies partially on the boundary of {domain!r}")
-    return None
-
-
 class ComplexMeasure:
     """Unnormalized density on G^K for a saturated complex with box domains."""
 
@@ -187,60 +169,27 @@ class ComplexMeasure:
         self.volumes = tuple(dom.volume for dom in self.domains)
         self.q_tables = tuple(density.q(v).values for v in self.volumes)
 
-    def n_cells(self) -> int:
-        return len(self.complex)
-
-    def phi_value(self, domain_index: int, config) -> int:
-        group = self.group
-        out = group.identity
-        for pos, exp in self.words[domain_index]:
-            v = config[pos]
-            if exp < 0:
-                v = group.inv(v)
-            out = group.mul(out, v)
-        return out
-
     def density_of(self, config) -> float:
         """Product over domains of q_{|A_i|}(phi_{A_i}(C)); config is a
         tuple of group elements aligned with the complex order."""
         out = 1.0
-        for i in range(len(self.domains)):
-            out *= self.q_tables[i][self.phi_value(i, config)]
+        for word, q in zip(self.words, self.q_tables):
+            out *= q[word_value(self.group, word, config)]
         return out
 
     def configurations(self):
+        """Every configuration in G^K, in lexicographic order."""
         return iter_product(self.group.elements(), repeat=len(self.complex))
-
-    def total_mass(self) -> float:
-        return sum(self.density_of(c) for c in self.configurations())
-
-    def normalized_density(self, config) -> float:
-        total = self.total_mass()
-        if total == 0:
-            raise ValueError("measure has zero total mass")
-        return self.density_of(config) / total
 
     def conditional_mass(self, fixed: dict) -> float:
         """Sum of densities over configurations extending the fixed cell
         values (positions -> elements); the alpha-conditioned kernel."""
-        free = [i for i in range(len(self.complex)) if i not in fixed]
-        total = 0.0
-        for combo in iter_product(self.group.elements(), repeat=len(free)):
-            config = [0] * len(self.complex)
-            for pos, val in fixed.items():
-                config[pos] = val
-            for pos, val in zip(free, combo):
-                config[pos] = val
-            total += self.density_of(tuple(config))
-        return total
+        return sum(self.density_of(c) for c in self.configurations()
+                   if all(c[pos] == val for pos, val in fixed.items()))
 
     def region_cells(self):
         """Unit top-cells of the union of the domains (the ambient region)."""
         return [piece for dom in self.domains for piece in dom.unit_pieces()]
-
-
-def mu_K(complex_: CellComplex, domains, density: SemigroupDensity, config) -> float:
-    return ComplexMeasure(complex_, domains, density).density_of(tuple(config))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +216,8 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus,
     m_plus, m_minus, _, _ = split
 
     def side_positions(component):
-        out = []
-        boxes = [c.box() for c in component]
-        for i, cell in enumerate(complex_.cells):
-            if lo <= i <= hi:
-                out.append(i)
-            elif all(any(box_contains(b, piece.box()) for b in boxes)
-                     for piece in cell.unit_pieces()):
-                out.append(i)
-        return out
+        return [i for i, cell in enumerate(complex_.cells)
+                if lo <= i <= hi or _inside_closure(cell, component)]
 
     plus_positions = side_positions(m_plus)
     minus_positions = side_positions(m_minus)
@@ -327,22 +269,6 @@ def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
         moved = tuple(config[perm[i]] for i in range(len(perm)))
         worst = max(worst, abs(measure.density_of(config) - other.density_of(moved)))
     return worst
-
-
-def find_reorder_counterexample(measure: ComplexMeasure, rng, attempts=2000):
-    """Search for a permutation and configuration with different densities."""
-    n = len(measure.complex)
-    for _ in range(attempts):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        permuted = sigma_action(perm, measure.complex)
-        other = ComplexMeasure(permuted, measure.domains, measure.density,
-                               check=False)
-        for config in measure.configurations():
-            moved = tuple(config[perm[i]] for i in range(n))
-            if abs(measure.density_of(config) - other.density_of(moved)) > 1e-9:
-                return tuple(perm), config
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +440,7 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
             k_beta.append(cell)
         else:
             k_a.append(cell)
-    if covered_volume(alpha, k_alpha, k) != box_volume(alpha):
-        return False
-    if covered_volume(beta, k_beta, k) != box_volume(beta):
+    if not (covers(alpha, k_alpha, k) and covers(beta, k_beta, k)):
         return False
     if not is_adapted(CellComplex(k_a), cob):
         return False
@@ -562,7 +486,7 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
             in_earlier.append(cell)
         else:
             raise ValueError(f"cell {cell!r} crosses the cutting interface")
-    if covered_volume(plane, shared, complex_.cells[0].dim) != box_volume(plane):
+    if not covers(plane, shared, complex_.cells[0].dim):
         raise ValueError("the interface is not covered by complex cells")
     return CutResult(CellComplex(in_later), CellComplex(in_earlier),
                      CellComplex(shared), y, y_prime)

@@ -302,11 +302,6 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     return out
 
 
-def exp_const(a: FormalSeries) -> FormalSeries:
-    """Series exponential of a constant direction; equals the ODE solution at 1."""
-    return a.exp()
-
-
 def constant_path(a: FormalSeries) -> AlgebraPath:
     return AlgebraPath(a.groupoid, a.order,
                        {e: CoeffPoly.constant(val, a.unit) for e, val in a.coeffs.items()},

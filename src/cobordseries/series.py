@@ -286,11 +286,3 @@ class SemidirectElement:
 
     def __repr__(self):
         return f"SemidirectElement(g={self.g!r}, a={self.a!r})"
-
-
-def semidirect_mul(x: SemidirectElement, y: SemidirectElement) -> SemidirectElement:
-    return x * y
-
-
-def semidirect_inverse(x: SemidirectElement) -> SemidirectElement:
-    return x.inverse()

@@ -7,7 +7,7 @@ from cobordseries.cells import (
     Cell, CellComplex, Composite, Cosurface, INITIAL, FINAL, boundary_word,
     dimension_extend, domain_box, edge_cell, extend_abelian, extend_nonabelian,
     glue, holonomy_cosurface, is_regular, is_saturated, point_cell, refines,
-    splits, square_cell, unit_cell,
+    splits, square_cell, unit_cell, word_value,
 )
 from cobordseries.groups import cyclic, symmetric3
 
@@ -120,6 +120,12 @@ def test_glue_composite_for_bent_union():
     assert len(bent.parts) == 2
 
 
+def test_composite_rejects_non_embedded_parts():
+    overlapping = [Cell((0, 0), (0,), (2,)), Cell((1, 0), (0,), (2,))]
+    with pytest.raises(ValueError, match="embedded"):
+        Composite(overlapping, (), ())
+
+
 # -- predicates -------------------------------------------------------------------
 
 def test_regular_examples():
@@ -127,6 +133,9 @@ def test_regular_examples():
     assert is_regular(disjoint)
     crossing = CellComplex([Cell((0,), (0,), (2,)), Cell((1,), (0,), (2,))])
     assert not is_regular(crossing)
+    # any sequence of cells, not only a complex
+    assert is_regular(list(disjoint))
+    assert not is_regular(crossing.cells)
 
 
 def test_saturated_chain():
@@ -135,6 +144,14 @@ def test_saturated_chain():
     assert is_saturated(chain, domains)
     assert not is_saturated(CellComplex([point_cell((0,)), point_cell((2,))]),
                             domains)
+
+
+def test_saturated_rejects_interior_overlapping_domains():
+    chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,)),
+                         point_cell((3,))])
+    assert is_saturated(chain, [domain_box(((i, i + 1),)) for i in range(3)])
+    # [0,2] and [1,3] have every boundary point covered but share (1,2)
+    assert not is_saturated(chain, [domain_box(((0, 2),)), domain_box(((1, 3),))])
 
 
 def test_splits_chain_at_middle_point():
@@ -189,6 +206,36 @@ def test_holonomy_reversal_inverts():
     fwd = holonomy_cosurface(field, [e1, e2])
     rev = holonomy_cosurface(field, [e2.reverse(), e1.reverse()])
     assert rev == s3.inv(fwd)
+
+
+def test_holonomy_is_the_reversed_path_word():
+    s3 = symmetric3()
+    path = [edge_cell((0, 0), 0), edge_cell((1, 0), 1),
+            edge_cell((0, 1), 0).reverse()]
+    complex_ = CellComplex(path)
+    reversed_word = [(i, -1) for i in reversed(range(len(path)))]
+    for values in itertools.product(range(s3.order), repeat=len(path)):
+        field = Cosurface(s3, list(zip(path, values)))
+        assert holonomy_cosurface(field, path) == \
+            field.evaluate_word(complex_, reversed_word)
+
+
+def test_word_value_ordered_signed_product():
+    s3 = symmetric3()
+    values = {2: 1, 7: 4}
+    expected = s3.mul(s3.mul(1, s3.inv(4)), 1)
+    assert word_value(s3, [(2, 1), (7, -1), (2, 1)], values) == expected
+    assert word_value(s3, [], values) == s3.identity
+
+
+def test_evaluate_word_ignores_unassigned_off_word_cells():
+    z3 = cyclic(3)
+    complex_ = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((5,))])
+    field = Cosurface(z3, [(point_cell((0,)), 1), (point_cell((1,)), 2)])
+    word = boundary_word(domain_box(((0, 1),)), complex_)
+    assert field.evaluate_word(complex_, word) == 1  # -1 + 2 in Z3
+    with pytest.raises(ValueError):
+        field.evaluate_word(complex_, [(2, 1)])
 
 
 # -- cosurface axioms ----------------------------------------------------------------

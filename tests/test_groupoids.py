@@ -38,6 +38,27 @@ def test_compose_interval_endpoint_matching():
     assert gpd.compose((0, 2), NEUTRAL) == (0, 2)
 
 
+def test_bools_are_not_elements():
+    nat = make_nat_monoid()
+    interval = make_interval_groupoid(0, 3)
+    box = make_box_groupoid(2, ((0, 2), (0, 2)))
+    assert True not in nat and False not in nat
+    assert (True, 2) not in interval and (0, True) not in interval
+    assert ((False, 1), (0, 1)) not in box
+    with pytest.raises(ValueError):
+        nat.ord(True)
+    with pytest.raises(ValueError):
+        nat.compose(True, True)
+    with pytest.raises(ValueError):
+        interval.ord((True, 2))
+    with pytest.raises(ValueError):
+        interval.compose((1, 2), (False, 1))
+    with pytest.raises(ValueError):
+        box.ord(((False, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        make_interval_groupoid(False, 3)
+
+
 def test_compose_nat():
     gpd = make_nat_monoid()
     assert gpd.compose(2, 3) == 5

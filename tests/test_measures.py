@@ -4,19 +4,18 @@ import math
 import pytest
 
 from cobordseries.cells import (
-    Cell, CellComplex, Cosurface, FINAL, INITIAL, domain_box, edge_cell,
-    point_cell,
+    Cell, CellComplex, Cosurface, FINAL, INITIAL, boundary_word, domain_box,
+    edge_cell, point_cell,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
 from cobordseries.groups import COUNTING, builtin_group, delta, is_class_function
 from cobordseries.groups import GroupFunction
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
-    cut, factorization_check, gibbs_density, heat_semigroup, higgs_density,
-    is_adapted, is_complex_for_cobordism, markov_check, measure_series,
-    measure_series_multiplicativity, mu_K, paste, phi_A,
-    reorder_max_difference, semigroup_axiom_residuals,
-    zn_rotation,
+    cut, factorization_check, gibbs_density, higgs_density, is_adapted,
+    is_complex_for_cobordism, markov_check, measure_series,
+    measure_series_multiplicativity, paste, reorder_max_difference,
+    semigroup_axiom_residuals, zn_rotation,
 )
 
 Z2 = builtin_group("Z2")
@@ -96,17 +95,16 @@ def test_generator_set_validation():
         SemigroupDensity(Z3, generators=(0, 1, 2))   # contains identity
     with pytest.raises(ValueError):
         SemigroupDensity(Z3).q(-1.0)
-    assert heat_semigroup(Z3, t=0.5).normalization == COUNTING
+    assert SemigroupDensity(Z3).q(0.5).normalization == COUNTING
 
 
 # -- phi and mu ---------------------------------------------------------------
 
 def test_phi_orientation_cases():
+    # (0,) is read reversed, (1,) as listed, and (5,) is off the boundary
     interval = domain_box(((0, 1),))
     chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((5,))])
-    assert phi_A(interval, point_cell((1,)), chain) == point_cell((1,))
-    assert phi_A(interval, point_cell((0,)), chain) == point_cell((0,)).reverse()
-    assert phi_A(interval, point_cell((5,)), chain) is None
+    assert boundary_word(interval, chain) == [(0, -1), (1, 1)]
 
 
 def test_mu_chain_example_value():
@@ -130,6 +128,20 @@ def test_mu_alpha_conditioned_mass_is_one():
         assert abs(measure.conditional_mass({0: start}) - 1.0) < 1e-12
 
 
+def test_conditional_mass_equals_brute_filtered_sum():
+    density = SemigroupDensity(S3)
+    measure = chain_measure(3, density)
+    fixed = {0: 1, 2: 4}
+    brute = 0.0
+    for config in itertools.product(range(S3.order), repeat=3):
+        if config[0] == 1 and config[2] == 4:
+            brute += density.q(1).values[S3.mul(S3.inv(config[0]), config[1])] \
+                * density.q(1).values[S3.mul(S3.inv(config[1]), config[2])]
+    assert abs(measure.conditional_mass(fixed) - brute) < 1e-15
+    assert measure.conditional_mass({}) == sum(
+        measure.density_of(c) for c in measure.configurations())
+
+
 def test_mu_requires_saturation():
     density = SemigroupDensity(Z2)
     cells = [point_cell((0,)), point_cell((2,))]
@@ -151,7 +163,8 @@ def test_mu_domain_order_invariance():
 def test_mu_K_convenience():
     density = SemigroupDensity(Z2)
     cells = [point_cell((0,)), point_cell((1,))]
-    value = mu_K(CellComplex(cells), [domain_box(((0, 1),))], density, (0, 1))
+    measure = ComplexMeasure(CellComplex(cells), [domain_box(((0, 1),))], density)
+    value = measure.density_of((0, 1))
     assert abs(value - density.q(1).values[1]) < 1e-15
 
 
@@ -306,6 +319,15 @@ def test_cut_rejects_crossing_cells():
     crossing = CellComplex([Cell((0,), (0,), (2,))])
     with pytest.raises(ValueError):
         cut(cob, crossing, 1)
+
+
+def test_cut_rejects_uncovered_interface():
+    cob = CobordismBox(((0, 2), (0, 2)))
+    # only the lower half of the interface edge {1} x [0,2] is in the complex
+    half = CellComplex([edge_cell((0, 0), 0), edge_cell((1, 0), 1),
+                        edge_cell((1, 0), 0)])
+    with pytest.raises(ValueError, match="not covered"):
+        cut(cob, half, 1)
 
 
 def test_paste_interleaving_example():

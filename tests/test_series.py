@@ -41,6 +41,13 @@ def test_interval_unique_composable_pair():
     assert b * a == FormalSeries.zero(gpd, 2)
 
 
+def test_bool_index_rejected():
+    with pytest.raises(ValueError):
+        FormalSeries(make_nat_monoid(), 3, {True: Fraction(1)})
+    with pytest.raises(ValueError):
+        FormalSeries(make_interval_groupoid(0, 3), 3, {(False, 2): Fraction(1)})
+
+
 def test_truncation_drops_high_grades():
     nat = make_nat_monoid()
     q = q_series(order=2)
