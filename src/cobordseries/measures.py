@@ -6,10 +6,16 @@ ordered boundary product phi_{A_i}(C): each domain reads its boundary word
 off the complex (in complex order, with orientation exponents) and feeds
 the resulting group element to the heat density at time |A_i| = the cell
 count of the domain; the word is evaluated by ``cells.word_value``.
-Everything downstream — the Markov property, the reordering
-(non-)invariance, and the cutting/pasting factorization — is checked by
-exhaustive summation over the finite configuration space G^K, and
-``ComplexMeasure.configurations()`` is the single enumerator of that space.
+Each domain is thus a factor that reads only the cells of its own word:
+``ComplexMeasure.factors()`` tabulates q_{|A_i|}(phi_{A_i}) as a numpy
+tensor over those cells, for every value at once.  The Markov property is
+checked by ``np.einsum`` contractions of these factors with the side
+functions, leaving the splitting cells open; the cutting/pasting
+factorization and the reordering (non-)invariance compare the products of
+the factors (``density_array()``) as arrays over G^K.  Enumeration stays
+as the oracle: ``configurations()`` is the single enumerator of G^K, and
+``density_of`` and ``conditional_mass`` evaluate one configuration at a
+time against it.
 """
 
 from __future__ import annotations
@@ -89,8 +95,8 @@ class SemigroupDensity:
     def q(self, t) -> GroupFunction:
         """Density at time t >= 0 (counting-normalized pmf)."""
         t = float(t)
-        if t < 0:
-            raise ValueError("time must be >= 0")
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"time must be finite and >= 0, got {t!r}")
         if t not in self._cache:
             if t == 0.0:
                 values = tuple(1.0 if x == self.group.identity else 0.0
@@ -168,10 +174,45 @@ class ComplexMeasure:
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
         self.volumes = tuple(dom.volume for dom in self.domains)
         self.q_tables = tuple(density.q(v).values for v in self.volumes)
+        self._factors = None
+
+    def factors(self):
+        """Per domain, (q_{|A|}[phi_A], axes): phi_A evaluated on every
+        assignment of the word's distinct positions ``axes`` (sorted), one
+        tensor axis per position, by ``word_value``'s products in word order."""
+        if self._factors is None:
+            table = np.asarray(self.group.table)
+            inverse = np.asarray(self.group.inv_table)
+            n = self.group.order
+            factors = []
+            for word, q in zip(self.words, self.q_tables):
+                axes = sorted({pos for pos, _ in word})
+                phi = np.asarray(self.group.identity)
+                for pos, exp in word:
+                    shape = [n if a == pos else 1 for a in axes]
+                    value = np.arange(n).reshape(shape)
+                    phi = table[phi, value if exp > 0 else inverse[value]]
+                factors.append((np.asarray(q)[phi], tuple(axes)))
+            self._factors = tuple(factors)
+        return self._factors
+
+    def density_array(self):
+        """density_of on every configuration, as an array with one axis per
+        cell: the same products in the same (domain) order."""
+        n = self.group.order
+        out = np.ones((n,) * len(self.complex))
+        for factor, axes in self.factors():
+            out *= factor.reshape([n if a in axes else 1
+                                   for a in range(len(self.complex))])
+        return out
 
     def density_of(self, config) -> float:
         """Product over domains of q_{|A_i|}(phi_{A_i}(C)); config is a
         tuple of group elements aligned with the complex order."""
+        if len(config) != len(self.complex) or any(
+                type(v) is not int or not 0 <= v < self.group.order for v in config):
+            raise ValueError(f"a configuration is one element of {self.group.name} "
+                             f"per cell ({len(self.complex)} cells), got {config!r}")
         out = 1.0
         for word, q in zip(self.words, self.q_tables):
             out *= q[word_value(self.group, word, config)]
@@ -202,12 +243,18 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus,
     value on the splitting subcomplex.
 
     f_plus / f_minus are called with a dict {position: value} restricted to
-    the cells of their side (component closure plus the splitting cells);
-    dependence outside the region is structurally impossible.  Returns
+    the cells of their side (component closure plus the splitting cells),
+    once per assignment of those cells; dependence outside the region is
+    structurally impossible.  The four sums per L-assignment (mass, both,
+    plus side, minus side) are einsum contractions of the domain factors
+    with the side tables, all-ones where a side function is absent.  Returns
     (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
     complex_ = measure.complex
+    if len(complex_) > 52:
+        raise ValueError(f"markov_check contracts at most 52 cells "
+                         f"(np.einsum's index limit), got {len(complex_)}")
     if region is None:
         region = measure.region_cells()
     split = splits(complex_, lo, hi, region)
@@ -222,21 +269,29 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus,
     plus_positions = side_positions(m_plus)
     minus_positions = side_positions(m_minus)
     l_positions = list(range(lo, hi + 1))
+    n = measure.group.order
 
-    sums = {}
-    for config in measure.configurations():
-        w = measure.density_of(config)
-        key = tuple(config[i] for i in l_positions)
-        fp = f_plus({i: config[i] for i in plus_positions})
-        fm = f_minus({i: config[i] for i in minus_positions})
-        acc = sums.setdefault(key, [0.0, 0.0, 0.0, 0.0])
-        acc[0] += w
-        acc[1] += w * fp * fm
-        acc[2] += w * fp
-        acc[3] += w * fm
+    def side_table(f, positions):
+        shape = (n,) * len(positions)
+        values = [f(dict(zip(positions, c))) for c in np.ndindex(shape)]
+        return np.array(values, dtype=float).reshape(shape)
+
+    t_plus = side_table(f_plus, plus_positions)
+    t_minus = side_table(f_minus, minus_positions)
+    factors = [x for factor, axes in measure.factors() for x in (factor, axes)]
+
+    def operands(plus, minus):
+        return (*factors, plus, plus_positions, minus, minus_positions, l_positions)
+
+    ones_plus, ones_minus = np.ones_like(t_plus), np.ones_like(t_minus)
+    path = np.einsum_path(*operands(ones_plus, ones_minus), optimize="greedy")[0]
+    sums = zip(np.ndindex((n,) * len(l_positions)),
+               *(np.einsum(*operands(plus, minus), optimize=path).ravel().tolist()
+                 for plus, minus in ((ones_plus, ones_minus), (t_plus, t_minus),
+                                     (t_plus, ones_minus), (ones_plus, t_minus))))
     table = {}
     max_residual = 0.0
-    for key, (mass, both, plus, minus) in sums.items():
+    for key, mass, both, plus, minus in sums:
         if mass == 0.0:
             table[key] = None
             continue
@@ -254,8 +309,8 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus,
 def sigma_action(perm, complex_: CellComplex) -> CellComplex:
     """Reorder the complex by a permutation of its index set."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(len(complex_))):
-        raise ValueError("not a permutation of the complex indices")
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(len(complex_))):
+        raise ValueError(f"not a permutation of the complex indices: {perm!r}")
     return CellComplex(tuple(complex_.cells[p] for p in perm))
 
 
@@ -264,11 +319,9 @@ def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
     to cells, not to positions, so the configuration is permuted along)."""
     permuted = sigma_action(perm, measure.complex)
     other = ComplexMeasure(permuted, measure.domains, measure.density, check=False)
-    worst = 0.0
-    for config in measure.configurations():
-        moved = tuple(config[perm[i]] for i in range(len(perm)))
-        worst = max(worst, abs(measure.density_of(config) - other.density_of(moved)))
-    return worst
+    difference = measure.density_array()
+    difference -= np.transpose(other.density_array(), np.argsort(perm))
+    return float(np.max(np.abs(difference, out=difference)))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +598,8 @@ def extract(k_pasted: CellComplex, original: CellComplex) -> CellComplex:
 def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
                         domains_later, domains_earlier, density: SemigroupDensity,
                         tol=1e-12, domains_pasted=None):
-    """Exhaustively verify mu_K(C) * mu_K'(C') = mu_K''(C'') over all
-    configurations of the pasted complex.
+    """Verify mu_K(C) * mu_K'(C') = mu_K''(C'') on every configuration of
+    the pasted complex, as density arrays over G^{K''}.
 
     ``domains_later`` cover the later piece (whose complex is k) and
     ``domains_earlier`` the earlier one.  The pasted measure must list the
@@ -570,14 +623,18 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
     measure_pp = ComplexMeasure(k_pp, tuple(domains_pasted), density)
     measure_k = ComplexMeasure(k, domains_later, density)
     measure_kp = ComplexMeasure(k_prime, domains_earlier, density)
-    pos_k = [k_pp.index_of(c) for c in k.cells]
-    pos_kp = [k_pp.index_of(c) for c in k_prime.cells]
-    worst = 0.0
-    for config in measure_pp.configurations():
-        c_later = tuple(config[p] for p in pos_k)
-        c_earlier = tuple(config[p] for p in pos_kp)
-        product = measure_k.density_of(c_later) * measure_kp.density_of(c_earlier)
-        worst = max(worst, abs(product - measure_pp.density_of(config)))
+    n = group.order
+
+    def placed(measure):
+        """The piece's density array on G^{K''}: axes moved to the pasted
+        positions of its cells, broadcast along the other cells."""
+        positions = [k_pp.index_of(c) for c in measure.complex.cells]
+        dense = np.transpose(measure.density_array(), np.argsort(positions))
+        return dense.reshape([n if p in positions else 1 for p in range(len(k_pp))])
+
+    difference = placed(measure_k) * placed(measure_kp)
+    difference -= measure_pp.density_array()
+    worst = float(np.max(np.abs(difference, out=difference)))
     return worst <= tol, worst
 
 

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from cobordseries.cells import (
-    Cell, CellComplex, Cosurface, FINAL, INITIAL, boundary_word, domain_box,
-    edge_cell, point_cell,
+    Cell, CellComplex, Cosurface, FINAL, INITIAL, _inside_closure, boundary_word,
+    domain_box, edge_cell, point_cell, splits,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
 from cobordseries.groups import COUNTING, builtin_group, delta, is_class_function
@@ -15,7 +15,7 @@ from cobordseries.measures import (
     cut, factorization_check, gibbs_density, higgs_density, is_adapted,
     is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
-    semigroup_axiom_residuals, zn_rotation,
+    semigroup_axiom_residuals, sigma_action, zn_rotation,
 )
 
 Z2 = builtin_group("Z2")
@@ -98,6 +98,15 @@ def test_generator_set_validation():
     assert SemigroupDensity(Z3).q(0.5).normalization == COUNTING
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_heat_density_rejects_non_finite_times(t):
+    density = SemigroupDensity(S3)
+    with pytest.raises(ValueError, match="finite"):
+        density.q(t)
+    with pytest.raises(ValueError, match="finite"):
+        density(t)
+
+
 # -- phi and mu ---------------------------------------------------------------
 
 def test_phi_orientation_cases():
@@ -140,6 +149,16 @@ def test_conditional_mass_equals_brute_filtered_sum():
     assert abs(measure.conditional_mass(fixed) - brute) < 1e-15
     assert measure.conditional_mass({}) == sum(
         measure.density_of(c) for c in measure.configurations())
+
+
+def test_density_of_rejects_malformed_configurations():
+    measure = ComplexMeasure(plaquette_setup(Z3)[1],
+                             [domain_box(((0, 1), (0, 1)))], SemigroupDensity(Z3))
+    assert measure.density_of((0, 1, 2, 2)) > 0.0
+    for bad in [(0, 1, 2, -1), (0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 0, 0),
+                (0, 1, 2, True), (0, 1, 2, 1.0)]:
+        with pytest.raises(ValueError, match="per cell"):
+            measure.density_of(bad)
 
 
 def test_mu_requires_saturation():
@@ -207,6 +226,39 @@ def test_markov_requires_splitting():
         markov_check(measure, 0, 0, lambda v: 1.0, lambda v: 1.0)
 
 
+def test_markov_rejects_more_cells_than_einsum_indices():
+    measure = chain_measure(53, SemigroupDensity(Z2))
+    with pytest.raises(ValueError, match="52 cells"):
+        markov_check(measure, 26, 26, lambda v: 1.0, lambda v: 1.0)
+
+
+def side_positions(measure, split):
+    """Positions each side function reads: the closure of its component of
+    the region minus the splitting cell, plus that cell."""
+    complex_ = measure.complex
+    m_plus, m_minus, _, _ = splits(complex_, split, split, measure.region_cells())
+    return [[i for i, cell in enumerate(complex_.cells)
+             if i == split or _inside_closure(cell, component)]
+            for component in (m_plus, m_minus)]
+
+
+def test_markov_calls_each_side_function_once_per_side_assignment():
+    measure = strip_measure(SemigroupDensity(S3))
+    plus, minus = side_positions(measure, 3)
+    calls = {"plus": 0, "minus": 0}
+
+    def counted(side, f):
+        def g(vals):
+            calls[side] += 1
+            return f(vals)
+        return g
+
+    markov_check(measure, 3, 3, counted("plus", indicator_extreme(max)),
+                 counted("minus", indicator_extreme(min)))
+    assert calls == {"plus": 6 ** len(plus), "minus": 6 ** len(minus)}
+    assert 6 ** len(plus) < 6 ** len(measure.complex)
+
+
 # -- reordering ----------------------------------------------------------------
 
 def test_reorder_identity_permutation():
@@ -223,6 +275,14 @@ def test_reorder_abelian_invariance_exhaustive():
                              [domain_box(((0, 1), (0, 1)))], density)
     for perm in itertools.permutations(range(4)):
         assert reorder_max_difference(measure, perm) <= 1e-15
+
+
+def test_sigma_action_rejects_non_integer_entries():
+    complex_ = plaquette_setup(Z2)[1]
+    assert sigma_action((1, 0, 2, 3), complex_).cells[0] == complex_.cells[1]
+    for bad in [(True, 0, 2, 3), (1.0, 0, 2, 3), (0, 1, 2), (0, 1, 2, 2)]:
+        with pytest.raises(ValueError, match="permutation"):
+            sigma_action(bad, complex_)
 
 
 def test_reorder_s3_counterexample_exists():
@@ -576,3 +636,132 @@ def test_cobordism_box_composition():
         earlier.compose(later)
     with pytest.raises(ValueError):
         later.compose(CobordismBox(((0, 1), (0, 3))))
+
+
+# -- factor-tensor contractions against the enumeration oracle ---------------------
+
+ORACLE_GROUPS = ("Z2", "Z3", "Z6", "S3", "Q8")
+ORACLE_INSTANCES = [(g, name) for g in ORACLE_GROUPS
+                    for name in ("chain3", "chain4", "chain5", "plaquette")]
+ORACLE_INSTANCES += [("Z2", "strip"), ("Z3", "strip")]
+
+
+def oracle_measure(gname, name):
+    density = SemigroupDensity(builtin_group(gname))
+    if name == "strip":
+        return strip_measure(density)
+    if name == "plaquette":
+        return ComplexMeasure(plaquette_setup(Z2)[1],
+                              [domain_box(((0, 1), (0, 1)))], density)
+    return chain_measure(int(name[-1]), density)
+
+
+def weighted(vals):
+    return 1.0 / (1.0 + sum((pos + 1) * value for pos, value in vals.items()))
+
+
+def brute_markov(measure, split, f_plus, f_minus):
+    """The conditional sums as a per-configuration loop over G^K."""
+    plus, minus = side_positions(measure, split)
+    sums = {}
+    for config in measure.configurations():
+        w = measure.density_of(config)
+        fp = f_plus({i: config[i] for i in plus})
+        fm = f_minus({i: config[i] for i in minus})
+        acc = sums.setdefault((config[split],), [0.0, 0.0, 0.0, 0.0])
+        acc[0] += w
+        acc[1] += w * fp * fm
+        acc[2] += w * fp
+        acc[3] += w * fm
+    table, residual = {}, 0.0
+    for key, (mass, both, fp, fm) in sums.items():
+        if mass == 0.0:
+            table[key] = None
+            continue
+        table[key] = (both / mass, (fp / mass) * (fm / mass))
+        residual = max(residual, abs(table[key][0] - table[key][1]))
+    return table, residual
+
+
+def oracle_splits(name):
+    if name == "strip":
+        return [3]
+    if name == "plaquette":
+        return []
+    return list(range(1, int(name[-1]) - 1))
+
+
+@pytest.mark.parametrize("gname,name", ORACLE_INSTANCES)
+def test_density_array_equals_density_of_exactly(gname, name):
+    measure = oracle_measure(gname, name)
+    dense = measure.density_array()
+    assert dense.shape == (measure.group.order,) * len(measure.complex)
+    for config in measure.configurations():
+        assert dense[config] == measure.density_of(config)
+
+
+@pytest.mark.parametrize("gname,name", [case for case in ORACLE_INSTANCES
+                                        if case[1] != "plaquette"])
+def test_markov_contraction_matches_enumeration(gname, name):
+    measure = oracle_measure(gname, name)
+    pairs = [(indicator_extreme(max), indicator_extreme(min)),
+             (weighted, lambda vals: 1.0 - 0.05 * max(vals.values()))]
+    for split in oracle_splits(name):
+        for f_plus, f_minus in pairs:
+            table, residual = markov_check(measure, split, split, f_plus, f_minus)
+            expected, expected_residual = brute_markov(measure, split, f_plus, f_minus)
+            assert list(table) == list(expected)
+            assert all(type(v) is int for key in table for v in key)
+            assert [k for k, v in table.items() if v is None] == \
+                [k for k, v in expected.items() if v is None]
+            for key, pair in expected.items():
+                if pair is not None:
+                    assert abs(table[key][0] - pair[0]) <= 1e-13
+                    assert abs(table[key][1] - pair[1]) <= 1e-13
+            assert abs(residual - expected_residual) <= 1e-13
+
+
+@pytest.mark.parametrize("gname,name", [case for case in ORACLE_INSTANCES
+                                        if case[1] != "plaquette"])
+def test_factorization_contraction_matches_enumeration(gname, name):
+    measure = oracle_measure(gname, name)
+    complex_ = measure.complex
+    spans = ((0, 2), (0, 1)) if name == "strip" else ((0, len(complex_) - 1),)
+    for at in ([1] if name == "strip" else oracle_splits(name)):
+        result = cut(CobordismBox(spans), complex_, at)
+        later = [d for d in measure.domains if d.box()[0][0] >= at]
+        earlier = [d for d in measure.domains if d.box()[0][1] <= at]
+        ok, worst = factorization_check(result.k, result.k_prime, complex_,
+                                        later, earlier, measure.density)
+        pasted = ComplexMeasure(complex_, tuple(earlier) + tuple(later),
+                                measure.density)
+        pieces = []
+        for piece, doms in ((result.k, later), (result.k_prime, earlier)):
+            m = ComplexMeasure(piece, doms, measure.density)
+            pieces.append(([complex_.index_of(c) for c in piece.cells],
+                           {c: m.density_of(c) for c in m.configurations()}))
+        expected = 0.0
+        for config in pasted.configurations():
+            product = 1.0
+            for positions, dens in pieces:
+                product *= dens[tuple(config[p] for p in positions)]
+            expected = max(expected, abs(product - pasted.density_of(config)))
+        assert worst == expected
+        assert ok == (expected <= 1e-12) and ok
+
+
+@pytest.mark.parametrize("gname,name", ORACLE_INSTANCES)
+def test_reorder_contraction_matches_enumeration(gname, name):
+    measure = oracle_measure(gname, name)
+    size = len(measure.complex)
+    if name == "plaquette":
+        perms = list(itertools.permutations(range(size)))
+    else:
+        perms = [tuple(reversed(range(size))), tuple(range(1, size)) + (0,)]
+    dens = {c: measure.density_of(c) for c in measure.configurations()}
+    for perm in perms:
+        other = ComplexMeasure(sigma_action(perm, measure.complex), measure.domains,
+                               measure.density, check=False)
+        expected = max(abs(w - other.density_of(tuple(c[p] for p in perm)))
+                       for c, w in dens.items())
+        assert reorder_max_difference(measure, perm) == expected
