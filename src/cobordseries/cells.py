@@ -6,7 +6,18 @@ sign.  Facets follow the cubical boundary rule with alternating signs
 (position i in the sorted axis list contributes (-1)^i on the upper side);
 by default negative facets are initial and positive facets final, which can
 be overridden per facet.  Reversing a cell flips the sign and swaps the
-initial/final assignment.
+initial/final assignment.  Base coordinates, axes, extents and the sign are
+Python ``int`` (``bool`` and floats are rejected), so every cell lies on the
+integer lattice.
+
+Every closed lattice box is the disjoint union of its open unit faces: the
+boxes with (c, c) or (c, c + 1) on each axis.  The geometric predicates
+are set questions about these faces.  Two cells overlap in their interiors
+exactly when a face of one is an interior face of the other
+(``is_regular``); a complex saturates its domains when the cells and the
+domain facets have the same top-dimensional faces (``is_saturated``); and
+region cells are adjacent when they share a facet box from opposite sides
+(``region_components``).
 
 A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
@@ -20,6 +31,7 @@ goes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +64,17 @@ def box_volume(box) -> int:
     return vol if box_dim(box) else 1
 
 
+def _open_faces(box, interior=False):
+    """The open unit faces of an integer box, in lexicographic order: boxes
+    with (c, c) or (c, c + 1) on each axis, whose disjoint union is the
+    closed box, or with ``interior`` its relative interior.  In doubled
+    coordinates j, the faces along one axis are (j // 2, (j + 1) // 2)."""
+    trim = 1 if interior else 0
+    return product(*[[(j // 2, (j + 1) // 2)
+                      for j in range(2 * lo + trim, 2 * hi + 1 - trim)]
+                     if hi > lo else [(lo, lo)] for lo, hi in box])
+
+
 def box_union(a, b):
     """Union of two boxes when it is again a box (shared full facet), else None."""
     diff_axes = [i for i, (ia, ib) in enumerate(zip(a, b)) if ia != ib]
@@ -81,8 +104,10 @@ class Cell:
     labels: tuple = field(default=(), compare=True)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
+        if any(type(x) is not int for x in (*self.base, *self.axes, *self.extents)):
+            raise ValueError("base, axes and extents must be integers")
         if tuple(sorted(set(self.axes))) != tuple(self.axes):
             raise ValueError("axes must be sorted and distinct")
         if len(self.extents) != len(self.axes):
@@ -95,10 +120,6 @@ class Cell:
     @property
     def dim(self) -> int:
         return len(self.axes)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.base)
 
     @property
     def volume(self) -> int:
@@ -152,23 +173,10 @@ class Cell:
                     tuple(sorted(labels)))
 
     def unit_pieces(self):
-        """Decompose the box into unit cells of the same dimension and sign."""
-        if all(e == 1 for e in self.extents):
-            return [Cell(self.base, self.axes, (1,) * self.dim, self.sign)]
-        pieces = []
-
-        def rec(pos, base):
-            if pos == self.dim:
-                pieces.append(Cell(tuple(base), self.axes, (1,) * self.dim, self.sign))
-                return
-            axis = self.axes[pos]
-            for off in range(self.extents[pos]):
-                nxt = list(base)
-                nxt[axis] = self.base[axis] + off
-                rec(pos + 1, nxt)
-
-        rec(0, list(self.base))
-        return pieces
+        """Decompose the box into unit cells of the same dimension and sign:
+        its top-dimensional open faces, in lexicographic order."""
+        return [domain_box(face, self.sign) for face in _open_faces(self.box())
+                if box_dim(face) == self.dim]
 
     def __repr__(self):
         spans = dict(zip(self.axes, self.extents))
@@ -269,16 +277,12 @@ def _meets_interior(cell: Cell, box) -> bool:
 
 def is_regular(cells) -> bool:
     """The cells (a complex or any sequence of cells) meet only along shared
-    boundary pieces (no interior overlap)."""
-    cells = tuple(cells)
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            inter = box_intersect(cells[i].box(), cells[j].box())
-            if inter is None:
-                continue
-            if _meets_interior(cells[i], inter) or _meets_interior(cells[j], inter):
-                return False
-    return True
+    boundary pieces: no face of one cell is an interior face of another."""
+    boxes = [cell.box() for cell in cells]
+    owner = {face: i for i, box in enumerate(boxes)
+             for face in _open_faces(box, interior=True)}
+    return all(owner.get(face, i) == i
+               for i, box in enumerate(boxes) for face in _open_faces(box))
 
 
 def covers(target_box, cells, dim) -> bool:
@@ -292,33 +296,42 @@ def covers(target_box, cells, dim) -> bool:
     return total == box_volume(target_box)
 
 
+def _unit_boxes(cells):
+    """Boxes of the cells' top-dimensional open faces (their unit pieces)."""
+    return {face for cell in cells for face in _open_faces(cell.box())
+            if box_dim(face) == cell.dim}
+
+
 def is_saturated(complex_: CellComplex, domains) -> bool:
-    """The cells exactly cover the boundaries of the (pairwise interior-
-    disjoint) domain boxes."""
+    """The cells exactly tile the boundaries of the (pairwise interior-
+    disjoint) domain boxes: every domain is one dimension above the cells,
+    both are regular, and the cells and the domain facets have the same
+    unit pieces."""
     domains = list(domains)
-    if not (is_regular(complex_) and is_regular(domains)):
+    dims = {c.dim for c in complex_.cells} | {d.dim - 1 for d in domains}
+    if len(dims) > 1 or not (is_regular(complex_) and is_regular(domains)):
         return False
-    k = complex_.cells[0].dim if complex_.cells else 0
-    for dom in domains:
-        for facet, _ in dom.facets():
-            if not covers(facet.box(), complex_.cells, k):
-                return False
-    boundary = [f.box() for dom in domains for f, _ in dom.facets()]
-    for cell in complex_.cells:
-        pieces = cell.unit_pieces()
-        for piece in pieces:
-            if not any(box_contains(b, piece.box()) for b in boundary):
-                return False
-    return True
+    facets = [f for dom in domains for f, _ in dom.facets()]
+    return _unit_boxes(complex_.cells) == _unit_boxes(facets)
 
 
 def region_components(region_cells, blocked_boxes):
     """Connected components of top-dimensional unit cells; two cells are
-    adjacent when they share a facet not contained in a blocked box."""
+    adjacent when they share a facet not contained in a blocked box.
+
+    Each facet box lists the cells it bounds by side: the cell's axis
+    across the facet and the end of that axis the facet sits at.  Cells on
+    one side overlap rather than meet, so a facet joins its cells only when
+    they lie on two sides."""
     region = list(region_cells)
-    n = len(region)
-    facet_boxes = [[f.box() for f, _ in c.facets()] for c in region]
-    parent = list(range(n))
+    sides = {}
+    for i, cell in enumerate(region):
+        box = cell.box()
+        for axis in cell.axes:
+            for upper, end in enumerate(box[axis]):
+                facet = box[:axis] + ((end, end),) + box[axis + 1:]
+                sides.setdefault(facet, {}).setdefault((axis, upper), []).append(i)
+    parent = list(range(len(region)))
 
     def find(x):
         while parent[x] != x:
@@ -326,20 +339,14 @@ def region_components(region_cells, blocked_boxes):
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = box_intersect(region[i].box(), region[j].box())
-            if shared is None or box_dim(shared) != region[i].dim - 1:
-                continue
-            if shared not in facet_boxes[i] or shared not in facet_boxes[j]:
-                continue
-            if any(box_contains(b, shared) for b in blocked_boxes):
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    for facet, by_side in sides.items():
+        if len(by_side) < 2 or any(box_contains(b, facet) for b in blocked_boxes):
+            continue
+        first, *rest = [i for members in by_side.values() for i in members]
+        for i in rest:
+            parent[find(i)] = find(first)
     groups = {}
-    for i in range(n):
+    for i in range(len(region)):
         groups.setdefault(find(i), []).append(region[i])
     return list(groups.values())
 
@@ -486,10 +493,7 @@ def _labelled_box(union_box, sign, alpha, beta):
     """Box cell with facet labels read off the alpha/beta piece lists, or
     None when some facet mixes both labels (the union is not a plain box
     cobordism)."""
-    base = tuple(lo for lo, hi in union_box)
-    axes = tuple(a for a, (lo, hi) in enumerate(union_box) if hi > lo)
-    extents = tuple(hi - lo for lo, hi in union_box if hi > lo)
-    cell = Cell(base, axes, extents, sign)
+    cell = domain_box(union_box, sign)
     labels = []
     for facet, default_lbl in cell.facets():
         fbox = facet.box()
@@ -632,7 +636,7 @@ def cell_from_doc(doc: dict) -> Cell:
             raise ValueError(f"unknown facet label {lbl!r}")
         labels.append(((tuple(key[0]), tuple(key[1]), tuple(key[2])), lbl))
     cell = Cell(tuple(doc["base"]), tuple(doc["axes"]), tuple(doc["extents"]),
-                int(doc["sign"]), tuple(sorted(labels)))
+                doc["sign"], tuple(sorted(labels)))
     if "dim" in doc and int(doc["dim"]) != cell.dim:
         raise ValueError("declared dimension does not match the axes")
     return cell

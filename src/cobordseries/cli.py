@@ -3,8 +3,9 @@
 Subcommands: series, expmap, cosurface {markov-check, cut-paste, series},
 nonregular.  Reports are JSON (default) or CSV with the fields command,
 params, cases[], max_residual, pass; exit status is 0 exactly when every
-case passes.  All randomness is drawn from a seeded generator recorded in
-the report (default seed 0).
+case passes.  Each subcommand accepts only the options it reads, plus
+``--out`` and ``--format``; ``series`` draws its random series from a
+generator seeded by ``--seed`` (default 0), recorded in the report.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def run_series(args):
         ok = round_trip and exp_log and inv_ok
         cases.append({"name": f"series-{idx}", "residual": 0.0 if ok else 1.0,
                       "pass": ok})
-    return {"groupoid": groupoid.name, "trunc": args.trunc}, cases
+    return {"groupoid": groupoid.name, "trunc": args.trunc, "seed": args.seed}, cases
 
 
 def run_expmap(args):
@@ -195,17 +196,23 @@ def write_report(report, args, csv_rows=None):
         sys.stdout.write(text)
 
 
-def add_common(parser):
-    parser.add_argument("--group", default="Z3", help="built-in group name")
-    parser.add_argument("--table-file", default=None,
-                        help="Cayley table JSON file overriding --group")
-    parser.add_argument("--groupoid", default="nat",
-                        help="nat | interval:a..b | box:d:spans")
-    parser.add_argument("--trunc", type=int, default=4, help="truncation order")
-    parser.add_argument("--tol", type=float, default=1e-12)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="report file (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+SHARED_OPTIONS = {
+    "group": dict(default="Z3", help="built-in group name"),
+    "table-file": dict(default=None,
+                       help="Cayley table JSON file overriding --group"),
+    "groupoid": dict(default="nat", help="nat | interval:a..b | box:d:spans"),
+    "trunc": dict(type=int, default=4, help="truncation order"),
+    "tol": dict(type=float, default=1e-12),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None, help="report file (default stdout)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def add_options(parser, *names):
+    """The named shared options, then --out and --format."""
+    for name in names + ("out", "format"):
+        parser.add_argument(f"--{name}", **SHARED_OPTIONS[name])
 
 
 def build_parser():
@@ -213,25 +220,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="exp/log round trips on random series")
-    add_common(p)
+    add_options(p, "groupoid", "trunc", "seed")
     p.add_argument("--count", type=int, default=20)
 
     p = sub.add_parser("expmap", help="product-integral convergence table")
-    add_common(p)
+    add_options(p)
     p.add_argument("--grade", type=int, default=3)
     p.add_argument("--n", default="8,16,32,64")
     p.add_argument("--ratio-band", type=float, nargs=2, default=(1.7, 2.3))
 
     p = sub.add_parser("cosurface", help="measure suites")
     cos_sub = p.add_subparsers(dest="cosurface_command", required=True)
-    for name in ("markov-check", "cut-paste", "series"):
-        q = cos_sub.add_parser(name)
-        add_common(q)
-        if name == "series":
-            q.set_defaults(groupoid="interval:0..5", trunc=5)
+    for name in ("markov-check", "cut-paste"):
+        add_options(cos_sub.add_parser(name), "group", "table-file", "tol")
+    q = cos_sub.add_parser("series")
+    add_options(q, "group", "table-file", "groupoid", "trunc", "tol")
+    q.set_defaults(groupoid="interval:0..5", trunc=5)
 
     p = sub.add_parser("nonregular", help="interval diffeomorphism checks")
-    add_common(p)
+    add_options(p)
     p.add_argument("--t", default="0.1,-0.1,0.5,-0.5,0.9,-0.9")
     p.add_argument("--grid", type=int, default=1_000_000)
     return parser
@@ -262,7 +269,7 @@ def main(argv=None) -> int:
     report = {
         "schema_version": REPORT_SCHEMA,
         "command": command,
-        "params": {**params, "seed": args.seed},
+        "params": params,
         "cases": cases,
         "max_residual": max((c.get("residual", 0.0) for c in cases), default=0.0),
         "pass": all(c["pass"] for c in cases),

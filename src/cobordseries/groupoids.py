@@ -90,10 +90,6 @@ class NatMonoid(GradedGroupoid):
 
     name = "nat"
 
-    def __init__(self, max_grade: int | None = None):
-        # max_grade only bounds enumeration; composition itself is unbounded.
-        self.max_grade = max_grade
-
     @property
     def neutral(self):
         return 0

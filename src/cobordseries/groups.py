@@ -319,10 +319,6 @@ class GroupFunction:
     def max_abs(self):
         return max(abs(v) for v in self.values)
 
-    def allclose(self, other, tol=1e-12) -> bool:
-        self._check_compatible(other)
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
-
     def __repr__(self):
         vals = ", ".join(f"{lbl}:{v}" for lbl, v in zip(self.group.labels, self.values))
         return f"GroupFunction[{self.group.name};{self.normalization}]({vals})"

@@ -28,7 +28,7 @@ from scipy.linalg import expm
 
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
-    covers, domain_box, is_regular, is_saturated, splits, word_value,
+    covers, domain_box, is_saturated, splits, word_value,
     INITIAL, FINAL, _inside_closure, _meets_interior,
 )
 from .groups import (
@@ -166,11 +166,8 @@ class ComplexMeasure:
         self.domains = tuple(domains)
         self.density = density
         self.group = density.group
-        if check:
-            if not is_regular(complex_):
-                raise ValueError("complex is not regular")
-            if not is_saturated(complex_, self.domains):
-                raise ValueError("complex is not saturated for the domains")
+        if check and not is_saturated(complex_, self.domains):
+            raise ValueError("complex is not saturated for the domains")
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
         self.volumes = tuple(dom.volume for dom in self.domains)
         self.q_tables = tuple(density.q(v).values for v in self.volumes)
@@ -346,9 +343,6 @@ class CobordismBox:
 
     def cell(self) -> Cell:
         return domain_box(self.spans)
-
-    def box(self):
-        return self.spans
 
     def alpha_box(self):
         lo = self.spans[self.axis][0]

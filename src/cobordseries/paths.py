@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .groupoids import NatMonoid
 from .series import FormalSeries
 
 
@@ -264,13 +265,7 @@ def iterated_integrals(v: AlgebraPath, grade: int):
                              {e: p.integral() for e, p in layer.coeffs.items()},
                              poly_unit)
         total = total + layer
-    acc = None
-    for elem, poly in total.coeffs.items():
-        if gpd.ord(elem) == grade:
-            acc = poly(1) if acc is None else acc + poly(1)
-    if acc is None:
-        return v.unit * 0
-    return acc
+    return grade_component(total, grade)(1)
 
 
 def grade_component(series: FormalSeries, grade: int):
@@ -308,7 +303,7 @@ def constant_path(a: FormalSeries) -> AlgebraPath:
                        a.unit)
 
 
-def solve_left_ode_sampled(sample, groupoid, order, n, zero=0.0):
+def solve_left_ode_sampled(sample, groupoid, order, n):
     """Float adapter for sampled directions: trapezoid grade recursion.
 
     ``sample(elem, t)`` returns the float component of the direction at the
@@ -324,7 +319,7 @@ def solve_left_ode_sampled(sample, groupoid, order, n, zero=0.0):
     for elem in groupoid.elements_up_to(order):
         if elem == e or elem is e:
             continue
-        integrand = [zero] * (n + 1)
+        integrand = [0.0] * (n + 1)
         touched = False
         for i, j in groupoid.decompositions(elem):
             if i == e or i is e:
@@ -399,7 +394,7 @@ def convergence_suite_paths(order=4):
     order term at small n)."""
     from .matrices import RationalMatrix
 
-    gpd = _suite_groupoid()
+    gpd = NatMonoid()
     one = Fraction(1)
     e12 = RationalMatrix.unit(2, 0, 1)
     e21 = RationalMatrix.unit(2, 1, 0)
@@ -417,8 +412,3 @@ def convergence_suite_paths(order=4):
             unit),
     }
 
-
-def _suite_groupoid():
-    from .groupoids import NatMonoid
-
-    return NatMonoid()

@@ -49,10 +49,6 @@ class FormalSeries:
     def one(cls, groupoid, order, unit=Fraction(1)):
         return cls(groupoid, order, {groupoid.neutral: unit}, unit)
 
-    @classmethod
-    def monomial(cls, groupoid, order, elem, value, unit=Fraction(1)):
-        return cls(groupoid, order, {elem: value}, unit)
-
     # -- basics ------------------------------------------------------------
 
     @property

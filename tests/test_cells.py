@@ -83,6 +83,20 @@ def test_cell_validation():
         Cell((0,), (0,), (1,), sign=2)
 
 
+@pytest.mark.parametrize("base, axes, extents, sign", [
+    ((0.5,), (0,), (1,), 1),
+    ((0,), (0,), (1.5,), 1),
+    ((True, 0), (0,), (1,), 1),
+    ((0, 0), (False,), (1,), 1),
+    ((0,), (0,), (1,), True),
+    ((0,), (0,), (1,), 1.0),
+], ids=["float-base", "float-extent", "bool-base", "bool-axis", "bool-sign",
+        "float-sign"])
+def test_cell_rejects_non_integer_geometry(base, axes, extents, sign):
+    with pytest.raises(ValueError, match="integer|sign"):
+        Cell(base, axes, extents, sign)
+
+
 # -- gluing ---------------------------------------------------------------------
 
 def test_glue_segments_star():
@@ -422,6 +436,12 @@ def test_complex_file_validation(tmp_path):
                               "extents": [1], "sign": 1, "labels": []}],
                    "cosurface": {"group": "Z2", "values": {"0": "bogus"}}}, fh)
     with pytest.raises(ValueError):
+        load_complex(path)
+    # a fractional sign is refused, not truncated to +1
+    with open(path, "w") as fh:
+        json.dump({"cells": [{"dim": 1, "base": [0], "axes": [0],
+                              "extents": [1], "sign": 1.5, "labels": []}]}, fh)
+    with pytest.raises(ValueError, match="sign"):
         load_complex(path)
 
 

@@ -100,6 +100,13 @@ def test_empty_invocation_is_usage_error(capsys):
     assert exc.value.code != 0
 
 
+def test_option_a_subcommand_does_not_read_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nonregular", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_unknown_groupoid_spec_errors(tmp_path):
     with pytest.raises(ValueError):
         main(["series", "--groupoid", "torus:2"])

@@ -1,0 +1,269 @@
+"""The open-face predicates of ``cells`` against brute-force pairwise oracles.
+
+The oracles are the all-pairs box scans that ``is_regular``,
+``is_saturated``, ``region_components`` and ``Cell.unit_pieces`` are
+defined by; inputs are generated lattice configurations in dimensions 1-3
+with extents 1-3, both signs, mixed cell dimensions and empty inputs.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, strategies as st
+
+from cobordseries.cells import (
+    Cell, CellComplex, Cosurface, box_contains, box_dim, box_intersect,
+    box_union, covers, dimension_extend, domain_box, is_regular, is_saturated,
+    point_cell, region_components, _meets_interior,
+)
+from cobordseries.groups import cyclic
+from cobordseries.measures import ComplexMeasure, SemigroupDensity
+
+
+# -- oracles -------------------------------------------------------------------
+
+def unit_pieces_oracle(cell):
+    """Unit cells of the box, offsets enumerated axis by axis."""
+    out = []
+    for offsets in itertools.product(*[range(e) for e in cell.extents]):
+        base = list(cell.base)
+        for axis, off in zip(cell.axes, offsets):
+            base[axis] += off
+        out.append(Cell(tuple(base), cell.axes, (1,) * cell.dim, cell.sign))
+    return out
+
+
+def regular_oracle(cells):
+    """No pairwise intersection meets the relative interior of either cell."""
+    cells = list(cells)
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            inter = box_intersect(cells[i].box(), cells[j].box())
+            if inter is None:
+                continue
+            if _meets_interior(cells[i], inter) or _meets_interior(cells[j], inter):
+                return False
+    return True
+
+
+def saturated_oracle(complex_, domains):
+    """Regular cells and domains, every domain one dimension above the cells,
+    each domain facet covered and each cell piece inside some facet."""
+    cells = complex_.cells
+    if not (regular_oracle(cells) and regular_oracle(domains)):
+        return False
+    if len({c.dim for c in cells} | {d.dim - 1 for d in domains}) > 1:
+        return False
+    k = cells[0].dim if cells else 0
+    for dom in domains:
+        for facet, _ in dom.facets():
+            if not covers(facet.box(), cells, k):
+                return False
+    boundary = [f.box() for dom in domains for f, _ in dom.facets()]
+    return all(any(box_contains(b, piece.box()) for b in boundary)
+               for cell in cells for piece in unit_pieces_oracle(cell))
+
+
+def components_oracle(region, blocked_boxes):
+    """Union-find over every pair sharing an unblocked facet box."""
+    n = len(region)
+    facet_boxes = [[f.box() for f, _ in c.facets()] for c in region]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = box_intersect(region[i].box(), region[j].box())
+            if shared is None or box_dim(shared) != region[i].dim - 1:
+                continue
+            if shared not in facet_boxes[i] or shared not in facet_boxes[j]:
+                continue
+            if any(box_contains(b, shared) for b in blocked_boxes):
+                continue
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(region[i])
+    return list(groups.values())
+
+
+# -- generated lattice configurations ---------------------------------------------
+
+def window_cells(d, dim, size=3):
+    """All unit cells of one dimension in the window [0, size]^d."""
+    out = []
+    for axes in itertools.combinations(range(d), dim):
+        ranges = [range(size) if a in axes else range(size + 1) for a in range(d)]
+        for base in itertools.product(*ranges):
+            out.append(Cell(base, axes, (1,) * dim))
+    return out
+
+
+@st.composite
+def boxes(draw, d, dim):
+    """A dim-dimensional cell in [0, 5]^d with extents 1-3 and either sign."""
+    axes = tuple(sorted(draw(st.permutations(range(d)))[:dim]))
+    base = tuple(draw(st.integers(0, 2)) for _ in range(d))
+    extents = tuple(draw(st.integers(1, 3)) for _ in axes)
+    return Cell(base, axes, extents, draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def cell_lists(draw):
+    """Distinct unit cells of a small window, of one dimension (then
+    regular) or of mixed dimensions, and up to two longer boxes, in
+    shuffled order."""
+    d = draw(st.integers(1, 3))
+    dims = [draw(st.integers(0, d))] if draw(st.booleans()) else range(d + 1)
+    pool = [c for k in dims for c in window_cells(d, k, 2)]
+    cells = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    extra = draw(st.lists(boxes(d, draw(st.sampled_from(list(dims)))), max_size=2))
+    cells = [Cell(c.base, c.axes, c.extents, draw(st.sampled_from((1, -1))))
+             for c in cells + extra]
+    return draw(st.permutations(cells))
+
+
+def distinct(cells):
+    seen, out = set(), []
+    for c in cells:
+        if c.key() not in seen:
+            seen.add(c.key())
+            out.append(c)
+    return out
+
+
+@st.composite
+def saturation_inputs(draw):
+    """Domains and a complex built from their facets, then perturbed: a
+    piece dropped, a stray cell added, adjacent pieces merged, cells of the
+    wrong dimension, or an unrelated complex."""
+    d = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, d))
+    domains = draw(st.lists(boxes(d, dim), max_size=3))
+    if draw(st.booleans()):
+        domains = domains + draw(st.lists(boxes(d, draw(st.integers(0, d))),
+                                          max_size=1))
+    pieces = distinct(p for dom in domains for f, _ in dom.facets()
+                      for p in unit_pieces_oracle(f))
+    kind = draw(st.sampled_from(("exact", "drop", "stray", "merge", "vertices",
+                                 "random")))
+    if kind == "drop" and pieces:
+        pieces.pop(draw(st.integers(0, len(pieces) - 1)))
+    elif kind == "stray":
+        pieces = distinct(pieces + [draw(st.sampled_from(window_cells(d, dim - 1)))])
+    elif kind == "merge":
+        for _ in range(draw(st.integers(1, 3))):
+            pairs = [(a, b) for a, b in itertools.combinations(pieces, 2)
+                     if box_union(a.box(), b.box()) not in (None, a.box())]
+            if not pairs:
+                break
+            a, b = draw(st.sampled_from(pairs))
+            pieces = [p for p in pieces if p not in (a, b)]
+            pieces.append(domain_box(box_union(a.box(), b.box())))
+    elif kind == "vertices":
+        pieces = distinct(point_cell(v) for p in pieces
+                          for v in itertools.product(*p.box()))
+    elif kind == "random":
+        k = draw(st.integers(0, d))
+        pieces = draw(st.lists(st.sampled_from(window_cells(d, k)), max_size=6,
+                               unique=True))
+    pieces = [p for p in pieces if p.dim == pieces[0].dim]
+    cells = [Cell(c.base, c.axes, c.extents, draw(st.sampled_from((1, -1))))
+             for c in draw(st.permutations(pieces))]
+    return CellComplex(cells), draw(st.permutations(domains))
+
+
+@st.composite
+def region_inputs(draw):
+    """Top-dimensional unit cells of a window, occasionally a longer box or a
+    repeated cell; blocked boxes are cell facets and a random lower box."""
+    d = draw(st.integers(1, 3))
+    dim = draw(st.integers(0, d))
+    region = draw(st.lists(st.sampled_from(window_cells(d, dim)), max_size=10,
+                           unique=True))
+    region += draw(st.lists(boxes(d, dim), max_size=1))
+    if region and draw(st.booleans()):
+        region.append(draw(st.sampled_from(region)))
+    facets = [f.box() for c in region for f, _ in c.facets()]
+    blocked = draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []
+    blocked += [c.box() for c in draw(st.lists(boxes(d, max(dim - 1, 0)), max_size=1))]
+    return draw(st.permutations(region)), blocked
+
+
+# -- agreement with the oracles ------------------------------------------------------
+
+@given(cell_lists())
+def test_is_regular_matches_pairwise_oracle(cells):
+    assert is_regular(cells) == regular_oracle(cells)
+
+
+@given(saturation_inputs())
+def test_is_saturated_matches_pairwise_oracle(inputs):
+    complex_, domains = inputs
+    assert is_saturated(complex_, domains) == saturated_oracle(complex_, domains)
+
+
+@given(region_inputs())
+def test_region_components_match_pairwise_oracle(inputs):
+    region, blocked = inputs
+    assert region_components(region, blocked) == components_oracle(region, blocked)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.integers(0, d).flatmap(lambda k: boxes(d, k))))
+def test_unit_pieces_match_offset_enumeration(cell):
+    assert cell.unit_pieces() == unit_pieces_oracle(cell)
+
+
+@pytest.mark.parametrize("domains, expected", [
+    ([], True),
+    ([point_cell((0, 0))], True),          # a point has no boundary to cover
+    ([domain_box(((0, 1),))], False),
+], ids=["no-domains", "point-domain", "edge-domain"])
+def test_empty_complex(domains, expected):
+    empty = CellComplex([])
+    assert is_saturated(empty, domains) == saturated_oracle(empty, domains) == expected
+
+
+def test_empty_sequences():
+    assert is_regular([]) and regular_oracle([])
+    assert region_components([], [((0, 0),)]) == components_oracle([], []) == []
+
+
+def test_generated_inputs_reach_both_verdicts():
+    """The generators produce regular and non-regular sequences and
+    saturated and unsaturated complexes, so agreement is not vacuous."""
+    regular, saturated = set(), set()
+
+    @given(cell_lists(), saturation_inputs())
+    def collect(cells, inputs):
+        regular.add(is_regular(cells))
+        saturated.add(is_saturated(*inputs))
+
+    collect()
+    assert regular == {True, False} and saturated == {True, False}
+
+
+# -- the mixed-dimension defect -----------------------------------------------------
+
+def staircase_points():
+    """Points on the boundary of [0,2]x[0,1] whose 0-volume per facet equals
+    the facet's length; they do not cover the boundary edges."""
+    return CellComplex([point_cell((0, 0)), point_cell((1, 0)),
+                        point_cell((1, 1)), point_cell((2, 1))])
+
+
+def test_points_do_not_saturate_a_rectangle():
+    complex_, rectangle = staircase_points(), domain_box(((0, 2), (0, 1)))
+    assert not is_saturated(complex_, [rectangle])
+    with pytest.raises(ValueError, match="saturated"):
+        ComplexMeasure(complex_, [rectangle], SemigroupDensity(cyclic(2)))
+    cosurface = Cosurface(cyclic(2), [(c, 0) for c in complex_])
+    with pytest.raises(ValueError, match="not covered"):
+        dimension_extend(cosurface, complex_, rectangle)
