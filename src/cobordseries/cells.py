@@ -17,7 +17,9 @@ exactly when a face of one is an interior face of the other
 (``is_regular``); a complex saturates its domains when the cells and the
 domain facets have the same top-dimensional faces (``is_saturated``); and
 region cells are adjacent when they share a facet box from opposite sides
-(``region_components``).
+(``region_components``).  Coverage and boundary words are questions about
+unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
+which maps each unit piece of a complex to the cells containing it.
 
 A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
@@ -31,6 +33,7 @@ goes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 
@@ -57,13 +60,6 @@ def box_dim(box) -> int:
     return sum(1 for lo, hi in box if hi > lo)
 
 
-def box_volume(box) -> int:
-    vol = 1
-    for lo, hi in box:
-        vol *= max(hi - lo, 1) if hi > lo else 1
-    return vol if box_dim(box) else 1
-
-
 def _open_faces(box, interior=False):
     """The open unit faces of an integer box, in lexicographic order: boxes
     with (c, c) or (c, c + 1) on each axis, whose disjoint union is the
@@ -73,6 +69,13 @@ def _open_faces(box, interior=False):
     return product(*[[(j // 2, (j + 1) // 2)
                       for j in range(2 * lo + trim, 2 * hi + 1 - trim)]
                      if hi > lo else [(lo, lo)] for lo, hi in box])
+
+
+def _unit_faces(box):
+    """The top-dimensional open unit faces of an integer box (its unit
+    pieces), in lexicographic order."""
+    return product(*[[(c, c + 1) for c in range(lo, hi)] if hi > lo else [(lo, lo)]
+                     for lo, hi in box])
 
 
 def box_union(a, b):
@@ -175,8 +178,7 @@ class Cell:
     def unit_pieces(self):
         """Decompose the box into unit cells of the same dimension and sign:
         its top-dimensional open faces, in lexicographic order."""
-        return [domain_box(face, self.sign) for face in _open_faces(self.box())
-                if box_dim(face) == self.dim]
+        return [domain_box(face, self.sign) for face in _unit_faces(self.box())]
 
     def __repr__(self):
         spans = dict(zip(self.axes, self.extents))
@@ -224,6 +226,16 @@ class CellComplex:
             if len(set(keys)) != len(keys):
                 raise ValueError("complex cells must be pairwise distinct")
         self.cells = cells
+
+    @cached_property
+    def pieces(self) -> dict:
+        """Unit-piece index: each unit piece (box) of a cell mapped to the
+        positions of the cells containing it, in complex order."""
+        pieces = {}
+        for pos, cell in enumerate(self.cells):
+            for face in _unit_faces(cell.box()):
+                pieces[face] = pieces.get(face, ()) + (pos,)
+        return pieces
 
     def __len__(self):
         return len(self.cells)
@@ -285,21 +297,15 @@ def is_regular(cells) -> bool:
                for i, box in enumerate(boxes) for face in _open_faces(box))
 
 
-def covers(target_box, cells, dim) -> bool:
-    """The dim-dimensional parts of the cells inside target_box fill its
-    whole dim-volume."""
-    total = 0
-    for cell in cells:
-        inter = box_intersect(cell.box(), target_box)
-        if inter is not None and box_dim(inter) == dim:
-            total += box_volume(inter)
-    return total == box_volume(target_box)
+def covers(target_box, pieces) -> bool:
+    """Every unit piece of the target box is one of ``pieces``: a complex's
+    ``pieces`` index or the ``_unit_boxes`` of some cells."""
+    return all(face in pieces for face in _unit_faces(target_box))
 
 
 def _unit_boxes(cells):
-    """Boxes of the cells' top-dimensional open faces (their unit pieces)."""
-    return {face for cell in cells for face in _open_faces(cell.box())
-            if box_dim(face) == cell.dim}
+    """Boxes of the cells' unit pieces."""
+    return {face for cell in cells for face in _unit_faces(cell.box())}
 
 
 def is_saturated(complex_: CellComplex, domains) -> bool:
@@ -312,7 +318,7 @@ def is_saturated(complex_: CellComplex, domains) -> bool:
     if len(dims) > 1 or not (is_regular(complex_) and is_regular(domains)):
         return False
     facets = [f for dom in domains for f, _ in dom.facets()]
-    return _unit_boxes(complex_.cells) == _unit_boxes(facets)
+    return complex_.pieces.keys() == _unit_boxes(facets)
 
 
 def region_components(region_cells, blocked_boxes):
@@ -351,12 +357,6 @@ def region_components(region_cells, blocked_boxes):
     return list(groups.values())
 
 
-def _inside_closure(cell: Cell, component) -> bool:
-    boxes = [c.box() for c in component]
-    return all(any(box_contains(b, piece.box()) for b in boxes)
-               for piece in cell.unit_pieces())
-
-
 def splits(complex_: CellComplex, lo: int, hi: int, region):
     """Check that the contiguous subcomplex cells[lo:hi+1] separates the
     region into two components with the before/after cells on either side.
@@ -371,10 +371,9 @@ def splits(complex_: CellComplex, lo: int, hi: int, region):
         return None
     before = complex_.cells[:lo]
     after = complex_.cells[hi + 1:]
-    fits_before = [idx for idx, comp in enumerate(comps)
-                   if all(_inside_closure(c, comp) for c in before)]
-    fits_after = [idx for idx, comp in enumerate(comps)
-                  if all(_inside_closure(c, comp) for c in after)]
+    closures = [{face for c in comp for face in _open_faces(c.box())} for comp in comps]
+    fits_before, fits_after = ([i for i, faces in enumerate(closures) if pieces <= faces]
+                               for pieces in (_unit_boxes(before), _unit_boxes(after)))
     for minus_idx in (fits_before if before else (0, 1)):
         for plus_idx in (fits_after if after else (0, 1)):
             if minus_idx != plus_idx:
@@ -494,11 +493,12 @@ def _labelled_box(union_box, sign, alpha, beta):
     None when some facet mixes both labels (the union is not a plain box
     cobordism)."""
     cell = domain_box(union_box, sign)
+    alpha_pieces, beta_pieces = _unit_boxes(alpha), _unit_boxes(beta)
     labels = []
     for facet, default_lbl in cell.facets():
         fbox = facet.box()
-        in_alpha = covers(fbox, alpha, facet.dim)
-        in_beta = covers(fbox, beta, facet.dim)
+        in_alpha = covers(fbox, alpha_pieces)
+        in_beta = covers(fbox, beta_pieces)
         if in_alpha and not in_beta:
             lbl = INITIAL
         elif in_beta and not in_alpha:
@@ -519,27 +519,28 @@ def boundary_word(domain: Cell, complex_: CellComplex):
 
     Returns [(position, exponent)] in complex order: exponent +1 when the
     listed cell's orientation agrees with the induced boundary orientation
-    of the domain, -1 when opposite.  A cell overlapping the boundary
-    without being contained in a single face raises (non-adapted); cells
-    off the boundary are skipped.
+    of the domain, -1 when opposite.  The cells are the ones the facets'
+    unit pieces find in ``complex_.pieces``; each must lie inside the facet
+    it was found from, else it is partially on the boundary and raises
+    (non-adapted).  The cells must be one dimension below the domain.
     """
-    faces = [(f.box(), f.sign) for f, _ in domain.facets()]
+    if complex_.cells and complex_.cells[0].dim != domain.dim - 1:
+        raise ValueError(f"boundary words of {domain!r} read cells of dimension "
+                         f"{domain.dim - 1}, not {complex_.cells[0].dim}")
+    found = {}
+    for facet, _ in domain.facets():
+        fbox = facet.box()
+        for face in _unit_faces(fbox):
+            for pos in complex_.pieces.get(face, ()):
+                found[pos] = (fbox, facet.sign)
     word = []
-    for pos, cell in enumerate(complex_.cells):
-        cbox = cell.box()
-        matched = None
-        for fbox, fsign in faces:
-            if box_contains(fbox, cbox):
-                matched = fsign
-                break
-        if matched is not None:
-            word.append((pos, 1 if cell.sign == matched else -1))
-            continue
-        for fbox, _ in faces:
-            inter = box_intersect(cbox, fbox)
-            if inter is not None and box_dim(inter) == cell.dim:
-                raise ValueError(
-                    f"cell {cell!r} lies partially on the boundary of {domain!r}")
+    for pos in sorted(found):
+        cell = complex_.cells[pos]
+        fbox, fsign = found[pos]
+        if not box_contains(fbox, cell.box()):
+            raise ValueError(
+                f"cell {cell!r} lies partially on the boundary of {domain!r}")
+        word.append((pos, 1 if cell.sign == fsign else -1))
     return word
 
 
@@ -566,6 +567,9 @@ class Cosurface:
         self.group = group
         values = {}
         for cell, value in assignments:
+            if type(value) is not int or not 0 <= value < group.order:
+                raise ValueError(f"value {value!r} on {cell!r} is not an element "
+                                 f"of {group.name}")
             key = cell.key()
             stored = value if cell.sign > 0 else group.inv(value)
             if key in values and values[key] != stored:
@@ -598,8 +602,7 @@ def holonomy_cosurface(field: Cosurface, path) -> int:
 
 def dimension_extend(cosurface: Cosurface, complex_: CellComplex, domain: Cell) -> int:
     """Value on a (k+1)-cell as the ordered product of the boundary word."""
-    k = domain.dim - 1
-    if not all(covers(f.box(), complex_.cells, k) for f, _ in domain.facets()):
+    if not all(covers(f.box(), complex_.pieces) for f, _ in domain.facets()):
         raise ValueError(f"boundary of {domain!r} is not covered by the complex")
     word = boundary_word(domain, complex_)
     return cosurface.evaluate_word(complex_, word)

@@ -29,7 +29,7 @@ from scipy.linalg import expm
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
     covers, domain_box, is_saturated, splits, word_value,
-    INITIAL, FINAL, _inside_closure, _meets_interior,
+    INITIAL, FINAL, _meets_interior, _unit_boxes,
 )
 from .groups import (
     COUNTING, FiniteGroup, GroupFunction, convolve, delta, is_class_function,
@@ -234,37 +234,29 @@ class ComplexMeasure:
 # Markov property
 # ---------------------------------------------------------------------------
 
-def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus,
-                 region=None):
+def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     """Both sides of the conditional-independence identity, per conditioning
-    value on the splitting subcomplex.
+    value on the splitting subcomplex L = cells[lo:hi+1].
 
     f_plus / f_minus are called with a dict {position: value} restricted to
-    the cells of their side (component closure plus the splitting cells),
-    once per assignment of those cells; dependence outside the region is
-    structurally impossible.  The four sums per L-assignment (mass, both,
+    the cells of their side (component closure plus L), once per assignment
+    of those cells.  Once ``splits`` succeeds, the side functions read the
+    contiguous runs cells[lo:] (plus) and cells[:hi+1] (minus): a cell in
+    both closures would share a unit piece with L, which a saturated
+    complex does not allow.  The four sums per L-assignment (mass, both,
     plus side, minus side) are einsum contractions of the domain factors
-    with the side tables, all-ones where a side function is absent.  Returns
-    (table, max_residual) where table maps each L-assignment to a
+    with the side tables, all-ones where a side function is absent.
+    Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
     complex_ = measure.complex
     if len(complex_) > 52:
         raise ValueError(f"markov_check contracts at most 52 cells "
                          f"(np.einsum's index limit), got {len(complex_)}")
-    if region is None:
-        region = measure.region_cells()
-    split = splits(complex_, lo, hi, region)
-    if split is None:
+    if splits(complex_, lo, hi, measure.region_cells()) is None:
         raise ValueError("the subcomplex does not split the region")
-    m_plus, m_minus, _, _ = split
-
-    def side_positions(component):
-        return [i for i, cell in enumerate(complex_.cells)
-                if lo <= i <= hi or _inside_closure(cell, component)]
-
-    plus_positions = side_positions(m_plus)
-    minus_positions = side_positions(m_minus)
+    plus_positions = list(range(lo, len(complex_)))
+    minus_positions = list(range(hi + 1))
     l_positions = list(range(lo, hi + 1))
     n = measure.group.order
 
@@ -420,12 +412,15 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
     For each domain, each connected component of (domain boundary) ∩ (box
     border) becomes one piece; piece cells inherit the border orientation
     of the box, and the piece's own border gets initial/final labels from
-    the induced orientation of the complex cells meeting it.
+    the induced orientation of the complex cells meeting it.  The complex
+    cells on a domain's boundary are the ones its ``boundary_word`` reads,
+    so a cell partially on that boundary raises.
     """
     y_cell = cob.cell()
     face_signs = {f.box(): f.sign for f, _ in y_cell.facets()}
     pieces = []
     for dom in domains:
+        boundary = [complex_.cells[pos] for pos, _ in boundary_word(dom, complex_)]
         fragments = []
         for facet, _ in dom.facets():
             for ybox, ysign in face_signs.items():
@@ -452,11 +447,7 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
             cells = [domain_box(fragments[i][0], sign=fragments[i][1]) for i in comp]
             labels = set()
             boxes = [fragments[i][0] for i in comp]
-            dom_facet_boxes = [f.box() for f, _ in dom.facets()]
-            for s in complex_.cells:
-                # only cells of the complex on this domain's own boundary
-                if not any(box_contains(fb, s.box()) for fb in dom_facet_boxes):
-                    continue
+            for s in boundary:
                 inter_boxes = [box_intersect(s.box(), b) for b in boxes]
                 touched = [b for b in inter_boxes if b is not None]
                 if not touched:
@@ -478,7 +469,6 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
     domains are supplied)."""
     alpha = cob.alpha_box()
     beta = cob.beta_box()
-    k = complex_.cells[0].dim if complex_.cells else 0
     k_alpha, k_beta, k_a = [], [], []
     for cell in complex_.cells:
         if box_contains(alpha, cell.box()):
@@ -487,7 +477,7 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
             k_beta.append(cell)
         else:
             k_a.append(cell)
-    if not (covers(alpha, k_alpha, k) and covers(beta, k_beta, k)):
+    if not (covers(alpha, _unit_boxes(k_alpha)) and covers(beta, _unit_boxes(k_beta))):
         return False
     if not is_adapted(CellComplex(k_a), cob):
         return False
@@ -533,7 +523,7 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
             in_earlier.append(cell)
         else:
             raise ValueError(f"cell {cell!r} crosses the cutting interface")
-    if not covers(plane, shared, complex_.cells[0].dim):
+    if not covers(plane, _unit_boxes(shared)):
         raise ValueError("the interface is not covered by complex cells")
     return CutResult(CellComplex(in_later), CellComplex(in_earlier),
                      CellComplex(shared), y, y_prime)

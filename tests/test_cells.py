@@ -283,6 +283,14 @@ def test_cosurface_conflicting_values_rejected():
         Cosurface(z2, [(e, 0), (e, 1)])
 
 
+@pytest.mark.parametrize("sign, value", [(1, -1), (-1, 5), (1, True), (1, 1.0)],
+                         ids=["negative", "order-on-reversed-cell", "bool", "float"])
+def test_cosurface_rejects_values_outside_the_group(sign, value):
+    e = edge_cell((0,), 0, sign)
+    with pytest.raises(ValueError, match="not an element of Z5"):
+        Cosurface(cyclic(5), [(e, value)])
+
+
 # -- boundary words and dimension extension ---------------------------------------
 
 def test_square_boundary_word_abcd():

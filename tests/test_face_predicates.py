@@ -1,9 +1,10 @@
 """The open-face predicates of ``cells`` against brute-force pairwise oracles.
 
 The oracles are the all-pairs box scans that ``is_regular``,
-``is_saturated``, ``region_components`` and ``Cell.unit_pieces`` are
-defined by; inputs are generated lattice configurations in dimensions 1-3
-with extents 1-3, both signs, mixed cell dimensions and empty inputs.
+``is_saturated``, ``region_components``, ``Cell.unit_pieces``, ``covers``
+and ``boundary_word`` are defined by; inputs are generated lattice
+configurations in dimensions 1-3 with extents 1-3, both signs, mixed cell
+dimensions and empty inputs.
 """
 
 import itertools
@@ -13,8 +14,9 @@ from hypothesis import given, strategies as st
 
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, box_contains, box_dim, box_intersect,
-    box_union, covers, dimension_extend, domain_box, is_regular, is_saturated,
-    point_cell, region_components, _meets_interior,
+    box_union, boundary_word, covers, dimension_extend, domain_box, edge_cell,
+    is_regular, is_saturated, point_cell, region_components, _meets_interior,
+    _unit_boxes,
 )
 from cobordseries.groups import cyclic
 from cobordseries.measures import ComplexMeasure, SemigroupDensity
@@ -46,6 +48,26 @@ def regular_oracle(cells):
     return True
 
 
+def box_volume_oracle(box):
+    """dim-volume of a box; a point has volume 1."""
+    vol = 1
+    for lo, hi in box:
+        vol *= hi - lo if hi > lo else 1
+    return vol
+
+
+def covers_oracle(target_box, cells, dim):
+    """The dim-dimensional parts of the cells inside target_box fill its
+    whole dim-volume (intersection volumes summed, so only sound for
+    cells that do not overlap)."""
+    total = 0
+    for cell in cells:
+        inter = box_intersect(cell.box(), target_box)
+        if inter is not None and box_dim(inter) == dim:
+            total += box_volume_oracle(inter)
+    return total == box_volume_oracle(target_box)
+
+
 def saturated_oracle(complex_, domains):
     """Regular cells and domains, every domain one dimension above the cells,
     each domain facet covered and each cell piece inside some facet."""
@@ -57,11 +79,31 @@ def saturated_oracle(complex_, domains):
     k = cells[0].dim if cells else 0
     for dom in domains:
         for facet, _ in dom.facets():
-            if not covers(facet.box(), cells, k):
+            if not covers_oracle(facet.box(), cells, k):
                 return False
     boundary = [f.box() for dom in domains for f, _ in dom.facets()]
     return all(any(box_contains(b, piece.box()) for b in boundary)
                for cell in cells for piece in unit_pieces_oracle(cell))
+
+
+def boundary_word_oracle(domain, complex_):
+    """Each cell against each domain facet: contained cells are read with
+    the facet's sign, cells sharing a piece with a facet raise."""
+    faces = [(f.box(), f.sign) for f, _ in domain.facets()]
+    word = []
+    for pos, cell in enumerate(complex_.cells):
+        cbox = cell.box()
+        matched = next((fsign for fbox, fsign in faces if box_contains(fbox, cbox)),
+                       None)
+        if matched is not None:
+            word.append((pos, 1 if cell.sign == matched else -1))
+            continue
+        for fbox, _ in faces:
+            inter = box_intersect(cbox, fbox)
+            if inter is not None and box_dim(inter) == cell.dim:
+                raise ValueError(
+                    f"cell {cell!r} lies partially on the boundary of {domain!r}")
+    return word
 
 
 def components_oracle(region, blocked_boxes):
@@ -196,6 +238,58 @@ def region_inputs(draw):
     return draw(st.permutations(region)), blocked
 
 
+def merge_adjacent(draw, cells):
+    """Replace up to three pairs of cells sharing a full facet by their
+    union box; unions of interior-disjoint cells stay interior-disjoint."""
+    for _ in range(draw(st.integers(0, 3))):
+        pairs = [(a, b) for a, b in itertools.combinations(cells, 2)
+                 if box_union(a.box(), b.box()) not in (None, a.box())]
+        if not pairs:
+            break
+        a, b = draw(st.sampled_from(pairs))
+        cells = [c for c in cells if c not in (a, b)]
+        cells.append(domain_box(box_union(a.box(), b.box())))
+    return cells
+
+
+@st.composite
+def coverage_inputs(draw):
+    """A target box and regular cells of its dimension: some of its unit
+    pieces and unit cells of the window around it, some merged into
+    longer boxes."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    target = draw(boxes(d, k))
+    pieces = distinct(target.unit_pieces()
+                      + draw(st.lists(st.sampled_from(window_cells(d, k, 5)),
+                                      max_size=4)))
+    cells = draw(st.lists(st.sampled_from(pieces), unique=True))
+    return target.box(), draw(st.permutations(merge_adjacent(draw, cells)))
+
+
+@st.composite
+def word_inputs(draw):
+    """A domain and a complex one dimension below it: some of its facet
+    pieces, merged pieces, and boxes that may lie partly on the boundary or
+    overlap other cells, with either sign, in shuffled order."""
+    d = draw(st.integers(1, 3))
+    domain = draw(boxes(d, draw(st.integers(1, d))))
+    k = domain.dim - 1
+    pieces = distinct(p for f, _ in domain.facets() for p in f.unit_pieces())
+    cells = merge_adjacent(draw, draw(st.lists(st.sampled_from(pieces), unique=True)))
+    cells = distinct(cells + draw(st.lists(boxes(d, k), max_size=2)))
+    cells = [Cell(c.base, c.axes, c.extents, draw(st.sampled_from((1, -1))))
+             for c in cells]
+    return domain, CellComplex(draw(st.permutations(cells)))
+
+
+def word_or_error(read, domain, complex_):
+    try:
+        return read(domain, complex_)
+    except ValueError as exc:
+        return str(exc)
+
+
 # -- agreement with the oracles ------------------------------------------------------
 
 @given(cell_lists())
@@ -219,6 +313,38 @@ def test_region_components_match_pairwise_oracle(inputs):
     lambda d: st.integers(0, d).flatmap(lambda k: boxes(d, k))))
 def test_unit_pieces_match_offset_enumeration(cell):
     assert cell.unit_pieces() == unit_pieces_oracle(cell)
+
+
+@given(coverage_inputs())
+def test_covers_matches_volume_sum_on_regular_cells(inputs):
+    target, cells = inputs
+    assert regular_oracle(cells)
+    expected = covers_oracle(target, cells, box_dim(target))
+    assert covers(target, _unit_boxes(cells)) == expected
+    assert covers(target, CellComplex(cells).pieces) == expected
+
+
+@given(word_inputs())
+def test_boundary_word_matches_cell_facet_scan(inputs):
+    domain, complex_ = inputs
+    assert (word_or_error(boundary_word, domain, complex_)
+            == word_or_error(boundary_word_oracle, domain, complex_))
+
+
+def test_coverage_and_word_inputs_reach_every_verdict():
+    """Generated targets are covered and uncovered, and generated words
+    are read, empty and refused, so agreement is not vacuous."""
+    covered, words = set(), set()
+
+    @given(coverage_inputs(), word_inputs())
+    def collect(coverage, word):
+        target, cells = coverage
+        covered.add(covers(target, _unit_boxes(cells)))
+        out = word_or_error(boundary_word, *word)
+        words.add("error" if isinstance(out, str) else "word" if out else "empty")
+
+    collect()
+    assert covered == {True, False} and words == {"error", "word", "empty"}
 
 
 @pytest.mark.parametrize("domains, expected", [
@@ -265,5 +391,30 @@ def test_points_do_not_saturate_a_rectangle():
     with pytest.raises(ValueError, match="saturated"):
         ComplexMeasure(complex_, [rectangle], SemigroupDensity(cyclic(2)))
     cosurface = Cosurface(cyclic(2), [(c, 0) for c in complex_])
+    with pytest.raises(ValueError, match="not covered"):
+        dimension_extend(cosurface, complex_, rectangle)
+
+
+def test_boundary_word_rejects_cells_of_another_dimension():
+    complex_, rectangle = staircase_points(), domain_box(((0, 2), (0, 1)))
+    # the facet scan read a word off four points on the rectangle's boundary
+    assert boundary_word_oracle(rectangle, complex_) == [(0, -1), (1, 1), (2, -1), (3, 1)]
+    with pytest.raises(ValueError, match="dimension 1"):
+        boundary_word(rectangle, complex_)
+
+
+# -- the overlap defect of the volume sum -------------------------------------------
+
+def test_overlapping_cells_do_not_cover_a_gap():
+    """[0,2]x{0} and [1,2]x{0} overlap on [1,2]x{0}; their summed length
+    is 3, but [2,3]x{0} of the rectangle's lower side is missing."""
+    complex_ = CellComplex([
+        Cell((0, 0), (0,), (2,)), Cell((1, 0), (0,), (1,)), Cell((0, 1), (0,), (3,)),
+        edge_cell((0, 0), 1), edge_cell((3, 0), 1)])
+    rectangle = domain_box(((0, 3), (0, 1)))
+    bottom = ((0, 3), (0, 0))
+    assert covers_oracle(bottom, complex_.cells, 1)
+    assert not covers(bottom, complex_.pieces)
+    cosurface = Cosurface(cyclic(2), [(c, 1) for c in complex_])
     with pytest.raises(ValueError, match="not covered"):
         dimension_extend(cosurface, complex_, rectangle)

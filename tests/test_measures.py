@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cobordseries.cells import (
-    Cell, CellComplex, Cosurface, FINAL, INITIAL, _inside_closure, boundary_word,
+    Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
     domain_box, edge_cell, point_cell, splits,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
@@ -232,14 +233,71 @@ def test_markov_rejects_more_cells_than_einsum_indices():
         markov_check(measure, 26, 26, lambda v: 1.0, lambda v: 1.0)
 
 
+def inside_closure_oracle(cell, component):
+    """Every unit piece of the cell lies in the closed box of some
+    component cell (pairwise scan)."""
+    boxes = [c.box() for c in component]
+    return all(any(box_contains(b, piece.box()) for b in boxes)
+               for piece in cell.unit_pieces())
+
+
 def side_positions(measure, split):
     """Positions each side function reads: the closure of its component of
     the region minus the splitting cell, plus that cell."""
     complex_ = measure.complex
     m_plus, m_minus, _, _ = splits(complex_, split, split, measure.region_cells())
     return [[i for i, cell in enumerate(complex_.cells)
-             if i == split or _inside_closure(cell, component)]
+             if i == split or inside_closure_oracle(cell, component)]
             for component in (m_plus, m_minus)]
+
+
+def grid_instance(width, height):
+    """Unit edges and unit-square domains of the width x height grid."""
+    edges = ([edge_cell((x, y), 0) for x in range(width) for y in range(height + 1)]
+             + [edge_cell((x, y), 1) for x in range(width + 1) for y in range(height)])
+    domains = [domain_box(((x, x + 1), (y, y + 1)))
+               for x in range(width) for y in range(height)]
+    return edges, domains
+
+
+SPLIT_INSTANCES = {
+    "chain5": ([point_cell((i,)) for i in range(5)],
+               [domain_box(((i, i + 1),)) for i in range(4)]),
+    "strip": (strip_cells(),
+              [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]),
+    "grid2x2": grid_instance(2, 2),
+}
+
+
+def test_split_sides_are_contiguous_runs():
+    """Wherever cells[lo:hi+1] splits the region of a shuffled saturated
+    complex, the cells in the closure of the plus (minus) component, with
+    the splitting cells, are exactly cells[lo:] (cells[:hi+1]): the sides
+    markov_check hands to its side functions."""
+    split_count = {name: 0 for name in SPLIT_INSTANCES}
+
+    @given(st.sampled_from(sorted(SPLIT_INSTANCES)).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               st.permutations(SPLIT_INSTANCES[name][0]))))
+    def check(instance):
+        name, cells = instance
+        domains = SPLIT_INSTANCES[name][1]
+        measure = ComplexMeasure(CellComplex(cells), domains, SemigroupDensity(Z2))
+        region, n = measure.region_cells(), len(cells)
+        for lo in range(n):
+            for hi in range(lo, n):
+                split = splits(measure.complex, lo, hi, region)
+                if split is None:
+                    continue
+                split_count[name] += 1
+                plus, minus = [[i for i, cell in enumerate(cells)
+                                if lo <= i <= hi or inside_closure_oracle(cell, comp)]
+                               for comp in split[:2]]
+                assert plus == list(range(lo, n))
+                assert minus == list(range(hi + 1))
+
+    check()
+    assert all(split_count.values()), split_count
 
 
 def test_markov_calls_each_side_function_once_per_side_assignment():
@@ -315,6 +373,16 @@ def test_adapted_alpha_beta_labels():
     inside_alpha = CellComplex([edge_cell((0, 0), 1)])
     assert is_adapted(tilted, cob)
     assert not is_adapted(inside_alpha, cob)
+
+
+def test_border_reduce_rejects_cell_partially_on_a_domain_boundary():
+    """[0,2]x{0} runs along the lower facets of both squares of the strip
+    without lying inside either."""
+    cells = [c for c in strip_cells() if c.axes != (0,) or c.base[1] != 0]
+    complex_ = CellComplex(cells + [Cell((0, 0), (0,), (2,))])
+    domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
+    with pytest.raises(ValueError, match="partially on the boundary"):
+        border_reduce(complex_, CobordismBox(((0, 2), (0, 1))), domains)
 
 
 def test_border_reduce_two_square_strip():
