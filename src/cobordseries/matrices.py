@@ -1,12 +1,30 @@
-"""Exact rational square matrices, used as non-commutative series coefficients."""
+"""Exact rational square matrices, used as non-commutative series coefficients.
+
+A matrix is stored fraction-free: a flat row-major tuple of integer
+numerators over one positive common denominator.  Every result is reduced
+by a single ``gcd(den, *num)``, so the form is canonical (``den > 0`` and
+``gcd(den, *num) == 1``), equal matrices have equal storage and ``==`` is
+a tuple comparison.  The ``Fraction`` view (``rows``, ``m[i, j]``,
+``repr``) is built only at the boundary.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+
+def _entry(x) -> Fraction:
+    """Exact entry from an int (not bool), a Fraction or a rational string."""
+    if type(x) is int or isinstance(x, (Fraction, str)):
+        return Fraction(x)  # a string that is not a rational raises ValueError here
+    raise ValueError(f"matrix entry must be an int, a Fraction or a rational string, "
+                     f"not {x!r}")
 
 
 class RationalMatrix:
-    """Immutable n x n matrix over Fraction.
+    """Immutable n x n matrix over the rationals.
 
     All arithmetic is exact.  Multiplication by a scalar (int/Fraction)
     scales entrywise; multiplication by another matrix is the usual row
@@ -14,15 +32,32 @@ class RationalMatrix:
     visible to everything built on top.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
+        # lcm of reduced denominators: the scaled numerators share no factor with it
+        den = lcm(*(x.denominator for row in rows for x in row))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "num", tuple(x.numerator * (den // x.denominator)
+                                              for row in rows for x in row))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, n, num, den):
+        """Trusted constructor: integer numerators over den > 0, reduced here."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -48,6 +83,13 @@ class RationalMatrix:
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
                          for i in range(n)))
 
+    @property
+    def rows(self):
+        """The entries as a tuple of rows of Fractions."""
+        n, num, den = self.n, self.num, self.den
+        return tuple(tuple(Fraction(x, den) for x in num[i * n:(i + 1) * n])
+                     for i in range(n))
+
     def __iter__(self):
         return iter(self.rows)
 
@@ -58,40 +100,48 @@ class RationalMatrix:
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash(self.rows)
 
     def __bool__(self):
-        return any(any(x for x in row) for row in self.rows)
+        return any(self.num)
 
     def __add__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         self._check_shape(other)
-        return RationalMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                    for r1, r2 in zip(self.rows, other.rows)))
+        da, db = self.den, other.den
+        return RationalMatrix._make(
+            self.n, tuple(a * db + b * da for a, b in zip(self.num, other.num)), da * db)
 
     def __sub__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         self._check_shape(other)
-        return RationalMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                                    for r1, r2 in zip(self.rows, other.rows)))
+        da, db = self.den, other.den
+        return RationalMatrix._make(
+            self.n, tuple(a * db - b * da for a, b in zip(self.num, other.num)), da * db)
 
     def __neg__(self):
-        return RationalMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return RationalMatrix._make(self.n, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             self._check_shape(other)
-            cols = tuple(zip(*other.rows))
-            return RationalMatrix(tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows))
-        if isinstance(other, (int, Fraction)):
-            return RationalMatrix(tuple(tuple(a * other for a in row) for row in self.rows))
+            n, a, b = self.n, self.num, other.num
+            rows = [a[i * n:(i + 1) * n] for i in range(n)]
+            cols = [b[j::n] for j in range(n)]
+            return RationalMatrix._make(
+                n, tuple(sum(map(mul, row, col)) for row in rows for col in cols),
+                self.den * other.den)
+        if type(other) is int or isinstance(other, Fraction):
+            return RationalMatrix._make(
+                self.n, tuple(a * other.numerator for a in self.num),
+                self.den * other.denominator)
+        if type(other) is bool:
+            raise ValueError("cannot scale a matrix by a bool")
         return NotImplemented
 
     def __rmul__(self, other):
@@ -100,7 +150,7 @@ class RationalMatrix:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("only non-negative integer powers")
         out = RationalMatrix.identity(self.n)
         base = self
@@ -145,11 +195,11 @@ class RationalMatrix:
                 d = m[j][i]
                 m[j] = [x - d * y for x, y in zip(m[j], m[i])]
                 b[j] = [x - d * y for x, y in zip(b[j], b[i])]
-        return RationalMatrix(tuple(tuple(row) for row in b))
+        return RationalMatrix(b)
 
     def max_abs(self) -> Fraction:
         """Largest absolute entry; the norm used by convergence tables."""
-        return max((abs(x) for row in self.rows for x in row), default=Fraction(0))
+        return Fraction(max(abs(x) for x in self.num), self.den)
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)

@@ -24,6 +24,13 @@ from .groupoids import NatMonoid
 from .series import FormalSeries
 
 
+def _exact_time(t) -> Fraction:
+    """A time given exactly, as an int (not bool) or a Fraction."""
+    if type(t) is int or isinstance(t, Fraction):
+        return Fraction(t)
+    raise ValueError(f"time must be an int or a Fraction, not {t!r}")
+
+
 class CoeffPoly:
     """Polynomial in the time variable with coefficients in a value algebra.
 
@@ -127,7 +134,7 @@ class CoeffPoly:
         return CoeffPoly(out, self.unit)
 
     def __call__(self, t):
-        t = Fraction(t)
+        t = _exact_time(t)
         value = self.zero_coeff
         for c in reversed(self.coeffs):
             value = value * t + c
@@ -150,8 +157,10 @@ class AlgebraPath:
     __slots__ = ("groupoid", "order", "unit", "polys", "unital")
 
     def __init__(self, groupoid, order, polys, unit=Fraction(1), unital=False):
+        if type(order) is not int or order < 0:
+            raise ValueError(f"truncation order must be an int >= 0, not {order!r}")
         self.groupoid = groupoid
-        self.order = int(order)
+        self.order = order
         self.unit = unit
         self.unital = bool(unital)
         clean = {}
@@ -179,13 +188,13 @@ class AlgebraPath:
 
     def __call__(self, t) -> FormalSeries:
         """Evaluate at a rational time; exact when coefficients are exact."""
-        return FormalSeries(self.groupoid, self.order,
-                            {e: p(t) for e, p in self.polys.items()}, self.unit)
+        return FormalSeries._trusted(self.groupoid, self.order,
+                                     {e: p(t) for e, p in self.polys.items()}, self.unit)
 
     def as_poly_series(self) -> FormalSeries:
         """View the whole path as one series with polynomial coefficients."""
-        return FormalSeries(self.groupoid, self.order, dict(self.polys),
-                            CoeffPoly.one(self.unit))
+        return FormalSeries._trusted(self.groupoid, self.order, self.polys,
+                                     CoeffPoly.one(self.unit))
 
     @classmethod
     def from_poly_series(cls, series: FormalSeries, unit, unital=False) -> "AlgebraPath":
@@ -238,9 +247,9 @@ def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
     if not u.unital:
         raise ValueError("left logarithmic derivative needs a unital path")
     series = u.as_poly_series()
-    du = FormalSeries(u.groupoid, u.order,
-                      {e: p.derivative() for e, p in u.polys.items()},
-                      CoeffPoly.one(u.unit))
+    du = FormalSeries._trusted(u.groupoid, u.order,
+                               {e: p.derivative() for e, p in u.polys.items()},
+                               CoeffPoly.one(u.unit))
     result = du * series.inverse()
     return AlgebraPath.from_poly_series(result, u.unit, unital=False)
 
@@ -261,9 +270,9 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     layer = total
     for _ in range(1, grade + 1):
         layer = v_series * layer
-        layer = FormalSeries(gpd, v.order,
-                             {e: p.integral() for e, p in layer.coeffs.items()},
-                             poly_unit)
+        layer = FormalSeries._trusted(gpd, v.order,
+                                      {e: p.integral() for e, p in layer.coeffs.items()},
+                                      poly_unit)
         total = total + layer
     return grade_component(total, grade)(1)
 
@@ -280,9 +289,9 @@ def grade_component(series: FormalSeries, grade: int):
 
 def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     """The ordered product approximation u_n(s) of the left ODE solution."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = Fraction(s)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, not {n!r}")
+    s = _exact_time(s)
     if not 0 <= s <= 1:
         raise ValueError("time must lie in [0, 1]")
     if v.unital:

@@ -24,10 +24,10 @@ class FormalSeries:
     __slots__ = ("groupoid", "order", "unit", "coeffs")
 
     def __init__(self, groupoid, order, coeffs=None, unit=Fraction(1)):
+        if type(order) is not int or order < 0:
+            raise ValueError(f"truncation order must be an int >= 0, not {order!r}")
         self.groupoid = groupoid
-        self.order = int(order)
-        if self.order < 0:
-            raise ValueError("truncation order must be >= 0")
+        self.order = order
         self.unit = unit
         clean = {}
         for elem, value in (coeffs or {}).items():
@@ -38,6 +38,18 @@ class FormalSeries:
             if value:
                 clean[elem] = value
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, groupoid, order, coeffs, unit):
+        """Series from coefficients already known to sit on elements of
+        ``groupoid`` of grade <= ``order``: no membership or grade checks,
+        zero coefficients are still dropped."""
+        out = object.__new__(cls)
+        out.groupoid = groupoid
+        out.order = order
+        out.unit = unit
+        out.coeffs = {e: v for e, v in coeffs.items() if v}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -90,7 +102,7 @@ class FormalSeries:
         out = dict(self.coeffs)
         for elem, value in other.coeffs.items():
             out[elem] = out[elem] + value if elem in out else value
-        return FormalSeries(self.groupoid, self.order, out, self.unit)
+        return FormalSeries._trusted(self.groupoid, self.order, out, self.unit)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSeries):
@@ -98,12 +110,13 @@ class FormalSeries:
         return self + (-other)
 
     def __neg__(self):
-        return FormalSeries(self.groupoid, self.order,
-                            {e: -v for e, v in self.coeffs.items()}, self.unit)
+        return FormalSeries._trusted(self.groupoid, self.order,
+                                     {e: -v for e, v in self.coeffs.items()}, self.unit)
 
     def scale(self, scalar):
-        return FormalSeries(self.groupoid, self.order,
-                            {e: v * scalar for e, v in self.coeffs.items()}, self.unit)
+        return FormalSeries._trusted(self.groupoid, self.order,
+                                     {e: v * scalar for e, v in self.coeffs.items()},
+                                     self.unit)
 
     # -- graded convolution --------------------------------------------------
 
@@ -119,7 +132,7 @@ class FormalSeries:
                         continue
                     term = a * b
                     out[k] = out[k] + term if k in out else term
-            return FormalSeries(gpd, self.order, out, self.unit)
+            return FormalSeries._trusted(gpd, self.order, out, self.unit)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -224,7 +237,7 @@ def coeff_from_payload(payload):
     if isinstance(payload, str):
         return Fraction(payload)
     if isinstance(payload, list):
-        return RationalMatrix([[Fraction(x) for x in row] for row in payload])
+        return RationalMatrix(payload)
     raise ValueError(f"cannot parse coefficient payload {payload!r}")
 
 
@@ -237,12 +250,12 @@ class SemidirectElement:
         (g, a) · (g', a') = (g g', b)   with  1 + b = (1 + g'^-1 a g')(1 + a').
     """
 
-    __slots__ = ("g", "a")
+    __slots__ = ("g", "a", "g_inv")
 
     def __init__(self, g, a: FormalSeries):
         if not a.has_zero_e_part():
             raise ValueError("series part must have zero coefficient at the neutral element")
-        g.inverse()  # raises on singular g
+        self.g_inv = g.inverse()  # raises on singular g
         self.g = g
         self.a = a
 
@@ -255,25 +268,25 @@ class SemidirectElement:
                    FormalSeries.zero(groupoid, order, unit))
 
     @staticmethod
-    def _conjugate(series: FormalSeries, h) -> FormalSeries:
-        h_inv = h.inverse()
-        return FormalSeries(series.groupoid, series.order,
-                            {e: h * v * h_inv for e, v in series.coeffs.items()},
-                            series.unit)
+    def _conjugate(series: FormalSeries, h, h_inv) -> FormalSeries:
+        """h·a·h⁻¹ coefficientwise, given the pair (h, h⁻¹)."""
+        return FormalSeries._trusted(series.groupoid, series.order,
+                                     {e: h * v * h_inv for e, v in series.coeffs.items()},
+                                     series.unit)
 
     def __mul__(self, other):
         if not isinstance(other, SemidirectElement):
             return NotImplemented
         self.a._check_compatible(other.a)
-        twisted = self._conjugate(self.a, other.g.inverse())
+        twisted = self._conjugate(self.a, other.g_inv, other.g)
         b = twisted + other.a + twisted * other.a
         return SemidirectElement(self.g * other.g, b)
 
     def inverse(self) -> "SemidirectElement":
-        twisted = self._conjugate(self.a, self.g)
+        twisted = self._conjugate(self.a, self.g, self.g_inv)
         one = FormalSeries.one(self.a.groupoid, self.a.order, self.a.unit)
         b = (one + twisted).inverse() - one
-        return SemidirectElement(self.g.inverse(), b)
+        return SemidirectElement(self.g_inv, b)
 
     def __eq__(self, other):
         if not isinstance(other, SemidirectElement):

@@ -97,6 +97,32 @@ def test_euler_product_rejects_bad_time():
         euler_product(const_q_path(), 0, Fraction(1, 2))
 
 
+
+@pytest.mark.parametrize("n", [2.5, True, "4"])
+def test_euler_product_rejects_non_int_step_count(n):
+    with pytest.raises(ValueError, match="n must be"):
+        euler_product(const_q_path(), n, 1)
+
+
+def test_euler_product_rejects_float_time():
+    with pytest.raises(ValueError, match="time must be"):
+        euler_product(const_q_path(), 4, 0.3)
+
+
+def test_coeff_poly_rejects_float_time():
+    p = CoeffPoly((ONE, ONE))
+    assert p(Fraction(1, 2)) == Fraction(3, 2)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="time must be"):
+            p(bad)
+
+
+@pytest.mark.parametrize("order", [6.7, "6", True, -1])
+def test_path_order_must_be_a_non_negative_int(order):
+    with pytest.raises(ValueError, match="truncation order"):
+        AlgebraPath(NAT, order, {1: CoeffPoly.constant(ONE)})
+
+
 # -- exact ODE solution ---------------------------------------------------------
 
 def test_solve_constant_direction_is_exponential_path():

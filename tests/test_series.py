@@ -48,6 +48,12 @@ def test_bool_index_rejected():
         FormalSeries(make_interval_groupoid(0, 3), 3, {(False, 2): Fraction(1)})
 
 
+@pytest.mark.parametrize("order", [6.7, "6", True, -1])
+def test_order_must_be_a_non_negative_int(order):
+    with pytest.raises(ValueError, match="truncation order"):
+        FormalSeries(make_nat_monoid(), order)
+
+
 def test_truncation_drops_high_grades():
     nat = make_nat_monoid()
     q = q_series(order=2)
@@ -212,7 +218,7 @@ def test_semidirect_conjugation_action():
     unit = RationalMatrix.identity(2)
     g = RationalMatrix.diagonal([2, 1])
     a = FormalSeries(nat, 2, {1: RationalMatrix.unit(2, 0, 1)}, unit)
-    conj = SemidirectElement._conjugate(a, g)
+    conj = SemidirectElement._conjugate(a, g, g.inverse())
     assert conj.coefficient(1) == RationalMatrix.unit(2, 0, 1, 2)
 
 
