@@ -160,9 +160,23 @@ def run_cosurface_series(args):
             "trunc": args.trunc}, cases
 
 
+def positive_int(text):
+    """argparse type of ``--grid``: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def open_unit_times(text):
+    """argparse type of ``--t``: comma-separated times, each in (-1, 1)."""
+    ts = [float(x) for x in text.split(",")]
+    if not all(-1 < t < 1 for t in ts):
+        raise argparse.ArgumentTypeError(f"each time must lie in (-1, 1), got {text!r}")
+    return ts
+
+
 def run_nonregular(args):
-    ts = [float(x) for x in args.t.split(",")]
-    rows = nonregular.full_report(ts=ts, grid_size=args.grid)
+    rows = nonregular.full_report(ts=args.t, grid_size=args.grid)
     cases = []
     for row in rows:
         cases.append({
@@ -175,7 +189,7 @@ def run_nonregular(args):
             "escape": row["escape_for_positive_t"],
             "pass": row["pass"],
         })
-    return {"t": ts, "grid": args.grid}, cases
+    return {"t": args.t, "grid": args.grid}, cases
 
 
 def write_report(report, args, csv_rows=None):
@@ -239,8 +253,8 @@ def build_parser():
 
     p = sub.add_parser("nonregular", help="interval diffeomorphism checks")
     add_options(p)
-    p.add_argument("--t", default="0.1,-0.1,0.5,-0.5,0.9,-0.9")
-    p.add_argument("--grid", type=int, default=1_000_000)
+    p.add_argument("--t", type=open_unit_times, default="0.1,-0.1,0.5,-0.5,0.9,-0.9")
+    p.add_argument("--grid", type=positive_int, default=1_000_000)
     return parser
 
 

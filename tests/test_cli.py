@@ -107,6 +107,15 @@ def test_option_a_subcommand_does_not_read_is_usage_error(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-4"),
+                                         ("--t", "nan"), ("--t", "1.5")])
+def test_nonregular_out_of_range_value_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["nonregular", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_unknown_groupoid_spec_errors(tmp_path):
     with pytest.raises(ValueError):
         main(["series", "--groupoid", "torus:2"])

@@ -1,9 +1,87 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cobordseries import nonregular as nr
+
+PAPER_TS = (0.0, 0.1, -0.1, 0.5, -0.5, 0.9, -0.9)
+
+
+# The whole-grid membership check as it stood before the blocked rewrite,
+# with its own copies of the formulas: the oracle for the blocked pass.
+def _whole_p(x):
+    return (x - x * x) / 2.0
+
+
+def _whole_p_prime(x):
+    return (1.0 - 2.0 * x) / 2.0
+
+
+def _whole_phi(t, x):
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("phi is defined for t >= 0")
+    p = _whole_p(x)
+    return p * t / ((1.0 - p) * t + p)
+
+
+def _whole_c(t, x):
+    x = np.asarray(x, dtype=float)
+    if np.any((x <= 0) | (x >= 1)):
+        raise ValueError("x must lie in the open unit interval")
+    if not -1 < t < 1:
+        raise ValueError("t must lie in (-1, 1)")
+    if t >= 0:
+        return x + _whole_phi(t, x)
+    return x - _whole_phi(-t, x)
+
+
+def _whole_dc_dx(t, x):
+    x = np.asarray(x, dtype=float)
+    u = abs(t)
+    p = _whole_p(x)
+    dphi = (u * u * _whole_p_prime(x)) / (u + p * (1.0 - u)) ** 2 if u > 0 \
+        else np.zeros_like(x)
+    return 1.0 + dphi if t >= 0 else 1.0 - dphi
+
+
+def whole_grid_membership(t, grid_size=1_000_000, fd_step=1e-5, fd_tol=1e-8):
+    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    ct = _whole_c(t, x)
+    p = _whole_p(x)
+    lower_slack = float(np.min(ct - (x - p)))
+    upper_slack = float(np.min((x + p) - ct))
+    deriv = _whole_dc_dx(t, x)
+    deriv_bound_slack = float(np.min(np.abs(_whole_p_prime(x)) - np.abs(deriv - 1.0)))
+    inner = x[(x > fd_step) & (x < 1.0 - fd_step)]
+    fd = (_whole_c(t, inner + fd_step) - _whole_c(t, inner - fd_step)) / (2.0 * fd_step)
+    fd_err = float(np.max(np.abs(fd - _whole_dc_dx(t, inner))))
+    return {
+        "t": t,
+        "grid_size": grid_size,
+        "lower_slack": lower_slack,
+        "upper_slack": upper_slack,
+        "derivative_bound_slack": deriv_bound_slack,
+        "derivative_min": float(np.min(deriv)),
+        "fd_cross_check": fd_err,
+        "sup_p_prime": 0.5,
+        "pass": (lower_slack > 0 and upper_slack > 0
+                 and deriv_bound_slack >= -1e-15
+                 and np.min(deriv) > 0 and fd_err <= fd_tol),
+    }
+
+
+def assert_same_report(t, grid_size, **kw):
+    blocked = nr.check_membership(t, grid_size, **kw)
+    whole = whole_grid_membership(t, grid_size, **kw)
+    assert blocked.keys() == whole.keys()
+    for key, value in whole.items():
+        assert blocked[key] == value, (key, blocked[key], value)
 
 
 def test_p_poly_value():
@@ -96,3 +174,120 @@ def test_full_report_passes():
     rows = nr.full_report(ts=(0.5, -0.5), grid_size=50_000)
     assert all(row["pass"] for row in rows)
     assert all(row["escape_for_positive_t"] for row in rows)
+
+
+def test_formulas_match_the_whole_grid_copies():
+    x = np.linspace(1e-6, 1 - 1e-6, 10_001)
+    for t in PAPER_TS:
+        assert np.array_equal(nr.c(t, x), _whole_c(t, x))
+        assert np.array_equal(nr.dc_dx(t, x), _whole_dc_dx(t, x))
+        assert np.array_equal(nr.phi(abs(t), x), _whole_phi(abs(t), x))
+
+
+@pytest.mark.parametrize("t", PAPER_TS)
+def test_membership_equals_whole_grid_on_paper_times(t):
+    assert_same_report(t, 100_003)
+
+
+SLICE_GRIDS = (1, 2, nr.BLOCK - 1, nr.BLOCK, nr.BLOCK + 1, 3 * nr.BLOCK + 7)
+
+
+@pytest.mark.parametrize("grid_size", SLICE_GRIDS)
+@pytest.mark.parametrize("t", (0.0, 0.5, -0.9))
+def test_membership_equals_whole_grid_on_slice_boundaries(t, grid_size):
+    assert_same_report(t, grid_size)
+
+
+@pytest.mark.parametrize("t", (0.5, -0.5))
+def test_membership_equals_whole_grid_on_the_million_point_grid(t):
+    assert_same_report(t, 1_000_000)
+
+
+@given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from(SLICE_GRIDS))
+def test_membership_equals_whole_grid_on_generated_times(t, grid_size):
+    assert_same_report(t, grid_size)
+
+
+def test_membership_evaluates_p_once_per_point(monkeypatch):
+    # P is computed once per grid point and once per shifted point x +/- h;
+    # slices that overlap or miss part of the grid change the count.
+    sizes = []
+    real_p = nr.p_poly
+
+    def counted_p(x):
+        sizes.append(np.size(x))
+        return real_p(x)
+
+    monkeypatch.setattr(nr, "p_poly", counted_p)
+    grid_size, fd_step = 3 * nr.BLOCK + 7, 1e-3
+    nr.check_membership(0.5, grid_size, fd_step=fd_step)
+    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    inner = np.count_nonzero((x > fd_step) & (x < 1.0 - fd_step))
+    assert sum(sizes) == grid_size + 2 * inner
+
+
+def test_membership_checks_the_shifted_points_against_the_domain():
+    # On the grid {1/3, 2/3} with h = 0.333...: 2/3 < 1 - h, but 2/3 + h
+    # rounds to 1.0, so the finite difference would leave the interval.
+    h = 0.3333333333333333
+    for check in (whole_grid_membership, nr.check_membership):
+        with pytest.raises(ValueError, match="open unit interval"):
+            check(0.5, 2, fd_step=h)
+
+
+def test_membership_peak_memory_stays_near_the_grid():
+    # The grid itself is 7.6 MiB; the whole-grid pass peaked at about 76 MiB.
+    tracemalloc.start()
+    try:
+        nr.check_membership(0.5, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0, math.nan])
+def test_membership_rejects_a_time_outside_the_open_interval(t):
+    with pytest.raises(ValueError, match="t must lie"):
+        nr.check_membership(t, 1000)
+    # also when no grid point is far enough inside for the finite difference
+    with pytest.raises(ValueError, match="t must lie"):
+        nr.check_membership(t, 2, fd_step=0.4)
+
+
+@pytest.mark.parametrize("grid_size", [0, -3, 2.5, True, "10", None])
+def test_membership_rejects_a_bad_grid_size(grid_size):
+    with pytest.raises(ValueError, match="grid_size"):
+        nr.check_membership(0.5, grid_size)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-5, 0.5, 0.6, math.nan, math.inf])
+def test_membership_rejects_a_bad_fd_step(fd_step):
+    with pytest.raises(ValueError, match="fd_step"):
+        nr.check_membership(0.5, 1000, fd_step=fd_step)
+
+
+def test_membership_rejects_a_grid_with_no_interior_point_for_the_step():
+    # grid {1/3, 2/3}: no point lies more than 0.4 inside (0, 1)
+    with pytest.raises(ValueError, match="fd_step"):
+        nr.check_membership(0.5, 2, fd_step=0.4)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4])
+def test_derivative_at_zero_rejects_a_non_positive_step(fd_step):
+    with pytest.raises(ValueError, match="fd_step"):
+        nr.derivative_at_zero(np.array([0.5]), fd_step=fd_step)
+
+
+def test_ode_escape_for_a_tiny_positive_time():
+    # 1.0 + 1e-17 rounds to 1.0, but the boundary limit 1 + t exceeds 1
+    assert nr.ode_escape_check(1e-17)
+    row, = nr.full_report(ts=(1e-17,), grid_size=1000)
+    assert row["escape_for_positive_t"] is True
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_ode_escape_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        nr.ode_escape_check(t)
