@@ -20,6 +20,9 @@ each element.
 All three test integer coordinates with the same check, ``type(x) is int``:
 ``bool`` is an ``int`` subclass but never an element, and the inline test
 costs no extra call on the membership check every ``ord``/``compose`` makes.
+
+``compose`` validates both arguments and delegates to ``_compose``, the same
+map unchecked, for callers whose elements are known members (series supports).
 """
 
 from __future__ import annotations
@@ -61,7 +64,13 @@ class GradedGroupoid:
         raise NotImplementedError
 
     def compose(self, i, j):
-        """i after j; returns the composite or None when undefined."""
+        """i after j, validated; returns the composite or None when undefined."""
+        self._require(i)
+        self._require(j)
+        return self._compose(i, j)
+
+    def _compose(self, i, j):
+        """``compose`` on two members, without checking that they are."""
         raise NotImplementedError
 
     def elements_up_to(self, max_grade: int):
@@ -101,9 +110,7 @@ class NatMonoid(GradedGroupoid):
         self._require(element)
         return element
 
-    def compose(self, i, j):
-        self._require(i)
-        self._require(j)
+    def _compose(self, i, j):
         return i + j
 
     def elements_up_to(self, max_grade):
@@ -164,9 +171,7 @@ class IntervalGroupoid(GradedGroupoid):
             return 0
         return element[1] - element[0]
 
-    def compose(self, i, j):
-        self._require(i)
-        self._require(j)
+    def _compose(self, i, j):
         if i is NEUTRAL:
             return j
         if j is NEUTRAL:
@@ -228,11 +233,14 @@ class BoxGroupoid(GradedGroupoid):
     """
 
     def __init__(self, window, axis: int = 0):
-        window = tuple((int(lo), int(hi)) for lo, hi in window)
-        if not window or any(lo >= hi for lo, hi in window):
-            raise ValueError("box window must be non-empty in every axis")
-        if not 0 <= axis < len(window):
-            raise ValueError("composition axis outside dimension range")
+        window = tuple(window)
+        if not window or not all(isinstance(span, (tuple, list)) and len(span) == 2
+                                 and type(span[0]) is type(span[1]) is int
+                                 and span[0] < span[1] for span in window):
+            raise ValueError(f"box window spans must be pairs of ints lo < hi, not {window!r}")
+        window = tuple(map(tuple, window))
+        if type(axis) is not int or not 0 <= axis < len(window):
+            raise ValueError(f"composition axis must be an int axis index, not {axis!r}")
         self.window = window
         self.dim = len(window)
         self.axis = axis
@@ -262,9 +270,7 @@ class BoxGroupoid(GradedGroupoid):
             vol *= hi - lo
         return vol
 
-    def compose(self, i, j):
-        self._require(i)
-        self._require(j)
+    def _compose(self, i, j):
         if i is NEUTRAL:
             return j
         if j is NEUTRAL:
@@ -368,34 +374,40 @@ def axiom_violations(groupoid: GradedGroupoid, max_grade: int) -> list[str]:
 
     Returns human-readable violation strings (empty means all laws hold):
     neutral laws, grade additivity, strong associativity, absence of
-    inverses, and correctness/exhaustiveness of decompositions.
+    inverses, and correctness/exhaustiveness of decompositions.  The laws
+    read one table of the public ``compose`` on all pairs of window elements.
     """
     bad = []
     e = groupoid.neutral
     elems = groupoid.elements_up_to(max_grade)
+    compose = groupoid.compose
+    table = {i: {j: compose(i, j) for j in elems} for i in elems}
     if groupoid.ord(e) != 0:
         bad.append("neutral element has nonzero grade")
     for i in elems:
         if groupoid.ord(i) == 0 and i != e and i is not e:
             bad.append(f"grade-0 element {i!r} differs from the neutral element")
-        if groupoid.compose(e, i) != i or groupoid.compose(i, e) != i:
+        if compose(e, i) != i or compose(i, e) != i:
             bad.append(f"neutral law fails at {i!r}")
+    found = {}
     for i in elems:
-        for j in elems:
-            k = groupoid.compose(i, j)
+        for j, k in table[i].items():
             if k is None:
                 continue
+            found.setdefault(k, set()).add(_dec_key((i, j)))
             if groupoid.ord(k) != groupoid.ord(i) + groupoid.ord(j):
                 bad.append(f"grade not additive on ({i!r}, {j!r})")
             if k == e and not (i == e and j == e):
                 bad.append(f"unexpected inverse pair ({i!r}, {j!r})")
     for i in elems:
-        for j in elems:
-            ij = groupoid.compose(i, j)
+        row_i = table[i]
+        for j, ij in row_i.items():
+            row_ij = table.get(ij, {})
+            row_j = table[j]
             for k in elems:
-                jk = groupoid.compose(j, k)
-                left = groupoid.compose(ij, k) if ij is not None else None
-                right = groupoid.compose(i, jk) if jk is not None else None
+                jk = row_j[k]
+                left = None if ij is None else row_ij[k] if k in row_ij else compose(ij, k)
+                right = None if jk is None else row_i[jk] if jk in row_i else compose(i, jk)
                 if (left is None) != (right is None) or left != right:
                     bad.append(f"associativity fails on ({i!r}, {j!r}, {k!r})")
     for k in elems:
@@ -403,11 +415,9 @@ def axiom_violations(groupoid: GradedGroupoid, max_grade: int) -> list[str]:
         if len(set(map(_dec_key, decs))) != len(decs):
             bad.append(f"duplicate decompositions of {k!r}")
         for (i, j) in decs:
-            if groupoid.compose(i, j) != k:
+            if compose(i, j) != k:
                 bad.append(f"decomposition ({i!r}, {j!r}) of {k!r} does not compose back")
-        found = {_dec_key((i, j)) for i in elems for j in elems
-                 if groupoid.compose(i, j) == k}
-        if found != set(map(_dec_key, decs)):
+        if found.get(k, set()) != set(map(_dec_key, decs)):
             bad.append(f"decompositions of {k!r} are not exhaustive within the window")
     return bad
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groupoids import NatMonoid
+from .matrices import RationalMatrix
 from .series import FormalSeries
 
 
@@ -353,8 +354,6 @@ def solve_left_ode_sampled(sample, groupoid, order, n):
 
 def coeff_norm(value) -> float:
     """Float magnitude used for convergence tables: |.| or max-abs entry."""
-    from .matrices import RationalMatrix
-
     if isinstance(value, (int, float, Fraction)):
         return abs(float(value))
     if isinstance(value, RationalMatrix):
@@ -401,8 +400,6 @@ def convergence_suite_paths(order=4):
     first-order behaviour already at n = 8 (the purely linear direction is
     capped at order 3; its grade-4 error still carries a visible second-
     order term at small n)."""
-    from .matrices import RationalMatrix
-
     gpd = NatMonoid()
     one = Fraction(1)
     e12 = RationalMatrix.unit(2, 0, 1)

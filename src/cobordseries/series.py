@@ -11,11 +11,18 @@ qualify.
 Because coefficients of positive grade are nilpotent at truncation N, the
 exponential and logarithm are finite sums and are exact mutual inverses
 over exact coefficient arithmetic.
+
+The kernels work grade by grade: a product groups the right operand by grade
+and pairs each left element only with the levels that stay within the order,
+and the inverse solves w = 1 - a·w one grade at a time, one product's work
+instead of N.  Both compose validated supports with the unchecked ``_compose``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .matrices import RationalMatrix
 
 
 class FormalSeries:
@@ -72,15 +79,8 @@ class FormalSeries:
             raise ValueError(f"{elem!r} is not in {self.groupoid.name}")
         return self.coeffs.get(elem, self.zero_coeff)
 
-    def support(self):
-        return set(self.coeffs)
-
-    @property
-    def e_coefficient(self):
-        return self.coefficient(self.groupoid.neutral)
-
     def is_unital(self) -> bool:
-        return self.e_coefficient == self.unit
+        return self.coefficient(self.groupoid.neutral) == self.unit
 
     def has_zero_e_part(self) -> bool:
         return self.groupoid.neutral not in self.coeffs
@@ -114,6 +114,8 @@ class FormalSeries:
                                      {e: -v for e, v in self.coeffs.items()}, self.unit)
 
     def scale(self, scalar):
+        if type(scalar) is bool:
+            raise ValueError("cannot scale a series by a bool")
         return FormalSeries._trusted(self.groupoid, self.order,
                                      {e: v * scalar for e, v in self.coeffs.items()},
                                      self.unit)
@@ -121,29 +123,29 @@ class FormalSeries:
     # -- graded convolution --------------------------------------------------
 
     def __mul__(self, other):
+        """Graded convolution by grade level; relies on grade additivity, which
+        ``axiom_violations`` checks."""
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
-            gpd = self.groupoid
+            gpd, order = self.groupoid, self.order
+            right = {}
+            for j, b in other.coeffs.items():
+                right.setdefault(gpd.ord(j), []).append((j, b))
             out = {}
             for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
-                    k = gpd.compose(i, j)
-                    if k is None or gpd.ord(k) > self.order:
-                        continue
-                    term = a * b
-                    out[k] = out[k] + term if k in out else term
-            return FormalSeries._trusted(gpd, self.order, out, self.unit)
+                room = order - gpd.ord(i)
+                for grade, level in right.items():
+                    if grade <= room:
+                        _convolve(gpd._compose, out, i, a, level)
+            return FormalSeries._trusted(gpd, order, out, self.unit)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only a scalar on the left reaches it
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("only non-negative integer powers")
         out = FormalSeries.one(self.groupoid, self.order, self.unit)
         for _ in range(k):
@@ -153,16 +155,24 @@ class FormalSeries:
     # -- group structure on 1 + positive-grade part ---------------------------
 
     def inverse(self) -> "FormalSeries":
-        """Multiplicative inverse of a unital series, by the geometric sum."""
+        """Inverse of a unital series, solving w = 1 - a·w (a = self - 1) grade
+        by grade: level g of w is -sum a_i·w_j over j in level g - ord(i), so
+        each pair is composed once.  Relies on grade additivity (checked by
+        ``axiom_violations``); the unique solution is the geometric sum's."""
         if not self.is_unital():
             raise ValueError("inverse requires leading coefficient equal to the unit")
-        a = self - FormalSeries.one(self.groupoid, self.order, self.unit)
-        one = FormalSeries.one(self.groupoid, self.order, self.unit)
-        # Horner form of 1 - a + a^2 - ... (nilpotency truncates at the order)
-        out = one
-        for _ in range(self.order):
-            out = one - a * out
-        return out
+        gpd, order = self.groupoid, self.order
+        minus_a = [(i, -v, g) for i, v in self.coeffs.items() if (g := gpd.ord(i)) > 0]
+        levels = {0: [(gpd.neutral, self.unit)]}
+        for grade in range(1, order + 1):
+            out = {}
+            for i, v, g in minus_a:
+                level = levels.get(grade - g)
+                if level:
+                    _convolve(gpd._compose, out, i, v, level)
+            levels[grade] = [(k, v) for k, v in out.items() if v]
+        return FormalSeries._trusted(gpd, order, {k: v for level in levels.values()
+                                                  for k, v in level}, self.unit)
 
     def exp(self) -> "FormalSeries":
         """exp of a series with zero neutral part: finite sum of a^k / k!."""
@@ -221,9 +231,17 @@ class FormalSeries:
         return cls(groupoid, order, coeffs, unit)
 
 
-def coeff_to_payload(value):
-    from .matrices import RationalMatrix
+def _convolve(compose, out, i, a, level):
+    """Add a·b at compose(i, j) to ``out`` for each composable (j, b) in ``level``;
+    ``compose`` is the unchecked ``_compose``, as both supports are validated."""
+    for j, b in level:
+        k = compose(i, j)
+        if k is not None:
+            term = a * b
+            out[k] = out[k] + term if k in out else term
 
+
+def coeff_to_payload(value):
     if isinstance(value, (int, Fraction)):
         return str(Fraction(value))
     if isinstance(value, RationalMatrix):
@@ -232,8 +250,6 @@ def coeff_to_payload(value):
 
 
 def coeff_from_payload(payload):
-    from .matrices import RationalMatrix
-
     if isinstance(payload, str):
         return Fraction(payload)
     if isinstance(payload, list):
@@ -261,11 +277,8 @@ class SemidirectElement:
 
     @classmethod
     def identity(cls, n, groupoid, order):
-        from .matrices import RationalMatrix
-
         unit = RationalMatrix.identity(n)
-        return cls(RationalMatrix.identity(n),
-                   FormalSeries.zero(groupoid, order, unit))
+        return cls(unit, FormalSeries.zero(groupoid, order, unit))
 
     @staticmethod
     def _conjugate(series: FormalSeries, h, h_inv) -> FormalSeries:

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from cobordseries.groupoids import (
-    NEUTRAL, axiom_violations, from_spec, make_box_groupoid,
-    make_interval_groupoid, make_nat_monoid,
+    NEUTRAL, BoxGroupoid, IntervalGroupoid, axiom_violations, from_spec,
+    make_box_groupoid, make_interval_groupoid, make_nat_monoid,
 )
 
 
@@ -147,42 +149,43 @@ def test_element_id_round_trip():
             assert gpd.parse_element(gpd.element_id(elem)) == elem
 
 
+class AnyFaceBoxes(BoxGroupoid):
+    """Boxes glued along any shared full face, not only the designated axis."""
+
+    def compose(self, i, j):
+        if i is NEUTRAL:
+            return j
+        if j is NEUTRAL:
+            return i
+        for axis in range(self.dim):
+            if j[axis][1] != i[axis][0]:
+                continue
+            if all(a == axis or i[a] == j[a] for a in range(self.dim)):
+                merged = list(i)
+                merged[axis] = (j[axis][0], i[axis][1])
+                return tuple(merged)
+        return None
+
+    def decompositions(self, k):
+        if k is NEUTRAL:
+            return [(NEUTRAL, NEUTRAL)]
+        out = [(NEUTRAL, k), (k, NEUTRAL)]
+        for axis in range(self.dim):
+            lo, hi = k[axis]
+            for cutpoint in range(lo + 1, hi):
+                upper = list(k)
+                upper[axis] = (cutpoint, hi)
+                lower = list(k)
+                lower[axis] = (lo, cutpoint)
+                out.append((tuple(upper), tuple(lower)))
+        return out
+
+
 def test_axiom_checker_rejects_any_face_box_gluing():
     """Gluing boxes along an arbitrary shared full face is not strongly
     associative: i*(j*k) can exist while (i*j)*k does not.  The designated
     composition axis is what keeps the box instance lawful; the checker
     must flag the any-face variant."""
-    base = make_box_groupoid(2, ((0, 2), (0, 2)))
-
-    class AnyFaceBoxes(type(base)):
-        def compose(self, i, j):
-            if i is NEUTRAL:
-                return j
-            if j is NEUTRAL:
-                return i
-            for axis in range(self.dim):
-                if j[axis][1] != i[axis][0]:
-                    continue
-                if all(a == axis or i[a] == j[a] for a in range(self.dim)):
-                    merged = list(i)
-                    merged[axis] = (j[axis][0], i[axis][1])
-                    return tuple(merged)
-            return None
-
-        def decompositions(self, k):
-            if k is NEUTRAL:
-                return [(NEUTRAL, NEUTRAL)]
-            out = [(NEUTRAL, k), (k, NEUTRAL)]
-            for axis in range(self.dim):
-                lo, hi = k[axis]
-                for cutpoint in range(lo + 1, hi):
-                    upper = list(k)
-                    upper[axis] = (cutpoint, hi)
-                    lower = list(k)
-                    lower[axis] = (lo, cutpoint)
-                    out.append((tuple(upper), tuple(lower)))
-            return out
-
     loose = AnyFaceBoxes(((0, 2), (0, 2)))
     violations = axiom_violations(loose, 4)
     assert any("associativity" in v for v in violations)
@@ -194,3 +197,134 @@ def test_axiom_checker_rejects_any_face_box_gluing():
     jk = loose.compose(j, k)
     assert jk is not None and loose.compose(i, jk) == ((0, 2), (0, 2))
     assert loose.compose(i, j) is None
+
+
+# -- the tabled axiom checker against the all-compose oracle --------------------
+
+def all_compose_axiom_violations(groupoid, max_grade):
+    """Oracle: the axiom checker that calls ``compose`` afresh for every
+    pair, every triple and every decomposition target."""
+    bad = []
+    e = groupoid.neutral
+    elems = groupoid.elements_up_to(max_grade)
+    if groupoid.ord(e) != 0:
+        bad.append("neutral element has nonzero grade")
+    for i in elems:
+        if groupoid.ord(i) == 0 and i != e and i is not e:
+            bad.append(f"grade-0 element {i!r} differs from the neutral element")
+        if groupoid.compose(e, i) != i or groupoid.compose(i, e) != i:
+            bad.append(f"neutral law fails at {i!r}")
+    for i in elems:
+        for j in elems:
+            k = groupoid.compose(i, j)
+            if k is None:
+                continue
+            if groupoid.ord(k) != groupoid.ord(i) + groupoid.ord(j):
+                bad.append(f"grade not additive on ({i!r}, {j!r})")
+            if k == e and not (i == e and j == e):
+                bad.append(f"unexpected inverse pair ({i!r}, {j!r})")
+    for i in elems:
+        for j in elems:
+            ij = groupoid.compose(i, j)
+            for k in elems:
+                jk = groupoid.compose(j, k)
+                left = groupoid.compose(ij, k) if ij is not None else None
+                right = groupoid.compose(i, jk) if jk is not None else None
+                if (left is None) != (right is None) or left != right:
+                    bad.append(f"associativity fails on ({i!r}, {j!r}, {k!r})")
+    for k in elems:
+        decs = groupoid.decompositions(k)
+        keys = {(repr(i), repr(j)) for i, j in decs}
+        if len(keys) != len(decs):
+            bad.append(f"duplicate decompositions of {k!r}")
+        for (i, j) in decs:
+            if groupoid.compose(i, j) != k:
+                bad.append(f"decomposition ({i!r}, {j!r}) of {k!r} does not compose back")
+        found = {(repr(i), repr(j)) for i in elems for j in elems
+                 if groupoid.compose(i, j) == k}
+        if found != keys:
+            bad.append(f"decompositions of {k!r} are not exhaustive within the window")
+    return bad
+
+
+class SkewGrades(IntervalGroupoid):
+    """Intervals whose grade is off by one above length 2: additivity,
+    and with it exhaustiveness at the top grade, fail."""
+
+    def ord(self, element):
+        grade = super().ord(element)
+        return grade + 1 if grade > 2 else grade
+
+
+@pytest.mark.parametrize("gpd", [
+    make_nat_monoid(),
+    make_interval_groupoid(0, 4),
+    make_box_groupoid(2, ((0, 2), (0, 2))),
+    make_box_groupoid(2, ((0, 3), (0, 2)), axis=1),
+    AnyFaceBoxes(((0, 2), (0, 2))),
+    AnyFaceBoxes(((0, 3), (0, 2)), axis=1),
+    SkewGrades(0, 4),
+], ids=["nat", "interval", "box-axis0", "box-axis1", "any-face", "any-face-axis1",
+        "skew-grades"])
+@pytest.mark.parametrize("max_grade", range(5))
+def test_axiom_violations_match_the_all_compose_oracle(gpd, max_grade):
+    assert axiom_violations(gpd, max_grade) == all_compose_axiom_violations(gpd, max_grade)
+
+
+@pytest.mark.parametrize("gpd", [
+    make_interval_groupoid(0, 4),
+    make_box_groupoid(2, ((0, 3), (0, 2)), axis=1),
+], ids=["interval", "box-axis1"])
+def test_axiom_violations_composes_each_window_pair_once(gpd, monkeypatch):
+    """Besides the table, a window pair reaches ``compose`` again only
+    from the two neutral laws and the decomposition check: (e, e) meets
+    all three, so four calls at most."""
+    calls = Counter()
+    compose = gpd.compose
+
+    def counted(i, j):
+        calls[(i, j)] += 1
+        return compose(i, j)
+
+    monkeypatch.setattr(gpd, "compose", counted)
+    elems = gpd.elements_up_to(4)
+    assert axiom_violations(gpd, 4) == []
+    assert all(calls[(i, j)] >= 1 for i in elems for j in elems)
+    assert max(n for (i, j), n in calls.items() if i in elems and j in elems) <= 4
+
+
+def test_oracle_flags_the_broken_groupoids():
+    assert all_compose_axiom_violations(AnyFaceBoxes(((0, 2), (0, 2))), 4)
+    assert all_compose_axiom_violations(SkewGrades(0, 4), 4)
+
+
+def test_compose_validates_and_unchecked_compose_agrees():
+    for gpd in (make_nat_monoid(), make_interval_groupoid(0, 3),
+                make_box_groupoid(2, ((0, 2), (0, 2)), axis=1)):
+        elems = gpd.elements_up_to(4)
+        for i in elems:
+            for j in elems:
+                assert gpd.compose(i, j) == gpd._compose(i, j)
+    with pytest.raises(ValueError):
+        make_interval_groupoid(0, 3).compose((0, 1), (1, 9))
+
+
+# -- box windows take ints only -------------------------------------------------
+
+@pytest.mark.parametrize("window", [
+    ((0, 2.7), (0, 2)),
+    ((True, 2), (0, 2)),
+    ((0, 2), (0, "2")),
+    ((0, 2, 3), (0, 2)),
+    ((0,), (0, 2)),
+    (5, (0, 2)),
+], ids=["float", "bool", "str", "triple", "single", "bare-int"])
+def test_box_window_rejects_non_int_spans(window):
+    with pytest.raises(ValueError, match="pairs of ints"):
+        BoxGroupoid(window)
+
+
+@pytest.mark.parametrize("axis", [1.0, True, "0", -1, 2])
+def test_box_axis_must_be_an_int_axis_index(axis):
+    with pytest.raises(ValueError, match="composition axis"):
+        BoxGroupoid(((0, 2), (0, 2)), axis=axis)

@@ -54,6 +54,21 @@ def test_order_must_be_a_non_negative_int(order):
         FormalSeries(make_nat_monoid(), order)
 
 
+def test_power_rejects_bool_exponent():
+    with pytest.raises(ValueError):
+        q_series() ** True
+
+
+def test_scalar_product_rejects_bool_on_the_right():
+    with pytest.raises(ValueError):
+        q_series() * True
+
+
+def test_scalar_product_rejects_bool_on_the_left():
+    with pytest.raises(ValueError):
+        True * q_series()
+
+
 def test_truncation_drops_high_grades():
     nat = make_nat_monoid()
     q = q_series(order=2)
