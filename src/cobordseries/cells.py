@@ -19,7 +19,9 @@ domain facets have the same top-dimensional faces (``is_saturated``); and
 region cells are adjacent when they share a facet box from opposite sides
 (``region_components``).  Coverage and boundary words are questions about
 unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
-which maps each unit piece of a complex to the cells containing it.
+which maps each unit piece of a complex to the cells containing it.  A
+complex is immutable, so it compiles each domain's boundary word and
+coverage, and its own regularity, once (``CellComplex.word``, ``.regular``).
 
 A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from math import prod
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +129,7 @@ class Cell:
 
     @property
     def volume(self) -> int:
-        vol = 1
-        for e in self.extents:
-            vol *= e
-        return vol
+        return prod(self.extents)
 
     def key(self):
         """Unoriented geometry key."""
@@ -158,9 +158,7 @@ class Cell:
                     base[axis] += self.extents[pos]
                 rel = upper_rel if upper else -upper_rel
                 facet = Cell(tuple(base), rest_axes, rest_exts, self.sign * rel)
-                label = overrides.get(facet.key())
-                if label is None:
-                    label = INITIAL if facet.sign < 0 else FINAL
+                label = overrides.get(facet.key()) or (INITIAL if facet.sign < 0 else FINAL)
                 out.append((facet, label))
         return out
 
@@ -218,14 +216,12 @@ class CellComplex:
 
     def __init__(self, cells):
         cells = tuple(cells)
-        if cells:
-            dims = {c.dim for c in cells}
-            if len(dims) != 1:
-                raise ValueError("complex cells must share one dimension")
-            keys = [c.key() for c in cells]
-            if len(set(keys)) != len(keys):
-                raise ValueError("complex cells must be pairwise distinct")
+        if len({c.dim for c in cells}) > 1:
+            raise ValueError("complex cells must share one dimension")
+        if len({c.key() for c in cells}) != len(cells):
+            raise ValueError("complex cells must be pairwise distinct")
         self.cells = cells
+        self._words = {}
 
     @cached_property
     def pieces(self) -> dict:
@@ -236,6 +232,18 @@ class CellComplex:
             for face in _unit_faces(cell.box()):
                 pieces[face] = pieces.get(face, ()) + (pos,)
         return pieces
+
+    @cached_property
+    def regular(self) -> bool:
+        """``is_regular`` of the cells."""
+        return is_regular(self.cells)
+
+    def word(self, domain: Cell, need_cover=False) -> tuple:
+        """``boundary_word`` as a tuple, compiled once per domain; failures are not cached."""
+        entry = self._words.get(domain)
+        if entry is None or (need_cover and not entry[1]):
+            entry = self._words[domain] = _compile_word(domain, self, need_cover)
+        return entry[0]
 
     def __len__(self):
         return len(self.cells)
@@ -290,6 +298,8 @@ def _meets_interior(cell: Cell, box) -> bool:
 def is_regular(cells) -> bool:
     """The cells (a complex or any sequence of cells) meet only along shared
     boundary pieces: no face of one cell is an interior face of another."""
+    if isinstance(cells, CellComplex):
+        return cells.regular
     boxes = [cell.box() for cell in cells]
     owner = {face: i for i, box in enumerate(boxes)
              for face in _open_faces(box, interior=True)}
@@ -474,18 +484,9 @@ def glue(s1, s2, mode="*"):
 
 def _matching_facets(s1: Cell, s2: Cell, accept):
     """Pairs of facets of s1 and s2 with identical boxes passing ``accept``."""
-    out = []
-    f2map = {}
-    for f2, l2 in s2.facets():
-        f2map[f2.key()] = (f2, l2)
-    for f1, l1 in s1.facets():
-        hit = f2map.get(f1.key())
-        if hit is None:
-            continue
-        f2, l2 = hit
-        if accept(f1, l1, f2, l2):
-            out.append((f1, f2))
-    return out
+    f2map = {f2.key(): (f2, l2) for f2, l2 in s2.facets()}
+    hits = [(f1, l1, *f2map[f1.key()]) for f1, l1 in s1.facets() if f1.key() in f2map]
+    return [(f1, f2) for f1, l1, f2, l2 in hits if accept(f1, l1, f2, l2)]
 
 
 def _labelled_box(union_box, sign, alpha, beta):
@@ -499,12 +500,9 @@ def _labelled_box(union_box, sign, alpha, beta):
         fbox = facet.box()
         in_alpha = covers(fbox, alpha_pieces)
         in_beta = covers(fbox, beta_pieces)
-        if in_alpha and not in_beta:
-            lbl = INITIAL
-        elif in_beta and not in_alpha:
-            lbl = FINAL
-        else:
+        if in_alpha == in_beta:
             return None
+        lbl = INITIAL if in_alpha else FINAL
         if lbl != default_lbl:
             labels.append((facet.key(), lbl))
     return cell.with_labels(labels)
@@ -522,17 +520,29 @@ def boundary_word(domain: Cell, complex_: CellComplex):
     of the domain, -1 when opposite.  The cells are the ones the facets'
     unit pieces find in ``complex_.pieces``; each must lie inside the facet
     it was found from, else it is partially on the boundary and raises
-    (non-adapted).  The cells must be one dimension below the domain.
+    (non-adapted).  The cells must be one dimension below the domain.  Each
+    call gets a new list of the word the complex compiled once.
     """
-    if complex_.cells and complex_.cells[0].dim != domain.dim - 1:
-        raise ValueError(f"boundary words of {domain!r} read cells of dimension "
-                         f"{domain.dim - 1}, not {complex_.cells[0].dim}")
-    found = {}
+    return list(complex_.word(domain))
+
+
+def _compile_word(domain: Cell, complex_: CellComplex, need_cover: bool):
+    """(word tuple, whether the complex covers the boundary) from one facet
+    pass.  Raises, in this order, for an uncovered boundary when
+    ``need_cover``, for cells of the wrong dimension or partially on it."""
+    found, covered = {}, True
     for facet, _ in domain.facets():
         fbox = facet.box()
         for face in _unit_faces(fbox):
-            for pos in complex_.pieces.get(face, ()):
+            hits = complex_.pieces.get(face, ())
+            covered = covered and bool(hits)
+            for pos in hits:
                 found[pos] = (fbox, facet.sign)
+    if need_cover and not covered:
+        raise ValueError(f"boundary of {domain!r} is not covered by the complex")
+    if complex_.cells and complex_.cells[0].dim != domain.dim - 1:
+        raise ValueError(f"boundary words of {domain!r} read cells of dimension "
+                         f"{domain.dim - 1}, not {complex_.cells[0].dim}")
     word = []
     for pos in sorted(found):
         cell = complex_.cells[pos]
@@ -541,7 +551,7 @@ def boundary_word(domain: Cell, complex_: CellComplex):
             raise ValueError(
                 f"cell {cell!r} lies partially on the boundary of {domain!r}")
         word.append((pos, 1 if cell.sign == fsign else -1))
-    return word
+    return tuple(word), covered
 
 
 def word_value(group, word, values) -> int:
@@ -585,10 +595,16 @@ class Cosurface:
         return v if cell.sign > 0 else self.group.inv(v)
 
     def evaluate_word(self, complex_: CellComplex, word) -> int:
-        """Ordered product of the word's cell values; only the cells the
-        word reads need a value."""
-        values = {pos: self.value(complex_.cells[pos]) for pos, _ in word}
-        return word_value(self.group, word, values)
+        """Ordered product of the word's cell values, cell signs folded into
+        the exponents; only the cells the word reads need a value."""
+        cells = complex_.cells
+        signed = [(cells[pos].key(), exp * cells[pos].sign) for pos, exp in word]
+        try:
+            return word_value(self.group, signed, self.values)
+        except KeyError:
+            for pos, _ in word:
+                self.value(cells[pos])  # raises on the first unassigned cell
+            raise
 
 
 def holonomy_cosurface(field: Cosurface, path) -> int:
@@ -601,11 +617,9 @@ def holonomy_cosurface(field: Cosurface, path) -> int:
 
 
 def dimension_extend(cosurface: Cosurface, complex_: CellComplex, domain: Cell) -> int:
-    """Value on a (k+1)-cell as the ordered product of the boundary word."""
-    if not all(covers(f.box(), complex_.pieces) for f, _ in domain.facets()):
-        raise ValueError(f"boundary of {domain!r} is not covered by the complex")
-    word = boundary_word(domain, complex_)
-    return cosurface.evaluate_word(complex_, word)
+    """Value on a (k+1)-cell as the ordered product of the boundary word,
+    which the complex must cover."""
+    return cosurface.evaluate_word(complex_, complex_.word(domain, need_cover=True))
 
 
 def extend_abelian(cosurface: Cosurface, complex_: CellComplex, domains) -> Cosurface:

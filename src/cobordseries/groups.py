@@ -285,6 +285,8 @@ class GroupFunction:
         if isinstance(other, GroupFunction):
             self._check_compatible(other)
             return convolve(self, other)
+        if type(other) is bool:
+            raise ValueError("cannot scale a group function by a bool")
         if isinstance(other, (int, float, Fraction)):
             return GroupFunction(self.group, tuple(a * other for a in self.values),
                                  self.normalization)

@@ -115,6 +115,8 @@ class CoeffPoly:
                         continue
                     out[i + j] = out[i + j] + a * b
             return CoeffPoly(out, self.unit)
+        if type(other) is bool:
+            raise ValueError("cannot scale a polynomial by a bool")
         if isinstance(other, (int, Fraction)):
             return CoeffPoly(tuple(x * other for x in self.coeffs), self.unit)
         return NotImplemented
@@ -262,16 +264,18 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     part of sum_k J_k(1) equals the grade-m component of the ODE solution
     at s = 1; the outermost (latest) time sits leftmost in each product.
     """
-    if grade > v.order:
-        raise ValueError("grade exceeds the truncation order")
+    if type(grade) is not int or not 0 <= grade <= v.order:
+        raise ValueError(f"grade must be an int in 0..{v.order}, not {grade!r}")
     gpd = v.groupoid
-    v_series = v.as_poly_series()
     poly_unit = CoeffPoly.one(v.unit)
-    total = FormalSeries.one(gpd, v.order, poly_unit)
+    # grades add under products, so layers truncated at ``grade`` are exact there
+    v_series = FormalSeries._trusted(
+        gpd, grade, {e: p for e, p in v.polys.items() if gpd.ord(e) <= grade}, poly_unit)
+    total = FormalSeries.one(gpd, grade, poly_unit)
     layer = total
     for _ in range(1, grade + 1):
         layer = v_series * layer
-        layer = FormalSeries._trusted(gpd, v.order,
+        layer = FormalSeries._trusted(gpd, grade,
                                       {e: p.integral() for e, p in layer.coeffs.items()},
                                       poly_unit)
         total = total + layer

@@ -38,8 +38,9 @@ RNG_SEED = 0
 
 def report(number, label, elapsed, budget, ok):
     status = "PASS" if ok else "FAIL"
-    print(f"[{status}] criterion {number}: {label} ({elapsed:.2f}s / budget {budget}s)",
-          flush=True)
+    headroom = (budget - elapsed) / budget
+    print(f"[{status}] criterion {number}: {label} ({elapsed:.2f}s / budget {budget}s, "
+          f"headroom {headroom:.1%})", flush=True)
     assert ok, f"criterion {number} ({label}) failed"
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
 

@@ -557,6 +557,18 @@ def plaquette_setup(group):
     return cells, complex_, plaquette
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_group_function_rejects_bool_scalar_on_the_right(flag):
+    with pytest.raises(ValueError, match="bool"):
+        SemigroupDensity(Z3).q(1.0) * flag
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_group_function_rejects_bool_scalar_on_the_left(flag):
+    with pytest.raises(ValueError, match="bool"):
+        flag * SemigroupDensity(Z3).q(1.0)
+
+
 def test_gibbs_density_beta_zero():
     cells, complex_, plaq = plaquette_setup(Z3)
     c = Cosurface(Z3, [(e, 1) for e in cells])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cobordseries.groupoids import make_interval_groupoid, make_nat_monoid
 from cobordseries.matrices import RationalMatrix
@@ -53,6 +55,18 @@ def test_poly_arithmetic_and_calculus():
     assert p.integral().coeffs == (0, ONE, ONE)
     assert q.derivative().coeffs == (0, ONE)
     assert p(Fraction(1, 2)) == Fraction(2)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_poly_rejects_bool_scalar_on_the_right(flag):
+    with pytest.raises(ValueError, match="bool"):
+        CoeffPoly((1, 2)) * flag
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_poly_rejects_bool_scalar_on_the_left(flag):
+    with pytest.raises(ValueError, match="bool"):
+        flag * CoeffPoly((1, 2))
 
 
 def test_poly_matrix_coefficients_keep_order():
@@ -188,6 +202,58 @@ def test_simplex_linear_grade_two():
 def test_unreachable_grade_gives_zero():
     v = AlgebraPath(NAT, 3, {2: CoeffPoly.constant(ONE)})
     assert iterated_integrals(v, 3) == 0
+
+
+def full_order_iterated_integrals(v, grade):
+    """Oracle: every layer built at the path's order, then one grade kept."""
+    gpd = v.groupoid
+    v_series = v.as_poly_series()
+    poly_unit = CoeffPoly.one(v.unit)
+    total = FormalSeries.one(gpd, v.order, poly_unit)
+    layer = total
+    for _ in range(1, grade + 1):
+        layer = v_series * layer
+        layer = FormalSeries._trusted(gpd, v.order,
+                                      {e: p.integral() for e, p in layer.coeffs.items()},
+                                      poly_unit)
+        total = total + layer
+    return grade_component(total, grade)(1)
+
+
+@st.composite
+def polynomial_paths(draw):
+    """Direction paths over the naturals or an interval window, with
+    rational or 2x2 rational-matrix polynomial coefficients."""
+    order = draw(st.integers(0, 4))
+    gpd = draw(st.sampled_from((NAT, make_interval_groupoid(0, 4))))
+    matrix = draw(st.booleans())
+    unit = RationalMatrix.identity(2) if matrix else ONE
+    scalars = st.fractions(-3, 3, max_denominator=3)
+
+    def coeff():
+        if matrix:
+            return RationalMatrix([[draw(scalars) for _ in range(2)] for _ in range(2)])
+        return draw(scalars)
+
+    polys = {}
+    for elem in gpd.elements_up_to(order):
+        if gpd.ord(elem) >= 1 and draw(st.booleans()):
+            polys[elem] = CoeffPoly([coeff() for _ in range(draw(st.integers(1, 3)))],
+                                    unit)
+    return AlgebraPath(gpd, order, polys, unit)
+
+
+@given(polynomial_paths())
+def test_iterated_integrals_match_full_order_layers(v):
+    for grade in range(v.order + 1):
+        assert iterated_integrals(v, grade) == full_order_iterated_integrals(v, grade)
+
+
+@pytest.mark.parametrize("grade", [-1, 4, 1.0, True],
+                         ids=["negative", "above-order", "float", "bool"])
+def test_iterated_integrals_reject_invalid_grades(grade):
+    with pytest.raises(ValueError, match="grade must be an int"):
+        iterated_integrals(const_q_path(), grade)
 
 
 def test_iterated_integrals_match_ode_solution():
