@@ -254,12 +254,6 @@ class CellComplex:
     def __getitem__(self, i):
         return self.cells[i]
 
-    def index_of(self, cell) -> int:
-        for i, c in enumerate(self.cells):
-            if c.key() == cell.key():
-                return i
-        raise ValueError(f"{cell!r} is not in the complex")
-
     def subcomplex(self, lo: int, hi: int) -> "CellComplex":
         """Contiguous subsequence cells[lo:hi+1]."""
         if not 0 <= lo <= hi < len(self.cells):

@@ -25,15 +25,15 @@ class FiniteGroup:
 
     def __init__(self, name, table, labels=None):
         self.name = str(name)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         n = self.order
         if n == 0:
             raise ValueError("group must be non-empty")
         if any(len(row) != n for row in self.table):
             raise ValueError("Cayley table must be square")
-        if any(not (0 <= x < n) for row in self.table for x in row):
-            raise ValueError("Cayley table entries must be element indices")
+        if any(type(x) is not int or not 0 <= x < n for row in self.table for x in row):
+            raise ValueError("Cayley table entries must be int element indices")
         if labels is None:
             labels = [str(i) for i in range(n)]
         self.labels = tuple(str(x) for x in labels)

@@ -6,16 +6,16 @@ ordered boundary product phi_{A_i}(C): each domain reads its boundary word
 off the complex (in complex order, with orientation exponents) and feeds
 the resulting group element to the heat density at time |A_i| = the cell
 count of the domain; the word is evaluated by ``cells.word_value``.
-Each domain is thus a factor that reads only the cells of its own word:
-``ComplexMeasure.factors()`` tabulates q_{|A_i|}(phi_{A_i}) as a numpy
-tensor over those cells, for every value at once.  The Markov property is
-checked by ``np.einsum`` contractions of these factors with the side
-functions, leaving the splitting cells open; the cutting/pasting
-factorization and the reordering (non-)invariance compare the products of
-the factors (``density_array()``) as arrays over G^K.  Enumeration stays
-as the oracle: ``configurations()`` is the single enumerator of G^K, and
-``density_of`` and ``conditional_mass`` evaluate one configuration at a
-time against it.
+Each domain is a factor that reads only its word's cells: ``word_factor``
+tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
+as a numpy tensor.  The Markov property is checked by ``np.einsum``
+contractions of these factors with the side functions, leaving the
+splitting cells open.  Reordering and pasting only relabel the words
+(sigma re-sorts each by its cells' positions in sigma K; a piece's words
+keep their order on the pasted positions) before the factor products are
+compared as arrays over G^K.  Enumeration stays as the oracle:
+``configurations()`` is the single enumerator of G^K, and ``density_of``
+and ``conditional_mass`` evaluate one configuration at a time against it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ class SemigroupDensity:
         self.group = group
         if generators is None:
             generators = default_generators(group)
-        s = tuple(sorted(set(int(g) for g in generators)))
+        generators = tuple(generators)
+        if any(type(g) is not int or not 0 <= g < group.order for g in generators):
+            raise ValueError(f"generators must be int elements of the group, got {generators!r}")
+        s = tuple(sorted(set(generators)))
         if not s or group.identity in s:
             raise ValueError("generator set must be non-empty and avoid the identity")
         if any(group.inv(g) not in s for g in s):
@@ -157,16 +160,38 @@ def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
 # the configuration measure
 # ---------------------------------------------------------------------------
 
+def word_factor(group: FiniteGroup, word, q):
+    """(q[phi], axes): phi = ``word_value`` of the word (same products, same order) on
+    every assignment of its distinct positions ``axes`` (sorted), one axis each."""
+    table, inverse, n = np.asarray(group.table), np.asarray(group.inv_table), group.order
+    axes = sorted({pos for pos, _ in word})
+    phi = np.asarray(group.identity)
+    for pos, exp in word:
+        value = np.arange(n).reshape([n if a == pos else 1 for a in axes])
+        phi = table[phi, value if exp > 0 else inverse[value]]
+    return np.asarray(q)[phi], tuple(axes)
+
+
+def _word_product(group: FiniteGroup, size: int, words, q_tables):
+    """Product of the words' factors in word-list order, one axis per
+    position 0..size-1 (length 1 where no word reads the position)."""
+    read = {pos for word in words for pos, _ in word}
+    out = np.ones([group.order if a in read else 1 for a in range(size)])
+    for word, q in zip(words, q_tables):
+        factor, axes = word_factor(group, word, q)
+        out *= factor.reshape([group.order if a in axes else 1 for a in range(size)])
+    return out
+
+
 class ComplexMeasure:
     """Unnormalized density on G^K for a saturated complex with box domains."""
 
-    def __init__(self, complex_: CellComplex, domains, density: SemigroupDensity,
-                 check=True):
+    def __init__(self, complex_: CellComplex, domains, density: SemigroupDensity):
         self.complex = complex_
         self.domains = tuple(domains)
         self.density = density
         self.group = density.group
-        if check and not is_saturated(complex_, self.domains):
+        if not is_saturated(complex_, self.domains):
             raise ValueError("complex is not saturated for the domains")
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
         self.volumes = tuple(dom.volume for dom in self.domains)
@@ -174,34 +199,15 @@ class ComplexMeasure:
         self._factors = None
 
     def factors(self):
-        """Per domain, (q_{|A|}[phi_A], axes): phi_A evaluated on every
-        assignment of the word's distinct positions ``axes`` (sorted), one
-        tensor axis per position, by ``word_value``'s products in word order."""
+        """Per domain, ``word_factor`` of its word and q-table."""
         if self._factors is None:
-            table = np.asarray(self.group.table)
-            inverse = np.asarray(self.group.inv_table)
-            n = self.group.order
-            factors = []
-            for word, q in zip(self.words, self.q_tables):
-                axes = sorted({pos for pos, _ in word})
-                phi = np.asarray(self.group.identity)
-                for pos, exp in word:
-                    shape = [n if a == pos else 1 for a in axes]
-                    value = np.arange(n).reshape(shape)
-                    phi = table[phi, value if exp > 0 else inverse[value]]
-                factors.append((np.asarray(q)[phi], tuple(axes)))
-            self._factors = tuple(factors)
+            self._factors = tuple(word_factor(self.group, word, q)
+                                  for word, q in zip(self.words, self.q_tables))
         return self._factors
 
     def density_array(self):
-        """density_of on every configuration, as an array with one axis per
-        cell: the same products in the same (domain) order."""
-        n = self.group.order
-        out = np.ones((n,) * len(self.complex))
-        for factor, axes in self.factors():
-            out *= factor.reshape([n if a in axes else 1
-                                   for a in range(len(self.complex))])
-        return out
+        """density_of on every configuration, one axis per cell, same products."""
+        return _word_product(self.group, len(self.complex), self.words, self.q_tables)
 
     def density_of(self, config) -> float:
         """Product over domains of q_{|A_i|}(phi_{A_i}(C)); config is a
@@ -295,21 +301,26 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
 # reordering action
 # ---------------------------------------------------------------------------
 
-def sigma_action(perm, complex_: CellComplex) -> CellComplex:
-    """Reorder the complex by a permutation of its index set."""
+def _permutation(perm, complex_: CellComplex) -> tuple:
     perm = tuple(perm)
     if any(type(p) is not int for p in perm) or sorted(perm) != list(range(len(complex_))):
         raise ValueError(f"not a permutation of the complex indices: {perm!r}")
-    return CellComplex(tuple(complex_.cells[p] for p in perm))
+    return perm
+
+
+def sigma_action(perm, complex_: CellComplex) -> CellComplex:
+    """Reorder the complex by a permutation of its index set."""
+    return CellComplex(tuple(complex_.cells[p] for p in _permutation(perm, complex_)))
 
 
 def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
     """max over configurations of |mu_{sigma K}(C) - mu_K(C)| (C is attached
-    to cells, not to positions, so the configuration is permuted along)."""
-    permuted = sigma_action(perm, measure.complex)
-    other = ComplexMeasure(permuted, measure.domains, measure.density, check=False)
+    to cells, not to positions, so the configuration is permuted along); on
+    K's positions, a word on sigma K is re-sorted by its cells' new positions."""
+    moved_to = np.argsort(_permutation(perm, measure.complex)).tolist()
+    words = [sorted(word, key=lambda e: moved_to[e[0]]) for word in measure.words]
     difference = measure.density_array()
-    difference -= np.transpose(other.density_array(), np.argsort(perm))
+    difference -= _word_product(measure.group, len(moved_to), words, measure.q_tables)
     return float(np.max(np.abs(difference, out=difference)))
 
 
@@ -322,11 +333,11 @@ class CobordismBox:
     face in that axis is the initial part, the upper face the final part."""
 
     def __init__(self, spans, axis: int = 0):
-        self.spans = tuple((int(lo), int(hi)) for lo, hi in spans)
-        if any(lo >= hi for lo, hi in self.spans):
-            raise ValueError("box must be non-degenerate in every axis")
-        if not 0 <= axis < len(self.spans):
-            raise ValueError("time axis outside the box dimension")
+        self.spans = tuple((lo, hi) for lo, hi in spans)
+        if any(type(lo) is not int or type(hi) is not int or lo >= hi for lo, hi in self.spans):
+            raise ValueError(f"box spans must be non-degenerate int pairs, got {self.spans!r}")
+        if type(axis) is not int or not 0 <= axis < len(self.spans):
+            raise ValueError(f"time axis must be an int axis of the box, got {axis!r}")
         self.axis = axis
 
     @property
@@ -345,15 +356,6 @@ class CobordismBox:
         hi = self.spans[self.axis][1]
         return tuple((hi, hi) if a == self.axis else span
                      for a, span in enumerate(self.spans))
-
-    def face_boxes(self):
-        out = []
-        for a, (lo, hi) in enumerate(self.spans):
-            out.append(tuple((lo, lo) if b == a else span
-                             for b, span in enumerate(self.spans)))
-            out.append(tuple((hi, hi) if b == a else span
-                             for b, span in enumerate(self.spans)))
-        return out
 
     def compose(self, earlier: "CobordismBox") -> "CobordismBox":
         if self.axis != earlier.axis:
@@ -500,8 +502,8 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
     covering, the earlier part the initial-face covering, and both share
     the interface covering; orders are induced by the ambient complex."""
     lo, hi = cob.spans[cob.axis]
-    if not lo < interface < hi:
-        raise ValueError("interface must be strictly inside the time span")
+    if type(interface) is not int or not lo < interface < hi:
+        raise ValueError(f"interface must be an int inside {(lo, hi)}, got {interface!r}")
     spans_later = list(cob.spans)
     spans_later[cob.axis] = (interface, hi)
     spans_earlier = list(cob.spans)
@@ -582,8 +584,8 @@ def extract(k_pasted: CellComplex, original: CellComplex) -> CellComplex:
 def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
                         domains_later, domains_earlier, density: SemigroupDensity,
                         tol=1e-12, domains_pasted=None):
-    """Verify mu_K(C) * mu_K'(C') = mu_K''(C'') on every configuration of
-    the pasted complex, as density arrays over G^{K''}.
+    """Verify mu_K(C) * mu_K'(C') = mu_K''(C'') on G^{K''}, each piece's words
+    kept in their order on their cells' positions in K'' (missing cells raise).
 
     ``domains_later`` cover the later piece (whose complex is k) and
     ``domains_earlier`` the earlier one.  The pasted measure must list the
@@ -605,18 +607,15 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
             else:
                 seen_later = True
     measure_pp = ComplexMeasure(k_pp, tuple(domains_pasted), density)
-    measure_k = ComplexMeasure(k, domains_later, density)
-    measure_kp = ComplexMeasure(k_prime, domains_earlier, density)
-    n = group.order
-
-    def placed(measure):
-        """The piece's density array on G^{K''}: axes moved to the pasted
-        positions of its cells, broadcast along the other cells."""
-        positions = [k_pp.index_of(c) for c in measure.complex.cells]
-        dense = np.transpose(measure.density_array(), np.argsort(positions))
-        return dense.reshape([n if p in positions else 1 for p in range(len(k_pp))])
-
-    difference = placed(measure_k) * placed(measure_kp)
+    pasted_at = {cell.key(): pos for pos, cell in enumerate(k_pp.cells)}
+    difference = 1.0  # the later piece's product times the earlier one's
+    for piece, doms in ((k, domains_later), (k_prime, domains_earlier)):
+        measure = ComplexMeasure(piece, doms, density)
+        moved_to = [pasted_at.get(cell.key()) for cell in piece.cells]
+        if None in moved_to:
+            raise ValueError(f"{piece.cells[moved_to.index(None)]!r} is not in the pasted complex")
+        words = [[(moved_to[pos], exp) for pos, exp in word] for word in measure.words]
+        difference = difference * _word_product(group, len(k_pp), words, measure.q_tables)
     difference -= measure_pp.density_array()
     worst = float(np.max(np.abs(difference, out=difference)))
     return worst <= tol, worst
@@ -632,8 +631,8 @@ def gibbs_density(cosurface, complex_: CellComplex, beta: float,
     a class function (invariant action)."""
     if not is_class_function(action):
         raise ValueError("the action must be a class function")
-    if beta < 0:
-        raise ValueError("coupling constant must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"coupling constant must be finite and >= 0, got {beta!r}")
     total = 0.0
     for plaq in plaquettes:
         word = boundary_word(plaq, complex_)

@@ -244,8 +244,7 @@ def test_criterion_6_reordering():
     witness = None
     for perm in itertools.permutations(range(4)):
         permuted = sigma_action(perm, s3_plaquette.complex)
-        other = ComplexMeasure(permuted, s3_plaquette.domains, s3_density,
-                               check=False)
+        other = ComplexMeasure(permuted, s3_plaquette.domains, s3_density)
         for config in s3_plaquette.configurations():
             moved = tuple(config[perm[i]] for i in range(4))
             diff = abs(s3_plaquette.density_of(config) - other.density_of(moved))

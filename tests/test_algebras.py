@@ -189,3 +189,20 @@ def test_group_mismatch_raises():
         convolve(f, g)
     with pytest.raises(ValueError):
         convolve(delta(cyclic(2)), delta(cyclic(2), normalization=COUNTING))
+
+
+@pytest.mark.parametrize("entry", [1.0, "1", True])
+def test_cayley_entries_must_be_int_indices(entry):
+    with pytest.raises(ValueError, match="int element indices"):
+        FiniteGroup("coerced", [[0, 1], [entry, 0]])
+
+
+@pytest.mark.parametrize("entry", [1.0, "1", True])
+def test_cayley_file_entries_must_be_int_indices(tmp_path, entry):
+    import json
+
+    path = tmp_path / "coerced.json"
+    with open(path, "w") as fh:
+        json.dump({"order": 2, "labels": ["e", "g"], "table": [[0, 1], [entry, 0]]}, fh)
+    with pytest.raises(ValueError, match="int element indices"):
+        load_cayley_file(path)

@@ -397,7 +397,7 @@ def test_border_reduce_two_square_strip():
     border_fragments = set()
     for dom in domains:
         for facet, _ in dom.facets():
-            for ybox in cob.face_boxes():
+            for ybox in (f.box() for f, _ in cob.cell().facets()):
                 inter = tuple((max(a, c), min(b, d))
                               for (a, b), (c, d) in zip(facet.box(), ybox))
                 if all(a <= b for a, b in inter) and \
@@ -818,7 +818,7 @@ def test_factorization_contraction_matches_enumeration(gname, name):
         pieces = []
         for piece, doms in ((result.k, later), (result.k_prime, earlier)):
             m = ComplexMeasure(piece, doms, measure.density)
-            pieces.append(([complex_.index_of(c) for c in piece.cells],
+            pieces.append(([complex_.cells.index(c) for c in piece.cells],
                            {c: m.density_of(c) for c in m.configurations()}))
         expected = 0.0
         for config in pasted.configurations():
@@ -841,7 +841,44 @@ def test_reorder_contraction_matches_enumeration(gname, name):
     dens = {c: measure.density_of(c) for c in measure.configurations()}
     for perm in perms:
         other = ComplexMeasure(sigma_action(perm, measure.complex), measure.domains,
-                               measure.density, check=False)
+                               measure.density)
         expected = max(abs(w - other.density_of(tuple(c[p] for p in perm)))
                        for c, w in dens.items())
         assert reorder_max_difference(measure, perm) == expected
+
+
+# -- input validation ----------------------------------------------------------------
+
+@pytest.mark.parametrize("spans", [((0, 2.7),), ((True, 2),), ((0, 2), (0.0, 1)),
+                                   (("0", 2),)])
+def test_cobordism_box_spans_must_be_int_pairs(spans):
+    with pytest.raises(ValueError, match="int pairs"):
+        CobordismBox(spans)
+
+
+@pytest.mark.parametrize("axis", [0.5, 1.0, True, -1, 2])
+def test_cobordism_box_axis_must_be_an_int_axis(axis):
+    with pytest.raises(ValueError, match="time axis"):
+        CobordismBox(((0, 2), (0, 1)), axis=axis)
+
+
+@pytest.mark.parametrize("interface", [True, 1.0, 1.5, 0, 2])
+def test_cut_interface_must_be_an_int_inside_the_span(interface):
+    chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
+    with pytest.raises(ValueError, match="interface"):
+        cut(CobordismBox(((0, 2),)), chain, interface)
+
+
+@pytest.mark.parametrize("generators", [[1.9, 2.2], [True, 2], [1, 2.0], [-1, 1], [1, 3]])
+def test_generators_must_be_int_elements(generators):
+    with pytest.raises(ValueError, match="int elements"):
+        SemigroupDensity(Z3, generators=generators)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+def test_gibbs_density_beta_must_be_finite_and_non_negative(beta):
+    cells, complex_, plaq = plaquette_setup(Z3)
+    c = Cosurface(Z3, [(e, 1) for e in cells])
+    action = GroupFunction(Z3, (0.0, 1.0, 1.0), COUNTING)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        gibbs_density(c, complex_, beta, action, [plaq])
