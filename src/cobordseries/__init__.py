@@ -8,26 +8,24 @@ from .groupoids import (
 from .matrices import RationalMatrix
 from .groups import (
     COUNTING, PROBABILITY, FiniteGroup, GroupFunction, builtin_group,
-    convolve, cyclic, delta, haar_uniform, is_class_function,
-    load_cayley_file, quaternion8, symmetric3,
+    convolve, cyclic, delta, is_class_function, load_cayley_file,
+    quaternion8, symmetric3,
 )
 from .series import FormalSeries, SemidirectElement
 from .paths import (
-    AlgebraPath, CoeffPoly, constant_path, convergence_table, error_ratios,
-    euler_product, iterated_integrals, left_log_derivative, solve_left_ode,
+    AlgebraPath, CoeffPoly, convergence_table, error_ratios, euler_product,
+    iterated_integrals, left_log_derivative, solve_left_ode,
 )
 from .cells import (
     Cell, CellComplex, Composite, Cosurface, boundary_word, dimension_extend,
     domain_box, edge_cell, extend_abelian, extend_nonabelian, glue,
-    holonomy_cosurface, is_regular, is_saturated, point_cell, refines,
-    splits, square_cell, unit_cell,
+    holonomy_cosurface, is_regular, is_saturated, point_cell, splits,
 )
 from .measures import (
     CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce, cut,
-    factorization_check, gibbs_density, higgs_density, is_adapted,
-    is_complex_for_cobordism, markov_check, measure_series,
-    measure_series_multiplicativity, paste, reorder_max_difference,
-    sigma_action,
+    factorization_check, gibbs_density, is_adapted, is_complex_for_cobordism,
+    markov_check, measure_series, measure_series_multiplicativity, paste,
+    reorder_max_difference, sigma_action,
 )
 
 __version__ = "0.1.0"

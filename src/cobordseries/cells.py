@@ -186,20 +186,12 @@ class Cell:
         return f"Cell[{sgn}{span}]"
 
 
-def unit_cell(base, axes, sign=1) -> Cell:
-    return Cell(tuple(base), tuple(axes), (1,) * len(tuple(axes)), sign)
-
-
 def point_cell(base, sign=1) -> Cell:
     return Cell(tuple(base), (), (), sign)
 
 
 def edge_cell(base, axis, sign=1) -> Cell:
     return Cell(tuple(base), (axis,), (1,), sign)
-
-
-def square_cell(base, axes, sign=1) -> Cell:
-    return Cell(tuple(base), tuple(axes), (1, 1), sign)
 
 
 def domain_box(spans, sign=1, labels=()) -> Cell:
@@ -384,30 +376,6 @@ def splits(complex_: CellComplex, lo: int, hi: int, region):
                 return (tuple(comps[plus_idx]), tuple(comps[minus_idx]),
                         CellComplex(after), CellComplex(before))
     return None
-
-
-def refines(coarse: CellComplex, fine: CellComplex) -> bool:
-    """Every cell of the coarse complex is the in-order gluing of some
-    contiguous subcomplex of the fine one."""
-    for cell in coarse.cells:
-        if not any(_run_composes_to(fine.cells[l:m + 1], cell)
-                   for l in range(len(fine.cells))
-                   for m in range(l, len(fine.cells))):
-            return False
-    return True
-
-
-def _run_composes_to(run, cell: Cell) -> bool:
-    if not run:
-        return False
-    acc = run[0]
-    for nxt in run[1:]:
-        acc = glue(acc, nxt, "*")
-        if acc is None:
-            return False
-        if isinstance(acc, Composite):
-            return False
-    return acc.key() == cell.key() and acc.sign == cell.sign
 
 
 # ---------------------------------------------------------------------------
@@ -622,80 +590,6 @@ def extend_abelian(cosurface: Cosurface, complex_: CellComplex, domains) -> Cosu
         raise ValueError("extend_abelian requires an abelian group")
     pairs = [(dom, dimension_extend(cosurface, complex_, dom)) for dom in domains]
     return Cosurface(cosurface.group, pairs)
-
-
-# ---------------------------------------------------------------------------
-# complex and cosurface files
-# ---------------------------------------------------------------------------
-
-def cell_to_doc(cell: Cell) -> dict:
-    return {
-        "dim": cell.dim,
-        "base": list(cell.base),
-        "axes": list(cell.axes),
-        "extents": list(cell.extents),
-        "sign": cell.sign,
-        "labels": [[[list(key[0]), list(key[1]), list(key[2])], lbl]
-                   for key, lbl in cell.labels],
-    }
-
-
-def cell_from_doc(doc: dict) -> Cell:
-    labels = []
-    for key, lbl in doc.get("labels", ()):
-        if lbl not in (INITIAL, FINAL):
-            raise ValueError(f"unknown facet label {lbl!r}")
-        labels.append(((tuple(key[0]), tuple(key[1]), tuple(key[2])), lbl))
-    cell = Cell(tuple(doc["base"]), tuple(doc["axes"]), tuple(doc["extents"]),
-                doc["sign"], tuple(sorted(labels)))
-    if "dim" in doc and int(doc["dim"]) != cell.dim:
-        raise ValueError("declared dimension does not match the axes")
-    return cell
-
-
-def save_complex(path, complex_: CellComplex, cosurface: Cosurface = None) -> None:
-    """Write a complex (cells in order) and optionally a cosurface, whose
-    values are listed per cell position as group-element labels."""
-    import json
-
-    doc = {"cells": [cell_to_doc(c) for c in complex_.cells]}
-    if cosurface is not None:
-        group = cosurface.group
-        doc["cosurface"] = {
-            "group": group.name,
-            "values": {str(i): group.labels[cosurface.value(c)]
-                       for i, c in enumerate(complex_.cells)},
-        }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_complex(path, group=None):
-    """Read a complex file; returns (complex, cosurface-or-None)."""
-    import json
-
-    from .groups import builtin_group
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    complex_ = CellComplex([cell_from_doc(d) for d in doc["cells"]])
-    cosurface = None
-    if "cosurface" in doc:
-        cdoc = doc["cosurface"]
-        if group is None:
-            group = builtin_group(cdoc["group"])
-        label_index = {lbl: i for i, lbl in enumerate(group.labels)}
-        pairs = []
-        for pos_str, label in cdoc["values"].items():
-            pos = int(pos_str)
-            if not 0 <= pos < len(complex_):
-                raise ValueError(f"cosurface value for unknown cell {pos_str!r}")
-            if label not in label_index:
-                raise ValueError(f"unknown group element label {label!r}")
-            pairs.append((complex_.cells[pos], label_index[label]))
-        cosurface = Cosurface(group, pairs)
-    return complex_, cosurface
 
 
 def extend_nonabelian(cosurface: Cosurface, complex_: CellComplex, domains,

@@ -2,10 +2,11 @@
 
 Subcommands: series, expmap, cosurface {markov-check, cut-paste, series},
 nonregular.  Reports are JSON (default) or CSV with the fields command,
-params, cases[], max_residual, pass; exit status is 0 exactly when every
-case passes.  Each subcommand accepts only the options it reads, plus
-``--out`` and ``--format``; ``series`` draws its random series from a
-generator seeded by ``--seed`` (default 0), recorded in the report.
+params, cases[], max_residual, pass; exit status is 0 exactly when there
+are cases and every one passes.  Each subcommand accepts only the options
+it reads (an out-of-range value is a usage error), plus ``--out`` and
+``--format``; ``series`` draws its random series from a generator seeded
+by ``--seed`` (default 0), recorded in the report.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -64,7 +66,7 @@ def run_series(args):
 
 
 def run_expmap(args):
-    ns = [int(x) for x in args.n.split(",")]
+    ns = args.n
     rows = []
     ratio_rows = []
     for name, path in convergence_suite_paths(args.grade).items():
@@ -161,10 +163,28 @@ def run_cosurface_series(args):
 
 
 def positive_int(text):
-    """argparse type of ``--grid``: an integer of at least 1."""
+    """argparse type of ``--count``, ``--grade``, ``--trunc`` and ``--grid``:
+    an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def doubling_ns(text):
+    """argparse type of ``--n``: comma-separated positive step counts, at
+    least one n with 2n also listed (each error ratio needs such a pair)."""
+    ns = [positive_int(x) for x in text.split(",")]
+    if not any(2 * n in ns for n in ns):
+        raise argparse.ArgumentTypeError(f"no n has 2n in the list, got {text!r}")
+    return ns
+
+
+def tolerance(text):
+    """argparse type of ``--tol``: a finite float of at least 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def open_unit_times(text):
@@ -215,8 +235,8 @@ SHARED_OPTIONS = {
     "table-file": dict(default=None,
                        help="Cayley table JSON file overriding --group"),
     "groupoid": dict(default="nat", help="nat | interval:a..b | box:d:spans"),
-    "trunc": dict(type=int, default=4, help="truncation order"),
-    "tol": dict(type=float, default=1e-12),
+    "trunc": dict(type=positive_int, default=4, help="truncation order"),
+    "tol": dict(type=tolerance, default=1e-12),
     "seed": dict(type=int, default=0),
     "out": dict(default=None, help="report file (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json"),
@@ -235,12 +255,12 @@ def build_parser():
 
     p = sub.add_parser("series", help="exp/log round trips on random series")
     add_options(p, "groupoid", "trunc", "seed")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=positive_int, default=20)
 
     p = sub.add_parser("expmap", help="product-integral convergence table")
     add_options(p)
-    p.add_argument("--grade", type=int, default=3)
-    p.add_argument("--n", default="8,16,32,64")
+    p.add_argument("--grade", type=positive_int, default=3)
+    p.add_argument("--n", type=doubling_ns, default="8,16,32,64")
     p.add_argument("--ratio-band", type=float, nargs=2, default=(1.7, 2.3))
 
     p = sub.add_parser("cosurface", help="measure suites")
@@ -286,7 +306,7 @@ def main(argv=None) -> int:
         "params": params,
         "cases": cases,
         "max_residual": max((c.get("residual", 0.0) for c in cases), default=0.0),
-        "pass": all(c["pass"] for c in cases),
+        "pass": bool(cases) and all(c["pass"] for c in cases),
     }
     write_report(report, args, csv_rows)
     return 0 if report["pass"] else 1

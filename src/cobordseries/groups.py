@@ -207,29 +207,20 @@ def load_cayley_file(path) -> FiniteGroup:
     for field in ("order", "labels", "table"):
         if field not in doc:
             raise ValueError(f"Cayley table file is missing field {field!r}")
-    order = int(doc["order"])
+    order = doc["order"]
+    if type(order) is not int:
+        raise ValueError(f"declared order must be an int, not {order!r}")
     table = doc["table"]
     if len(table) != order:
         raise ValueError("table size does not match declared order")
     group = FiniteGroup(doc.get("name", Path(path).stem), table, labels=doc["labels"])
     if "inverses" in doc:
-        declared = tuple(int(x) for x in doc["inverses"])
-        if declared != group.inv_table:
+        declared = doc["inverses"]
+        if not isinstance(declared, list) or any(type(x) is not int for x in declared):
+            raise ValueError(f"declared inverses must be a list of ints, not {declared!r}")
+        if tuple(declared) != group.inv_table:
             raise ValueError("declared inverses are inconsistent with the table")
     return group
-
-
-def dump_cayley_file(group: FiniteGroup, path) -> None:
-    doc = {
-        "name": group.name,
-        "order": group.order,
-        "labels": list(group.labels),
-        "table": [list(row) for row in group.table],
-        "inverses": list(group.inv_table),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 class GroupFunction:
@@ -310,14 +301,6 @@ class GroupFunction:
     def __bool__(self):
         return any(self.values)
 
-    def mass(self):
-        """Total integral against the reference measure of the normalization."""
-        total = sum(self.values)
-        if self.normalization == PROBABILITY:
-            return total / self.group.order if not isinstance(total, (int, Fraction)) \
-                else Fraction(total, self.group.order)
-        return total
-
     def max_abs(self):
         return max(abs(v) for v in self.values)
 
@@ -348,21 +331,6 @@ def delta(group: FiniteGroup, g: int = 0, normalization=PROBABILITY) -> GroupFun
                          normalization)
 
 
-def haar_uniform(group: FiniteGroup, normalization=PROBABILITY) -> GroupFunction:
-    """The uniform density: constant 1 in probability mode, 1/|G| in counting mode."""
-    value = Fraction(1, group.order) if normalization == COUNTING else 1
-    return GroupFunction(group, (value,) * group.order, normalization)
-
-
 def is_class_function(f: GroupFunction) -> bool:
     return all(len({f.values[x] for x in cls}) == 1
                for cls in f.group.conjugacy_classes())
-
-
-def random_group_function(group, rng, normalization=PROBABILITY,
-                          numerator=9, denominator=5) -> GroupFunction:
-    """Random rational-valued function, for algebra property checks."""
-    vals = tuple(Fraction(rng.randint(-numerator, numerator),
-                          rng.randint(1, denominator))
-                 for _ in group.elements())
-    return GroupFunction(group, vals, normalization)

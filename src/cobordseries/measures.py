@@ -370,15 +370,16 @@ class CobordismBox:
         return f"CobordismBox({self.spans}, axis={self.axis})"
 
 
-def is_adapted(complex_: CellComplex, cob: CobordismBox) -> bool:
-    """Transversality at the cobordism border: no cell has interior points
-    on the initial or final face, and facets landing on the initial (final)
-    face are labelled initial (final).  Point cells are trivially
-    transversal, and cells along the lateral faces of the box (which a
-    genuine cobordism does not have) are unconstrained."""
+def is_adapted(cells, cob: CobordismBox) -> bool:
+    """Transversality at the cobordism border of the cells (a complex or any
+    sequence of cells): no cell has interior points on the initial or final
+    face, and facets landing on the initial (final) face are labelled
+    initial (final).  Point cells are trivially transversal, and cells
+    along the lateral faces of the box (which a genuine cobordism does not
+    have) are unconstrained."""
     alpha = cob.alpha_box()
     beta = cob.beta_box()
-    for cell in complex_.cells:
+    for cell in cells:
         if cell.dim == 0:
             continue
         if _meets_interior(cell, alpha) or _meets_interior(cell, beta):
@@ -481,7 +482,7 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
             k_a.append(cell)
     if not (covers(alpha, _unit_boxes(k_alpha)) and covers(beta, _unit_boxes(k_beta))):
         return False
-    if not is_adapted(CellComplex(k_a), cob):
+    if not is_adapted(k_a, cob):
         return False
     if domains is not None and not is_saturated(complex_, domains):
         return False
@@ -622,7 +623,7 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
 
 
 # ---------------------------------------------------------------------------
-# lattice model densities (evaluation only, no partition functions)
+# the lattice Gibbs density (evaluation only, no partition function)
 # ---------------------------------------------------------------------------
 
 def gibbs_density(cosurface, complex_: CellComplex, beta: float,
@@ -638,51 +639,6 @@ def gibbs_density(cosurface, complex_: CellComplex, beta: float,
         word = boundary_word(plaq, complex_)
         total += action.values[cosurface.evaluate_word(complex_, word)]
     return math.exp(-beta * total)
-
-
-def zn_rotation(group: FiniteGroup):
-    """The rotation action of Z_n on the plane, element k -> angle 2 pi k/n."""
-    n = group.order
-    if group.table != tuple(tuple((a + b) % n for b in range(n)) for a in range(n)):
-        raise ValueError("built-in plane rotations exist only for cyclic groups")
-
-    def rho(g: int):
-        angle = 2.0 * math.pi * g / n
-        return ((math.cos(angle), -math.sin(angle)),
-                (math.sin(angle), math.cos(angle)))
-
-    return rho
-
-
-def higgs_density(site_field, cosurface, complex_: CellComplex, lam: float,
-                  mu: float, b: float, rho, sites) -> float:
-    """Literal two-field lattice density: a quadratic site term plus a
-    site-pair coupling through the rotated cosurface value on each edge."""
-    sites = [tuple(s) for s in sites]
-    site_set = set(sites)
-    quad = 0.0
-    for x in sites:
-        vx, vy = site_field[x]
-        quad += (b + mu * mu / lam) * (vx * vx + vy * vy)
-    pair = 0.0
-    for cell in complex_.cells:
-        if cell.dim != 1 or cell.extents != (1,):
-            raise ValueError("site coupling needs a unit-edge complex")
-        x0 = cell.base
-        x1 = tuple(b + (1 if a == cell.axes[0] else 0)
-                   for a, b in enumerate(cell.base))
-        if x0 not in site_set or x1 not in site_set:
-            continue
-        # both ordered pairs (x, y) and (y, x) contribute, with C(yx) = C(xy)^-1
-        for start, end, oriented in ((x0, x1, cell), (x1, x0, cell.reverse())):
-            g = cosurface.value(oriented)
-            m = rho(g)
-            px, py = site_field[start]
-            qx, qy = site_field[end]
-            rx = m[0][0] * qx + m[0][1] * qy
-            ry = m[1][0] * qx + m[1][1] * qy
-            pair += px * rx + py * ry
-    return math.exp(-(lam / 2.0) * quad - (lam / 2.0) * pair)
 
 
 # ---------------------------------------------------------------------------

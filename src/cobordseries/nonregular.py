@@ -36,6 +36,7 @@ def _c(t, x, p):
 
 
 def _dc_dx(t, x, p):
+    """Exact space derivative: 1 +/- t^2 P'(x) / (t + P(x)(1 - t))^2."""
     u = abs(t)
     dphi = (u * u * p_prime(x)) / (u + p * (1.0 - u)) ** 2 if u > 0 \
         else np.zeros_like(x)
@@ -63,11 +64,6 @@ def phi(t, x):
 def c(t, x):
     """The path value c_t(x); t in (-1, 1), x in (0, 1)."""
     return _c(t, *_domain(t, x))
-
-
-def dc_dx(t, x):
-    """Exact space derivative: 1 +/- t^2 P'(x) / (t + P(x)(1 - t))^2."""
-    return _dc_dx(t, *_domain(t, x))
 
 
 def dc_dt(t, x):

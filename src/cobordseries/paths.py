@@ -311,51 +311,6 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     return out
 
 
-def constant_path(a: FormalSeries) -> AlgebraPath:
-    return AlgebraPath(a.groupoid, a.order,
-                       {e: CoeffPoly.constant(val, a.unit) for e, val in a.coeffs.items()},
-                       a.unit)
-
-
-def solve_left_ode_sampled(sample, groupoid, order, n):
-    """Float adapter for sampled directions: trapezoid grade recursion.
-
-    ``sample(elem, t)`` returns the float component of the direction at the
-    n+1 uniform grid times t = i/n.  Returns {element: [values on grid]}
-    with the grade-zero component constantly 1.  The quadrature error is
-    O(1/n^2) per grade (trapezoid rule on smooth integrands).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    grid = [i / n for i in range(n + 1)]
-    e = groupoid.neutral
-    solution = {e: [1.0] * (n + 1)}
-    for elem in groupoid.elements_up_to(order):
-        if elem == e or elem is e:
-            continue
-        integrand = [0.0] * (n + 1)
-        touched = False
-        for i, j in groupoid.decompositions(elem):
-            if i == e or i is e:
-                continue
-            uj = solution.get(j)
-            if uj is None:
-                continue
-            touched = True
-            for idx, t in enumerate(grid):
-                integrand[idx] += sample(i, t) * uj[idx]
-        if not touched:
-            continue
-        values = [0.0] * (n + 1)
-        acc = 0.0
-        for idx in range(1, n + 1):
-            acc += (integrand[idx - 1] + integrand[idx]) / (2.0 * n)
-            values[idx] = acc
-        if any(values):
-            solution[elem] = values
-    return solution
-
-
 def coeff_norm(value) -> float:
     """Float magnitude used for convergence tables: |.| or max-abs entry."""
     if isinstance(value, (int, float, Fraction)):

@@ -1,14 +1,33 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cobordseries.groups import (
-    COUNTING, FiniteGroup, builtin_group, convolve, cyclic,
-    delta, dump_cayley_file, haar_uniform, is_class_function,
-    load_cayley_file, quaternion8, random_group_function, symmetric3,
+    COUNTING, FiniteGroup, GroupFunction, builtin_group, convolve, cyclic,
+    delta, is_class_function, load_cayley_file, quaternion8, symmetric3,
 )
 from cobordseries.matrices import RationalMatrix
+
+
+def dump_cayley_file(group, path, **overrides):
+    """Write the group as the JSON document ``load_cayley_file`` reads."""
+    doc = {"name": group.name, "order": group.order, "labels": list(group.labels),
+           "table": [list(row) for row in group.table],
+           "inverses": list(group.inv_table)}
+    path.write_text(json.dumps({**doc, **overrides}))
+
+
+def haar_uniform(group):
+    """The uniform density: constant 1 in probability normalization."""
+    return GroupFunction(group, (1,) * group.order)
+
+
+def random_group_function(group, rng):
+    """Random rational values in probability normalization."""
+    return GroupFunction(group, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                      for _ in group.elements()))
 
 
 # -- exact matrices ---------------------------------------------------------
@@ -105,9 +124,18 @@ def test_cayley_file_round_trip(tmp_path):
     assert loaded.labels == symmetric3().labels
 
 
-def test_cayley_file_validation(tmp_path):
-    import json
+@pytest.mark.parametrize("field, value", [("order", 2.9), ("order", True),
+                                          ("inverses", [0.0, "1"])],
+                         ids=["float-order", "bool-order", "non-int-inverses"])
+def test_cayley_file_fields_are_not_coerced(tmp_path, field, value):
+    path = tmp_path / "coerced.json"
+    group = cyclic(1) if value is True else cyclic(2)
+    dump_cayley_file(group, path, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        load_cayley_file(path)
 
+
+def test_cayley_file_validation(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:
         json.dump({"order": 2, "labels": ["e", "g"], "table": [[0, 1], [1, 0]],
@@ -164,8 +192,6 @@ def test_class_functions_are_central_on_s3():
         v = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         for x in cls:
             class_fn_values[x] = v
-    from cobordseries.groups import GroupFunction
-
     f = GroupFunction(s3, tuple(class_fn_values[x] for x in s3.elements()))
     assert is_class_function(f)
     for _ in range(5):
@@ -176,8 +202,6 @@ def test_class_functions_are_central_on_s3():
 def test_is_class_function_examples():
     s3 = symmetric3()
     assert is_class_function(delta(s3))
-    from cobordseries.groups import GroupFunction
-
     not_class = GroupFunction(s3, (0, 1, 0, 0, 0, 0))
     assert not is_class_function(not_class)
 

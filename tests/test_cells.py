@@ -6,8 +6,8 @@ import pytest
 from cobordseries.cells import (
     Cell, CellComplex, Composite, Cosurface, INITIAL, FINAL, boundary_word,
     dimension_extend, domain_box, edge_cell, extend_abelian, extend_nonabelian,
-    glue, holonomy_cosurface, is_regular, is_saturated, point_cell, refines,
-    splits, square_cell, unit_cell, word_value,
+    glue, holonomy_cosurface, is_regular, is_saturated, point_cell, splits,
+    word_value,
 )
 from cobordseries.groups import cyclic, symmetric3
 
@@ -39,7 +39,7 @@ def cube_faces():
 # -- cells and facets ----------------------------------------------------------
 
 def test_square_facet_signs_alternate():
-    sq = square_cell((0, 0), (0, 1))
+    sq = Cell((0, 0), (0, 1), (1, 1))
     signs = {f.box(): f.sign for f, _ in sq.facets()}
     assert signs[((0, 0), (0, 1))] == -1   # left
     assert signs[((1, 1), (0, 1))] == 1    # right
@@ -48,7 +48,7 @@ def test_square_facet_signs_alternate():
 
 
 def test_default_labels_follow_signs():
-    sq = square_cell((0, 0), (0, 1))
+    sq = Cell((0, 0), (0, 1), (1, 1))
     for facet, label in sq.facets():
         assert label == (INITIAL if facet.sign < 0 else FINAL)
 
@@ -112,7 +112,7 @@ def test_glue_vee_orientation_clash():
 
 
 def test_glue_squares_to_rectangle_alpha_beta():
-    merged = glue(square_cell((1, 0), (0, 1)), square_cell((0, 0), (0, 1)), "*")
+    merged = glue(Cell((1, 0), (0, 1), (1, 1)), Cell((0, 0), (0, 1), (1, 1)), "*")
     assert isinstance(merged, Cell)
     assert merged.box() == ((0, 2), (0, 1))
     alpha_boxes = {f.box() for f in merged.alpha()}
@@ -170,7 +170,7 @@ def test_saturated_rejects_interior_overlapping_domains():
 
 def test_splits_chain_at_middle_point():
     chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
-    region = [unit_cell((0,), (0,)), unit_cell((1,), (0,))]
+    region = [Cell((0,), (0,), (1,)), Cell((1,), (0,), (1,))]
     result = splits(chain, 1, 1, region)
     assert result is not None
     m_plus, m_minus, k_plus, k_minus = result
@@ -182,16 +182,8 @@ def test_splits_chain_at_middle_point():
 
 def test_splits_fails_without_separation():
     chain = CellComplex([point_cell((0,)), point_cell((3,)), point_cell((2,))])
-    region = [unit_cell((0,), (0,)), unit_cell((1,), (0,)), unit_cell((2,), (0,))]
+    region = [Cell((0,), (0,), (1,)), Cell((1,), (0,), (1,)), Cell((2,), (0,), (1,))]
     assert splits(chain, 1, 1, region) is None
-
-
-def test_refines_interval_chain():
-    coarse = CellComplex([Cell((0,), (0,), (2,))])
-    fine = CellComplex([edge_cell((1,), 0), edge_cell((0,), 0)])
-    assert refines(coarse, fine)
-    not_fine = CellComplex([edge_cell((0,), 0), edge_cell((1,), 0)])
-    assert not refines(coarse, not_fine)
 
 
 # -- holonomy ---------------------------------------------------------------------
@@ -408,49 +400,6 @@ def test_order_sensitivity_for_s3_square():
         if found:
             break
     assert found
-
-
-# -- complex files -----------------------------------------------------------------
-
-def test_complex_file_round_trip(tmp_path):
-    from cobordseries.cells import load_complex, save_complex
-
-    s3 = symmetric3()
-    edges = unit_square_edges()
-    flipped = edges[0].reverse()
-    complex_ = CellComplex([flipped] + edges[1:])
-    cosurface = Cosurface(s3, [(c, i + 1) for i, c in enumerate(complex_.cells)])
-    path = tmp_path / "plaquette.json"
-    save_complex(path, complex_, cosurface)
-    loaded_complex, loaded_cosurface = load_complex(path)
-    assert loaded_complex == complex_
-    for cell in complex_.cells:
-        assert loaded_cosurface.value(cell) == cosurface.value(cell)
-
-
-def test_complex_file_validation(tmp_path):
-    import json
-
-    from cobordseries.cells import load_complex
-
-    path = tmp_path / "bad.json"
-    with open(path, "w") as fh:
-        json.dump({"cells": [{"dim": 2, "base": [0], "axes": [0],
-                              "extents": [1], "sign": 1, "labels": []}]}, fh)
-    with pytest.raises(ValueError):
-        load_complex(path)
-    with open(path, "w") as fh:
-        json.dump({"cells": [{"dim": 1, "base": [0], "axes": [0],
-                              "extents": [1], "sign": 1, "labels": []}],
-                   "cosurface": {"group": "Z2", "values": {"0": "bogus"}}}, fh)
-    with pytest.raises(ValueError):
-        load_complex(path)
-    # a fractional sign is refused, not truncated to +1
-    with open(path, "w") as fh:
-        json.dump({"cells": [{"dim": 1, "base": [0], "axes": [0],
-                              "extents": [1], "sign": 1.5, "labels": []}]}, fh)
-    with pytest.raises(ValueError, match="sign"):
-        load_complex(path)
 
 
 # -- exhaustive cosurface axioms inside small windows --------------------------------

@@ -85,10 +85,12 @@ def test_nonregular_subcommand(tmp_path):
 
 
 def test_table_file_group(tmp_path):
-    from cobordseries.groups import dump_cayley_file, symmetric3
+    from cobordseries.groups import symmetric3
 
+    s3 = symmetric3()
     table = tmp_path / "s3.json"
-    dump_cayley_file(symmetric3(), table)
+    table.write_text(json.dumps({"order": s3.order, "labels": list(s3.labels),
+                                 "table": [list(row) for row in s3.table]}))
     code, report = run_json(tmp_path, ["cosurface", "markov-check",
                                        "--table-file", str(table)])
     assert code == 0 and report["pass"]
@@ -114,6 +116,38 @@ def test_nonregular_out_of_range_value_is_usage_error(capsys, flag, value):
         main(["nonregular", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["series", "--count", "0"], ["series", "--count", "-3"],
+    ["series", "--trunc", "-1"], ["series", "--trunc", "0"],
+    ["cosurface", "series", "--trunc", "-1"],
+    ["expmap", "--grade", "0"], ["expmap", "--n", "0,0"], ["expmap", "--n", "0"],
+    ["expmap", "--n", "8"], ["expmap", "--n", "8,12,24x"],
+    ["cosurface", "cut-paste", "--tol", "-0.001"],
+    ["cosurface", "markov-check", "--tol", "nan"],
+    ["cosurface", "series", "--tol", "inf"],
+], ids=" ".join)
+def test_out_of_range_value_is_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {args[-2]}" in capsys.readouterr().err
+
+
+def test_expmap_runs_only_the_doubling_pairs(tmp_path):
+    code, report = run_json(tmp_path, ["expmap", "--grade", "2", "--n", "8,12,16"])
+    assert code == 0 and report["pass"]
+    assert {case["name"].rsplit("-n", 1)[1] for case in report["cases"]} == {"8"}
+
+
+def test_report_without_cases_fails(tmp_path, monkeypatch):
+    from cobordseries import cli
+
+    monkeypatch.setattr(cli, "run_series", lambda args: ({}, []))
+    code, report = run_json(tmp_path, ["series"])
+    assert code == 1
+    assert report["cases"] == [] and report["pass"] is False
 
 
 def test_unknown_groupoid_spec_errors(tmp_path):

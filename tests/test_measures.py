@@ -13,10 +13,10 @@ from cobordseries.groups import COUNTING, builtin_group, delta, is_class_functio
 from cobordseries.groups import GroupFunction
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
-    cut, factorization_check, gibbs_density, higgs_density, is_adapted,
+    cut, factorization_check, gibbs_density, is_adapted,
     is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
-    semigroup_axiom_residuals, sigma_action, zn_rotation,
+    semigroup_axiom_residuals, sigma_action,
 )
 
 Z2 = builtin_group("Z2")
@@ -375,6 +375,17 @@ def test_adapted_alpha_beta_labels():
     assert not is_adapted(inside_alpha, cob)
 
 
+@pytest.mark.parametrize("cells, spans, adapted", [
+    ([point_cell((0,)), point_cell((1,)), point_cell((2,))], ((0, 2),), True),
+    ([Cell((-1, 0), (0,), (2,))], ((0, 2), (0, 1)), False),
+    ([edge_cell((0, 0), 0)], ((0, 2), (0, 1)), True),
+    ([edge_cell((0, 0), 1)], ((0, 2), (0, 1)), False),
+], ids=["chain", "crossing", "tilted", "inside-alpha"])
+def test_adapted_reads_a_cell_list_as_its_complex(cells, spans, adapted):
+    cob = CobordismBox(spans)
+    assert is_adapted(cells, cob) == is_adapted(CellComplex(cells), cob) == adapted
+
+
 def test_border_reduce_rejects_cell_partially_on_a_domain_boundary():
     """[0,2]x{0} runs along the lower facets of both squares of the strip
     without lying inside either."""
@@ -429,6 +440,24 @@ def test_complex_for_cobordism_partition():
     strip_domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
     assert is_complex_for_cobordism(CellComplex(strip_cells()), cob2,
                                     strip_domains)
+
+
+def test_complex_for_cobordism_builds_no_complex(monkeypatch):
+    chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
+    strip = CellComplex(strip_cells())
+    crossing = CellComplex(strip_cells() + [Cell((-1, 0), (0,), (2,))])
+    built = []
+    original = CellComplex.__init__
+
+    def counting(self, cells):
+        built.append(cells)
+        original(self, cells)
+
+    monkeypatch.setattr(CellComplex, "__init__", counting)
+    assert is_complex_for_cobordism(chain, CobordismBox(((0, 2),)))
+    assert is_complex_for_cobordism(strip, CobordismBox(((0, 2), (0, 1))))
+    assert not is_complex_for_cobordism(crossing, CobordismBox(((0, 2), (0, 1))))
+    assert built == []
 
 
 def test_cut_chain_at_middle():
@@ -592,40 +621,6 @@ def test_gibbs_requires_class_function():
     assert not is_class_function(lopsided)
     with pytest.raises(ValueError):
         gibbs_density(c, complex_, 1.0, lopsided, [plaq])
-
-
-def test_higgs_density_zero_field():
-    z4 = builtin_group("Z4")
-    cells = [edge_cell((0, 0), 0)]
-    complex_ = CellComplex(cells)
-    c = Cosurface(z4, [(cells[0], 1)])
-    sites = [(0, 0), (1, 0)]
-    field = {s: (0.0, 0.0) for s in sites}
-    value = higgs_density(field, c, complex_, lam=1.0, mu=1.0, b=0.5,
-                          rho=zn_rotation(z4), sites=sites)
-    assert value == 1.0
-
-
-def test_higgs_density_rotation_coupling():
-    z4 = builtin_group("Z4")
-    cells = [edge_cell((0, 0), 0)]
-    complex_ = CellComplex(cells)
-    c = Cosurface(z4, [(cells[0], 1)])  # quarter turn
-    sites = [(0, 0), (1, 0)]
-    field = {(0, 0): (1.0, 0.0), (1, 0): (0.0, 1.0)}
-    lam, mu, b = 2.0, 1.0, 0.25
-    quad = (b + mu * mu / lam) * 2.0
-    # rho(1) rotates (0,1) to (-1,0) and the reverse pairing matches it
-    pair = -1.0 + -1.0
-    expected = math.exp(-(lam / 2) * quad - (lam / 2) * pair)
-    value = higgs_density(field, c, complex_, lam=lam, mu=mu, b=b,
-                          rho=zn_rotation(z4), sites=sites)
-    assert abs(value - expected) < 1e-14
-
-
-def test_zn_rotation_rejects_nonabelian():
-    with pytest.raises(ValueError):
-        zn_rotation(S3)
 
 
 # -- measure-valued series ---------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cobordseries.groupoids import make_interval_groupoid, make_nat_monoid
 from cobordseries.matrices import RationalMatrix
 from cobordseries.paths import (
-    AlgebraPath, CoeffPoly, constant_path, convergence_table, error_ratios,
+    AlgebraPath, CoeffPoly, convergence_table, error_ratios,
     euler_product, grade_component, iterated_integrals,
     left_log_derivative, solve_left_ode,
 )
@@ -278,7 +278,10 @@ def test_exp_const_equals_series_exp_and_ode():
         term = (term * a).scale(Fraction(1, k))
         partial = partial + term
     assert partial == a.exp()
-    assert solve_left_ode(constant_path(a))(1) == a.exp()
+    constant = AlgebraPath(a.groupoid, a.order,
+                           {e: CoeffPoly.constant(v, a.unit) for e, v in a.coeffs.items()},
+                           a.unit)
+    assert solve_left_ode(constant)(1) == a.exp()
 
 
 def test_exp_const_zero():
@@ -305,23 +308,3 @@ def test_convergence_error_is_first_order():
     by_n = {r["n"]: r["error"] for r in rows if r["grade"] == 2}
     for n, err in by_n.items():
         assert err == pytest.approx(1 / (2 * n), abs=0, rel=1e-12)
-
-
-def test_sampled_adapter_second_order_quadrature():
-    from cobordseries.paths import solve_left_ode_sampled
-
-    # direction q * s^2: smooth, with nonzero trapezoid error
-    v = AlgebraPath(NAT, 3, {1: CoeffPoly((0, 0, ONE))})
-    exact = solve_left_ode(v)(1)
-    errors = []
-    for n in (8, 16, 32, 64):
-        approx = solve_left_ode_sampled(
-            lambda elem, t: t * t if elem == 1 else 0.0, NAT, 3, n)
-        worst = 0.0
-        for elem in NAT.elements_up_to(3):
-            target = float(exact.coefficient(elem))
-            got = approx.get(elem, [0.0] * (n + 1))[-1]
-            worst = max(worst, abs(got - target))
-        errors.append(worst)
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 3.4 <= coarse / fine <= 4.6  # O(1/n^2)
