@@ -4,7 +4,8 @@ Subcommands: series, expmap, cosurface {markov-check, cut-paste, series},
 nonregular.  Reports are JSON (default) or CSV with the fields command,
 params, cases[], max_residual, pass; exit status is 0 exactly when there
 are cases and every one passes.  Each subcommand accepts only the options
-it reads (an out-of-range value is a usage error), plus ``--out`` and
+it reads (an out-of-range value, an unknown group or groupoid spec, or a
+missing or invalid Cayley file is a usage error), plus ``--out`` and
 ``--format``; ``series`` draws its random series from a generator seeded
 by ``--seed`` (default 0), recorded in the report.
 """
@@ -49,7 +50,7 @@ def random_series(groupoid, order, rng, n=2, max_support=5):
 
 
 def run_series(args):
-    groupoid = from_spec(args.groupoid)
+    groupoid = args.groupoid
     rng = random.Random(args.seed)
     cases = []
     for idx in range(args.count):
@@ -88,9 +89,7 @@ def run_expmap(args):
 
 
 def _load_group(args):
-    if args.table_file:
-        return load_cayley_file(args.table_file)
-    return builtin_group(args.group)
+    return args.group if args.table_file is None else args.table_file
 
 
 def chain_instance(length):
@@ -153,13 +152,24 @@ def run_cut_paste(args):
 
 def run_cosurface_series(args):
     group = _load_group(args)
-    groupoid = from_spec(args.groupoid)
+    groupoid = args.groupoid
     density = SemigroupDensity(group)
     series = measure_series(groupoid, density, args.trunc)
     ok, worst = measure_series_multiplicativity(series, tol=args.tol)
     cases = [{"name": "multiplicativity", "residual": worst, "pass": ok}]
     return {"group": group.name, "groupoid": groupoid.name,
             "trunc": args.trunc}, cases
+
+
+def usage_value(parse):
+    """argparse type reading the option through ``parse``; its ValueError or
+    OSError (a bad name or spec, a missing or invalid file) is a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def positive_int(text):
@@ -231,10 +241,12 @@ def write_report(report, args, csv_rows=None):
 
 
 SHARED_OPTIONS = {
-    "group": dict(default="Z3", help="built-in group name"),
-    "table-file": dict(default=None,
+    "group": dict(type=usage_value(builtin_group), default="Z3",
+                  help="built-in group name"),
+    "table-file": dict(type=usage_value(load_cayley_file), default=None,
                        help="Cayley table JSON file overriding --group"),
-    "groupoid": dict(default="nat", help="nat | interval:a..b | box:d:spans"),
+    "groupoid": dict(type=usage_value(from_spec), default="nat",
+                     help="nat | interval:a..b | box:d:spans"),
     "trunc": dict(type=positive_int, default=4, help="truncation order"),
     "tol": dict(type=tolerance, default=1e-12),
     "seed": dict(type=int, default=0),

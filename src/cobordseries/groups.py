@@ -201,6 +201,8 @@ def load_cayley_file(path) -> FiniteGroup:
     """Load a group from a JSON document with fields order/labels/table[/inverses]."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a Cayley table file holds a JSON object, not {doc!r}")
     unknown = set(doc) - {"name", "order", "labels", "table", "inverses"}
     if unknown:
         raise ValueError(f"unknown fields in Cayley table file: {sorted(unknown)}")
@@ -210,10 +212,14 @@ def load_cayley_file(path) -> FiniteGroup:
     order = doc["order"]
     if type(order) is not int:
         raise ValueError(f"declared order must be an int, not {order!r}")
-    table = doc["table"]
+    table, labels = doc["table"], doc["labels"]
+    if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
+        raise ValueError(f"table must be a list of lists, not {table!r}")
+    if not isinstance(labels, list) or any(type(x) is not str for x in labels):
+        raise ValueError(f"labels must be a list of strings, not {labels!r}")
     if len(table) != order:
         raise ValueError("table size does not match declared order")
-    group = FiniteGroup(doc.get("name", Path(path).stem), table, labels=doc["labels"])
+    group = FiniteGroup(doc.get("name", Path(path).stem), table, labels=labels)
     if "inverses" in doc:
         declared = doc["inverses"]
         if not isinstance(declared, list) or any(type(x) is not int for x in declared):

@@ -8,8 +8,9 @@ the resulting group element to the heat density at time |A_i| = the cell
 count of the domain; the word is evaluated by ``cells.word_value``.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
-as a numpy tensor.  The Markov property is checked by ``np.einsum``
-contractions of these factors with the side functions, leaving the
+as a numpy tensor.  The Markov property is checked by one ``np.einsum``
+contraction of these factors with the side tables, stacked on a batch
+index for its four conditional sums (so at most 51 cells), leaving the
 splitting cells open.  Reordering and pasting only relabel the words
 (sigma re-sorts each by its cells' positions in sigma K; a piece's words
 keep their order on the pasted positions) before the factor products are
@@ -21,7 +22,8 @@ and ``conditional_mass`` evaluate one configuration at a time against it.
 from __future__ import annotations
 
 import math
-from itertools import product as iter_product
+from functools import lru_cache
+from itertools import product as iter_product, repeat
 
 import numpy as np
 from scipy.linalg import expm
@@ -240,53 +242,58 @@ class ComplexMeasure:
 # Markov property
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _contraction_plan(signature):
+    """np.einsum_path's greedy plan for ((axes, shape), ..., output axes): shapes only."""
+    *operands, output = signature
+    args = [x for axes, shape in operands for x in (np.broadcast_to(0.0, shape), list(axes))]
+    return tuple(np.einsum_path(*args, list(output), optimize="greedy")[0])
+
+
 def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     """Both sides of the conditional-independence identity, per conditioning
     value on the splitting subcomplex L = cells[lo:hi+1].
 
-    f_plus / f_minus are called with a dict {position: value} restricted to
-    the cells of their side (component closure plus L), once per assignment
-    of those cells.  Once ``splits`` succeeds, the side functions read the
-    contiguous runs cells[lo:] (plus) and cells[:hi+1] (minus): a cell in
-    both closures would share a unit piece with L, which a saturated
-    complex does not allow.  The four sums per L-assignment (mass, both,
-    plus side, minus side) are einsum contractions of the domain factors
-    with the side tables, all-ones where a side function is absent.
+    f_plus / f_minus are called with a fresh dict {position: value} for each
+    assignment of the cells of their side (component closure plus L), in
+    ``itertools.product`` order.  Once ``splits`` succeeds, the side
+    functions read the contiguous runs cells[lo:] (plus) and cells[:hi+1]
+    (minus): a cell in both closures would share a unit piece with L, which
+    a saturated complex does not allow.  The four sums per L-assignment are
+    one einsum contraction of the domain factors with the side tables
+    stacked on a batch index (rows mass, plus, minus, both; all-ones where a
+    side function is absent), so at most 51 cells; its plan is memoised.
     Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
     complex_ = measure.complex
-    if len(complex_) > 52:
-        raise ValueError(f"markov_check contracts at most 52 cells "
-                         f"(np.einsum's index limit), got {len(complex_)}")
+    if len(complex_) > 51:
+        raise ValueError(f"markov_check contracts at most 51 cells (np.einsum's "
+                         f"index limit, less the batch index), got {len(complex_)}")
     if splits(complex_, lo, hi, measure.region_cells()) is None:
         raise ValueError("the subcomplex does not split the region")
     plus_positions = list(range(lo, len(complex_)))
     minus_positions = list(range(hi + 1))
     l_positions = list(range(lo, hi + 1))
-    n = measure.group.order
+    n, batch = measure.group.order, len(complex_)
 
-    def side_table(f, positions):
-        shape = (n,) * len(positions)
-        values = [f(dict(zip(positions, c))) for c in np.ndindex(shape)]
-        return np.array(values, dtype=float).reshape(shape)
+    def side_stack(f, positions, rows):
+        """Batch rows (mass, plus, minus, both): f's side table on ``rows``, 1 elsewhere."""
+        k = len(positions)
+        assignments = map(dict, map(zip, repeat(positions), iter_product(range(n), repeat=k)))
+        stack = np.ones((4,) + (n,) * k)
+        stack[rows] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
+        return stack, (batch, *positions)
 
-    t_plus = side_table(f_plus, plus_positions)
-    t_minus = side_table(f_minus, minus_positions)
-    factors = [x for factor, axes in measure.factors() for x in (factor, axes)]
-
-    def operands(plus, minus):
-        return (*factors, plus, plus_positions, minus, minus_positions, l_positions)
-
-    ones_plus, ones_minus = np.ones_like(t_plus), np.ones_like(t_minus)
-    path = np.einsum_path(*operands(ones_plus, ones_minus), optimize="greedy")[0]
-    sums = zip(np.ndindex((n,) * len(l_positions)),
-               *(np.einsum(*operands(plus, minus), optimize=path).ravel().tolist()
-                 for plus, minus in ((ones_plus, ones_minus), (t_plus, t_minus),
-                                     (t_plus, ones_minus), (ones_plus, t_minus))))
+    operands = [*measure.factors(), side_stack(f_plus, plus_positions, [1, 3]),
+                side_stack(f_minus, minus_positions, [2, 3])]
+    signature = (*((axes, a.shape) for a, axes in operands), (batch, *l_positions))
+    sums = np.einsum(*(x for a, axes in operands for x in (a, list(axes))),
+                     [batch, *l_positions], optimize=_contraction_plan(signature))
+    sums = zip(iter_product(range(n), repeat=len(l_positions)), *sums.reshape(4, -1).tolist())
     table = {}
     max_residual = 0.0
-    for key, mass, both, plus, minus in sums:
+    for key, mass, plus, minus, both in sums:
         if mass == 0.0:
             table[key] = None
             continue

@@ -135,6 +135,22 @@ def test_cayley_file_fields_are_not_coerced(tmp_path, field, value):
         load_cayley_file(path)
 
 
+@pytest.mark.parametrize("field, value", [("labels", "eg"), ("table", 5)],
+                         ids=["string-labels", "int-table"])
+def test_cayley_file_labels_and_table_must_be_lists(tmp_path, field, value):
+    path = tmp_path / "z2.json"
+    dump_cayley_file(cyclic(2), path, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be a list"):
+        load_cayley_file(path)
+
+
+def test_cayley_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_cayley_file(path)
+
+
 def test_cayley_file_validation(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:

@@ -151,5 +151,41 @@ def test_report_without_cases_fails(tmp_path, monkeypatch):
 
 
 def test_unknown_groupoid_spec_errors(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["series", "--groupoid", "torus:2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cosurface", "markov-check", "--group", "foo"], "unknown group 'foo'"),
+    (["cosurface", "cut-paste", "--group", "Z13"], "Z2..Z12"),
+    (["cosurface", "series", "--groupoid", "torus:2"], "unknown groupoid spec"),
+    (["series", "--groupoid", "interval:3"], "argument --groupoid"),
+], ids=["unknown-group", "cyclic-out-of-range", "cosurface-groupoid", "interval-no-span"])
+def test_unknown_name_or_spec_is_usage_error(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {args[-2]}" in err and message in err
+
+
+def test_missing_table_file_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cosurface", "markov-check", "--table-file", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "argument --table-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "5", '{"order": 2, "labels": "eg", "table": [[0, 1], [1, 0]]}',
+    '{"order": 2, "labels": ["e", "g"], "table": 5}',
+    '{"order": 2, "labels": ["e", "g"], "table": [[0, 1], [1, 1]]}',
+], ids=["not-json", "not-an-object", "string-labels", "int-table", "not-a-group"])
+def test_invalid_table_file_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["cosurface", "cut-paste", "--table-file", str(path)])
+    assert exc.value.code == 2
+    assert "argument --table-file" in capsys.readouterr().err

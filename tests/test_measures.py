@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -228,8 +229,8 @@ def test_markov_requires_splitting():
 
 
 def test_markov_rejects_more_cells_than_einsum_indices():
-    measure = chain_measure(53, SemigroupDensity(Z2))
-    with pytest.raises(ValueError, match="52 cells"):
+    measure = chain_measure(52, SemigroupDensity(Z2))
+    with pytest.raises(ValueError, match="at most 51 cells"):
         markov_check(measure, 26, 26, lambda v: 1.0, lambda v: 1.0)
 
 
@@ -794,6 +795,67 @@ def test_markov_contraction_matches_enumeration(gname, name):
                     assert abs(table[key][0] - pair[0]) <= 1e-13
                     assert abs(table[key][1] - pair[1]) <= 1e-13
             assert abs(residual - expected_residual) <= 1e-13
+
+
+@pytest.mark.parametrize("gname,name,split", [("S3", "strip", 3), ("Q8", "chain4", 1)])
+def test_markov_side_functions_get_fresh_dicts_in_product_order(gname, name, split):
+    """Each side function call gets its own dict, keyed by exactly the side's
+    positions; a mutation inside one call does not reach the next; the
+    assignments arrive in itertools.product order, n**k calls per side."""
+    measure = oracle_measure(gname, name)
+    n = measure.group.order
+    calls = {"plus": [], "minus": []}
+
+    def recording(side):
+        def f(vals):
+            calls[side].append((vals, dict(vals)))
+            for pos in vals:
+                vals[pos] = -1
+            vals["mutated"] = True
+            return 1.0
+        return f
+
+    markov_check(measure, split, split, recording("plus"), recording("minus"))
+    for side, positions in zip(("plus", "minus"), side_positions(measure, split)):
+        seen, entry = zip(*calls[side])
+        assert len(seen) == n ** len(positions)
+        assert len({id(vals) for vals in seen}) == len(seen)
+        assert all(list(vals) == positions for vals in entry)
+        assert [tuple(vals.values()) for vals in entry] == \
+            list(itertools.product(range(n), repeat=len(positions)))
+
+
+def test_markov_check_plans_once_and_contracts_once(monkeypatch):
+    """One top-level einsum per check; a group of the same order and shapes
+    reuses the plan, in either order, and still matches the enumeration."""
+    from cobordseries import measures as measures_mod
+
+    calls = {"einsum_path": 0, "einsum": 0}
+    for fname in calls:
+        def counting(*args, _fname=fname, _original=getattr(np, fname), **kwargs):
+            calls[_fname] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(measures_mod.np, fname, counting)
+    measures_mod._contraction_plan.cache_clear()
+    measures = {g: oracle_measure(g, "chain5") for g in ("Z6", "S3")}
+    f_plus, f_minus = weighted, lambda vals: 1.0 - 0.05 * max(vals.values())
+    splits_ = oracle_splits("chain5")
+    expected = {(g, split): brute_markov(measures[g], split, f_plus, f_minus)
+                for g in measures for split in splits_}
+    for order in (("Z6", "S3"), ("S3", "Z6")):
+        for gname in order:
+            for split in splits_:
+                before = calls["einsum"]
+                table, residual = markov_check(measures[gname], split, split,
+                                               f_plus, f_minus)
+                assert calls["einsum"] == before + 1
+                want, want_residual = expected[gname, split]
+                assert list(table) == list(want)
+                for key, pair in want.items():
+                    assert abs(table[key][0] - pair[0]) <= 1e-13
+                    assert abs(table[key][1] - pair[1]) <= 1e-13
+                assert abs(residual - want_residual) <= 1e-13
+    assert calls == {"einsum_path": len(splits_), "einsum": 4 * len(splits_)}
 
 
 @pytest.mark.parametrize("gname,name", [case for case in ORACLE_INSTANCES
