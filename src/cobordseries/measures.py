@@ -9,8 +9,8 @@ count of the domain; the word is evaluated by ``cells.word_value``.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
 as a numpy tensor.  The Markov property is checked by one ``np.einsum``
-contraction of these factors with the side tables, stacked on a batch
-index for its four conditional sums (so at most 51 cells), leaving the
+contraction of these factors with the side tables, each stacked with
+ones on a batch index of its own (so at most 50 cells), leaving the
 splitting cells open.  Reordering and pasting only relabel the words
 (sigma re-sorts each by its cells' positions in sigma K; a piece's words
 keep their order on the pasted positions) before the factor products are
@@ -22,7 +22,6 @@ and ``conditional_mass`` evaluate one configuration at a time against it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product as iter_product, repeat
 
 import numpy as np
@@ -242,14 +241,6 @@ class ComplexMeasure:
 # Markov property
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _contraction_plan(signature):
-    """np.einsum_path's greedy plan for ((axes, shape), ..., output axes): shapes only."""
-    *operands, output = signature
-    args = [x for axes, shape in operands for x in (np.broadcast_to(0.0, shape), list(axes))]
-    return tuple(np.einsum_path(*args, list(output), optimize="greedy")[0])
-
-
 def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     """Both sides of the conditional-independence identity, per conditioning
     value on the splitting subcomplex L = cells[lo:hi+1].
@@ -260,36 +251,36 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     functions read the contiguous runs cells[lo:] (plus) and cells[:hi+1]
     (minus): a cell in both closures would share a unit piece with L, which
     a saturated complex does not allow.  The four sums per L-assignment are
-    one einsum contraction of the domain factors with the side tables
-    stacked on a batch index (rows mass, plus, minus, both; all-ones where a
-    side function is absent), so at most 51 cells; its plan is memoised.
+    one einsum contraction of the domain factors with each side's table
+    stacked under a row of ones (the side function left out) on a batch
+    index of its own; the two batch indices take two of einsum's 52, so at
+    most 50 cells.  The output rows are mass, plus, minus, both.
     Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
     complex_ = measure.complex
-    if len(complex_) > 51:
-        raise ValueError(f"markov_check contracts at most 51 cells (np.einsum's "
-                         f"index limit, less the batch index), got {len(complex_)}")
+    if len(complex_) > 50:
+        raise ValueError(f"markov_check contracts at most 50 cells (np.einsum's "
+                         f"index limit, less two batch indices), got {len(complex_)}")
     if splits(complex_, lo, hi, measure.region_cells()) is None:
         raise ValueError("the subcomplex does not split the region")
     plus_positions = list(range(lo, len(complex_)))
     minus_positions = list(range(hi + 1))
     l_positions = list(range(lo, hi + 1))
-    n, batch = measure.group.order, len(complex_)
+    n, c_minus, c_plus = measure.group.order, len(complex_), len(complex_) + 1
 
-    def side_stack(f, positions, rows):
-        """Batch rows (mass, plus, minus, both): f's side table on ``rows``, 1 elsewhere."""
+    def side_stack(f, positions, c):
+        """Rows (1, f) of f's side table on the batch index c."""
         k = len(positions)
         assignments = map(dict, map(zip, repeat(positions), iter_product(range(n), repeat=k)))
-        stack = np.ones((4,) + (n,) * k)
-        stack[rows] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
-        return stack, (batch, *positions)
+        stack = np.ones((2,) + (n,) * k)
+        stack[1] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
+        return stack, [c, *positions]
 
-    operands = [*measure.factors(), side_stack(f_plus, plus_positions, [1, 3]),
-                side_stack(f_minus, minus_positions, [2, 3])]
-    signature = (*((axes, a.shape) for a, axes in operands), (batch, *l_positions))
+    operands = [*measure.factors(), side_stack(f_plus, plus_positions, c_plus),
+                side_stack(f_minus, minus_positions, c_minus)]
     sums = np.einsum(*(x for a, axes in operands for x in (a, list(axes))),
-                     [batch, *l_positions], optimize=_contraction_plan(signature))
+                     [c_minus, c_plus, *l_positions], optimize="greedy")
     sums = zip(iter_product(range(n), repeat=len(l_positions)), *sums.reshape(4, -1).tolist())
     table = {}
     max_residual = 0.0
