@@ -16,8 +16,10 @@ are set questions about these faces.  Two cells overlap in their interiors
 exactly when a face of one is an interior face of the other
 (``is_regular``); a complex saturates its domains when the cells and the
 domain facets have the same top-dimensional faces (``is_saturated``); and
-region cells are adjacent when they share a facet box from opposite sides
-(``region_components``).  Coverage and boundary words are questions about
+cells of one dimension are adjacent when they share a facet box from
+opposite sides (``region_components``).  ``measures.is_adapted`` and
+``measures.border_reduce`` ask the cobordism-border questions the same
+way.  Coverage and boundary words are questions about
 unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
 which maps each unit piece of a complex to the cells containing it.  A
 complex is immutable, so it compiles each domain's boundary word and
@@ -266,21 +268,6 @@ class CellComplex:
 # predicates
 # ---------------------------------------------------------------------------
 
-def _meets_interior(cell: Cell, box) -> bool:
-    """True when the box intersects the relative interior of the cell."""
-    inter = box_intersect(cell.box(), box)
-    if inter is None:
-        return False
-    spans = dict(zip(cell.axes, cell.extents))
-    for axis in cell.axes:
-        lo, hi = inter[axis]
-        olo = cell.base[axis]
-        ohi = olo + spans[axis]
-        if not (hi > olo and lo < ohi):
-            return False
-    return True
-
-
 def is_regular(cells) -> bool:
     """The cells (a complex or any sequence of cells) meet only along shared
     boundary pieces: no face of one cell is an interior face of another."""
@@ -318,8 +305,10 @@ def is_saturated(complex_: CellComplex, domains) -> bool:
 
 
 def region_components(region_cells, blocked_boxes):
-    """Connected components of top-dimensional unit cells; two cells are
-    adjacent when they share a facet not contained in a blocked box.
+    """Connected components of box cells of one dimension (a region's unit
+    top cells, or a domain's border fragments), each in input order; two
+    cells are adjacent when they share a facet not contained in a blocked
+    box.
 
     Each facet box lists the cells it bounds by side: the cell's axis
     across the facet and the end of that axis the facet sits at.  Cells on

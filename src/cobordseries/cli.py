@@ -197,6 +197,17 @@ def tolerance(text):
     return tol
 
 
+class RatioBand(argparse.Action):
+    """``--ratio-band LO HI``: two finite floats with LO <= HI."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            parser.error(f"argument {option_string}: must be finite with LO <= HI, "
+                         f"got {lo} {hi}")
+        setattr(namespace, self.dest, (lo, hi))
+
+
 def open_unit_times(text):
     """argparse type of ``--t``: comma-separated times, each in (-1, 1)."""
     ts = [float(x) for x in text.split(",")]
@@ -273,7 +284,8 @@ def build_parser():
     add_options(p)
     p.add_argument("--grade", type=positive_int, default=3)
     p.add_argument("--n", type=doubling_ns, default="8,16,32,64")
-    p.add_argument("--ratio-band", type=float, nargs=2, default=(1.7, 2.3))
+    p.add_argument("--ratio-band", type=float, nargs=2, default=(1.7, 2.3),
+                   action=RatioBand)
 
     p = sub.add_parser("cosurface", help="measure suites")
     cos_sub = p.add_subparsers(dest="cosurface_command", required=True)

@@ -84,12 +84,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    def product(self, elems) -> int:
-        out = 0
-        for x in elems:
-            out = self.table[out][x]
-        return out
-
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -130,8 +124,8 @@ class FiniteGroup:
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with additive notation, element k labelled by its residue."""
-    if n < 1:
-        raise ValueError("cyclic group order must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cyclic group order must be an int >= 1, got {n!r}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(f"Z{n}", table, labels=[str(k) for k in range(n)])
 
@@ -219,7 +213,10 @@ def load_cayley_file(path) -> FiniteGroup:
         raise ValueError(f"labels must be a list of strings, not {labels!r}")
     if len(table) != order:
         raise ValueError("table size does not match declared order")
-    group = FiniteGroup(doc.get("name", Path(path).stem), table, labels=labels)
+    name = doc.get("name", Path(path).stem)
+    if type(name) is not str:
+        raise ValueError(f"name must be a string, not {name!r}")
+    group = FiniteGroup(name, table, labels=labels)
     if "inverses" in doc:
         declared = doc["inverses"]
         if not isinstance(declared, list) or any(type(x) is not int for x in declared):
@@ -332,6 +329,8 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 def delta(group: FiniteGroup, g: int = 0, normalization=PROBABILITY) -> GroupFunction:
     """The convolution unit translated to g (indicator, resp. |G|·indicator)."""
+    if type(g) is not int or not 0 <= g < group.order:
+        raise ValueError(f"{g!r} is not an element of {group.name}")
     height = 1 if normalization == COUNTING else group.order
     return GroupFunction(group, tuple(height if x == g else 0 for x in group.elements()),
                          normalization)

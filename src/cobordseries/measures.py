@@ -17,20 +17,26 @@ keep their order on the pasted positions) before the factor products are
 compared as arrays over G^K.  Enumeration stays as the oracle:
 ``configurations()`` is the single enumerator of G^K, and ``density_of``
 and ``conditional_mass`` evaluate one configuration at a time against it.
+
+The cobordism border is a set of open-face questions too: ``is_adapted``
+asks whether an interior open unit face of a cell lies in the initial or
+final face, and ``border_reduce`` joins each domain's border fragments
+with ``region_components`` (a piece's cells follow fragment order).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product as iter_product, repeat
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import expm
 
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
-    covers, domain_box, is_saturated, splits, word_value,
-    INITIAL, FINAL, _meets_interior, _unit_boxes,
+    covers, domain_box, is_saturated, region_components, splits, word_value,
+    INITIAL, FINAL, _open_faces, _unit_boxes,
 )
 from .groups import (
     COUNTING, FiniteGroup, GroupFunction, convolve, delta, is_class_function,
@@ -98,6 +104,8 @@ class SemigroupDensity:
 
     def q(self, t) -> GroupFunction:
         """Density at time t >= 0 (counting-normalized pmf)."""
+        if isinstance(t, bool) or not isinstance(t, Real):
+            raise ValueError(f"time must be a real number, got {t!r}")
         t = float(t)
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and >= 0, got {t!r}")
@@ -195,16 +203,7 @@ class ComplexMeasure:
         if not is_saturated(complex_, self.domains):
             raise ValueError("complex is not saturated for the domains")
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
-        self.volumes = tuple(dom.volume for dom in self.domains)
-        self.q_tables = tuple(density.q(v).values for v in self.volumes)
-        self._factors = None
-
-    def factors(self):
-        """Per domain, ``word_factor`` of its word and q-table."""
-        if self._factors is None:
-            self._factors = tuple(word_factor(self.group, word, q)
-                                  for word, q in zip(self.words, self.q_tables))
-        return self._factors
+        self.q_tables = tuple(density.q(dom.volume).values for dom in self.domains)
 
     def density_array(self):
         """density_of on every configuration, one axis per cell, same products."""
@@ -277,7 +276,9 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
         stack[1] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
         return stack, [c, *positions]
 
-    operands = [*measure.factors(), side_stack(f_plus, plus_positions, c_plus),
+    factors = [word_factor(measure.group, word, q)
+               for word, q in zip(measure.words, measure.q_tables)]
+    operands = [*factors, side_stack(f_plus, plus_positions, c_plus),
                 side_stack(f_minus, minus_positions, c_minus)]
     sums = np.einsum(*(x for a, axes in operands for x in (a, list(axes))),
                      [c_minus, c_plus, *l_positions], optimize="greedy")
@@ -370,17 +371,19 @@ class CobordismBox:
 
 def is_adapted(cells, cob: CobordismBox) -> bool:
     """Transversality at the cobordism border of the cells (a complex or any
-    sequence of cells): no cell has interior points on the initial or final
-    face, and facets landing on the initial (final) face are labelled
-    initial (final).  Point cells are trivially transversal, and cells
-    along the lateral faces of the box (which a genuine cobordism does not
-    have) are unconstrained."""
+    sequence of cells): no interior open unit face of a cell lies in the
+    initial or final face (a closed lattice box meets an open unit face
+    exactly when it contains it), and facets landing on the initial (final)
+    face are labelled initial (final).  Point cells are trivially
+    transversal, and cells along the lateral faces of the box (which a
+    genuine cobordism does not have) are unconstrained."""
     alpha = cob.alpha_box()
     beta = cob.beta_box()
     for cell in cells:
         if cell.dim == 0:
             continue
-        if _meets_interior(cell, alpha) or _meets_interior(cell, beta):
+        if any(box_contains(face, f) for f in _open_faces(cell.box(), interior=True)
+               for face in (alpha, beta)):
             return False
         for facet, lbl in cell.facets():
             fbox = facet.box()
@@ -411,11 +414,14 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
     """Unordered complex induced on the border of the box by the covering.
 
     For each domain, each connected component of (domain boundary) ∩ (box
-    border) becomes one piece; piece cells inherit the border orientation
-    of the box, and the piece's own border gets initial/final labels from
-    the induced orientation of the complex cells meeting it.  The complex
-    cells on a domain's boundary are the ones its ``boundary_word`` reads,
-    so a cell partially on that boundary raises.
+    border) becomes one piece.  The fragments, the (d-1)-dimensional
+    intersections of the domain's facets with the box faces, are joined by
+    ``region_components``, so a piece's cells follow fragment order, which
+    is domain-facet order.  Piece cells inherit the border orientation of
+    the box, and the piece's own border gets initial/final labels from the
+    induced orientation of the complex cells meeting it.  The complex cells
+    on a domain's boundary are the ones its ``boundary_word`` reads, so a
+    cell partially on that boundary raises.
     """
     y_cell = cob.cell()
     face_signs = {f.box(): f.sign for f, _ in y_cell.facets()}
@@ -427,27 +433,10 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
             for ybox, ysign in face_signs.items():
                 inter = box_intersect(facet.box(), ybox)
                 if inter is not None and box_dim(inter) == cob.dim - 1:
-                    fragments.append((inter, ysign))
-        used = [False] * len(fragments)
-        for start in range(len(fragments)):
-            if used[start]:
-                continue
-            comp = [start]
-            used[start] = True
-            queue = [start]
-            while queue:
-                cur = queue.pop()
-                for other in range(len(fragments)):
-                    if used[other]:
-                        continue
-                    inter = box_intersect(fragments[cur][0], fragments[other][0])
-                    if inter is not None and box_dim(inter) == cob.dim - 2:
-                        used[other] = True
-                        comp.append(other)
-                        queue.append(other)
-            cells = [domain_box(fragments[i][0], sign=fragments[i][1]) for i in comp]
+                    fragments.append(domain_box(inter, sign=ysign))
+        for piece in region_components(fragments, ()):
             labels = set()
-            boxes = [fragments[i][0] for i in comp]
+            boxes = [cell.box() for cell in piece]
             for s in boundary:
                 inter_boxes = [box_intersect(s.box(), b) for b in boxes]
                 touched = [b for b in inter_boxes if b is not None]
@@ -459,7 +448,7 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
                     for b in touched:
                         if box_contains(facet.box(), b):
                             labels.add((b, INITIAL if facet.sign < 0 else FINAL))
-            pieces.append(BorderPiece(cells, sorted(labels)))
+            pieces.append(BorderPiece(piece, sorted(labels)))
     return pieces
 
 
@@ -478,13 +467,9 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
             k_beta.append(cell)
         else:
             k_a.append(cell)
-    if not (covers(alpha, _unit_boxes(k_alpha)) and covers(beta, _unit_boxes(k_beta))):
-        return False
-    if not is_adapted(k_a, cob):
-        return False
-    if domains is not None and not is_saturated(complex_, domains):
-        return False
-    return True
+    return (covers(alpha, _unit_boxes(k_alpha)) and covers(beta, _unit_boxes(k_beta))
+            and is_adapted(k_a, cob)
+            and (domains is None or is_saturated(complex_, domains)))
 
 
 class CutResult:

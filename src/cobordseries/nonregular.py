@@ -69,9 +69,8 @@ def c(t, x):
 def dc_dt(t, x):
     """Exact time derivative (P(x) / ((1 - P(x)) t + P(x)))^2 for t >= 0,
     mirrored for t < 0; equal to 1 everywhere at t = 0."""
-    x = np.asarray(x, dtype=float)
+    x, p = _domain(t, x)
     u = abs(t)
-    p = p_poly(x)
     return (p / ((1.0 - p) * u + p)) ** 2
 
 
@@ -140,7 +139,10 @@ def ode_escape_check(t) -> bool:
 
 
 def seminorm_drift(t, n, grid_size=10_001) -> float:
-    """sup over [1/(n+1), n/(n+1)] of |c_t(x) - x|; bounded by sup P < 1/8."""
+    """sup over [1/(n+1), n/(n+1)] of |c_t(x) - x| for an int n >= 1;
+    bounded by sup P < 1/8."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     x = np.linspace(1.0 / (n + 1), n / (n + 1), grid_size)
     return float(np.max(np.abs(c(t, x) - x)))
 

@@ -246,3 +246,23 @@ def test_cayley_file_entries_must_be_int_indices(tmp_path, entry):
         json.dump({"order": 2, "labels": ["e", "g"], "table": [[0, 1], [entry, 0]]}, fh)
     with pytest.raises(ValueError, match="int element indices"):
         load_cayley_file(path)
+
+
+@pytest.mark.parametrize("g", [7, -1, True, 1.0, "1"])
+def test_delta_rejects_a_non_element(g):
+    with pytest.raises(ValueError, match="not an element of Z3"):
+        delta(cyclic(3), g)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 2.0, "3", 0])
+def test_cyclic_order_must_be_a_positive_int(n):
+    with pytest.raises(ValueError, match="int >= 1"):
+        cyclic(n)
+
+
+@pytest.mark.parametrize("name", [5, None, ["Z2"]], ids=["int", "null", "list"])
+def test_cayley_file_name_must_be_a_string(tmp_path, name):
+    path = tmp_path / "z2.json"
+    dump_cayley_file(cyclic(2), path, name=name)
+    with pytest.raises(ValueError, match="name must be a string"):
+        load_cayley_file(path)

@@ -311,7 +311,7 @@ def test_dimension_extend_square_word_value():
     edges = unit_square_edges()
     values = [1, 2, 4, 5]
     c = Cosurface(s3, list(zip(edges, values)))
-    expected = s3.product([1, 2, s3.inv(4), s3.inv(5)])
+    expected = s3.mul(s3.mul(s3.mul(1, 2), s3.inv(4)), s3.inv(5))
     got = dimension_extend(c, CellComplex(edges), domain_box(((0, 1), (0, 1))))
     assert got == expected
 

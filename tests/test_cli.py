@@ -189,3 +189,20 @@ def test_invalid_table_file_is_usage_error(tmp_path, capsys, text):
         main(["cosurface", "cut-paste", "--table-file", str(path)])
     assert exc.value.code == 2
     assert "argument --table-file" in capsys.readouterr().err
+
+
+def test_expmap_grade_one_keeps_only_grade_one_components(tmp_path):
+    code, report = run_json(tmp_path, ["expmap", "--grade", "1"])
+    assert code == 0 and report["pass"]
+    assert report["cases"] and all(case["name"].split("-grade")[1].startswith("1-")
+                                   for case in report["cases"])
+    assert all(1.7 <= case["ratio"] <= 2.3 for case in report["cases"])
+
+
+@pytest.mark.parametrize("band", [["2.3", "1.7"], ["nan", "inf"], ["1.7", "inf"]],
+                         ids=" ".join)
+def test_expmap_non_finite_or_inverted_ratio_band_is_usage_error(capsys, band):
+    with pytest.raises(SystemExit) as exc:
+        main(["expmap", "--ratio-band", *band])
+    assert exc.value.code == 2
+    assert "argument --ratio-band" in capsys.readouterr().err

@@ -15,8 +15,7 @@ from hypothesis import given, strategies as st
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, box_contains, box_dim, box_intersect,
     box_union, boundary_word, covers, dimension_extend, domain_box, edge_cell,
-    is_regular, is_saturated, point_cell, region_components, _meets_interior,
-    _unit_boxes,
+    is_regular, is_saturated, point_cell, region_components, _unit_boxes,
 )
 from cobordseries.groups import cyclic
 from cobordseries.measures import ComplexMeasure, SemigroupDensity
@@ -35,6 +34,21 @@ def unit_pieces_oracle(cell):
     return out
 
 
+def meets_interior(cell, box):
+    """True when the box intersects the relative interior of the cell."""
+    inter = box_intersect(cell.box(), box)
+    if inter is None:
+        return False
+    spans = dict(zip(cell.axes, cell.extents))
+    for axis in cell.axes:
+        lo, hi = inter[axis]
+        olo = cell.base[axis]
+        ohi = olo + spans[axis]
+        if not (hi > olo and lo < ohi):
+            return False
+    return True
+
+
 def regular_oracle(cells):
     """No pairwise intersection meets the relative interior of either cell."""
     cells = list(cells)
@@ -43,7 +57,7 @@ def regular_oracle(cells):
             inter = box_intersect(cells[i].box(), cells[j].box())
             if inter is None:
                 continue
-            if _meets_interior(cells[i], inter) or _meets_interior(cells[j], inter):
+            if meets_interior(cells[i], inter) or meets_interior(cells[j], inter):
                 return False
     return True
 

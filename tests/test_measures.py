@@ -100,6 +100,12 @@ def test_generator_set_validation():
     assert SemigroupDensity(Z3).q(0.5).normalization == COUNTING
 
 
+@pytest.mark.parametrize("t", ["0.5", True, None, 1j])
+def test_heat_density_rejects_a_non_real_time(t):
+    with pytest.raises(ValueError, match="real number"):
+        SemigroupDensity(Z3).q(t)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_heat_density_rejects_non_finite_times(t):
     density = SemigroupDensity(S3)
@@ -342,6 +348,43 @@ def test_sigma_action_rejects_non_integer_entries():
     for bad in [(True, 0, 2, 3), (1.0, 0, 2, 3), (0, 1, 2), (0, 1, 2, 2)]:
         with pytest.raises(ValueError, match="permutation"):
             sigma_action(bad, complex_)
+
+
+def strip_density_oracle(complex_, configs, density):
+    """Densities of the strip measure on ``complex_`` for every column of
+    ``configs`` (one row per position), by table lookups over all columns."""
+    table, inv = np.asarray(S3.table), np.asarray(S3.inv_table)
+    out = np.ones(configs.shape[1])
+    for dom in (domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))):
+        phi = np.zeros(configs.shape[1], dtype=int)
+        for pos, exp in boundary_word(dom, complex_):
+            phi = table[phi, configs[pos] if exp > 0 else inv[configs[pos]]]
+        out *= np.asarray(density.q(dom.volume).values)[phi]
+    return out
+
+
+@pytest.mark.parametrize("perm", [(2, 4, 3, 6, 5, 0, 1), (1, 0, 4, 2, 3, 5, 6),
+                                  (4, 3, 2, 1, 5, 6, 0)])
+def test_reorder_tells_sigma_from_its_inverse_on_the_s3_strip(perm):
+    """On all 6^7 configurations of the S3 strip, the maxima for σ and σ⁻¹
+    differ for these permutations, and the reorder residual matches a
+    vectorised oracle that rebuilds the words on σK and moves the
+    configuration along with the cells."""
+    density = SemigroupDensity(S3)
+    measure = strip_measure(density)
+    configs = np.indices((S3.order,) * 7).reshape(7, -1)
+    base = strip_density_oracle(measure.complex, configs, density)
+
+    def oracle(p):
+        moved = strip_density_oracle(sigma_action(p, measure.complex), configs[list(p)],
+                                     density)
+        return float(np.max(np.abs(moved - base)))
+
+    inverse = tuple(int(i) for i in np.argsort(perm))
+    expected, expected_inverse = oracle(perm), oracle(inverse)
+    assert expected != expected_inverse
+    assert reorder_max_difference(measure, perm) == expected
+    assert reorder_max_difference(measure, inverse) == expected_inverse
 
 
 def test_reorder_s3_counterexample_exists():

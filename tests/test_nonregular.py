@@ -291,3 +291,15 @@ def test_ode_escape_for_a_tiny_positive_time():
 def test_ode_escape_rejects_a_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):
         nr.ode_escape_check(t)
+
+
+@pytest.mark.parametrize("t, x", [(5.0, 2.0), (0.5, 0.0), (1.0, 0.5), (math.nan, 0.5)])
+def test_dc_dt_checks_the_domain_like_c(t, x):
+    with pytest.raises(ValueError, match="must lie"):
+        nr.dc_dt(t, x)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 0.5, True, 10.0])
+def test_seminorm_drift_rejects_a_bad_n(n):
+    with pytest.raises(ValueError, match="n must be"):
+        nr.seminorm_drift(0.5, n)
