@@ -7,9 +7,8 @@ from .groupoids import (
 )
 from .matrices import RationalMatrix
 from .groups import (
-    COUNTING, PROBABILITY, FiniteGroup, GroupFunction, builtin_group,
-    convolve, cyclic, delta, is_class_function, load_cayley_file,
-    quaternion8, symmetric3,
+    FiniteGroup, GroupFunction, builtin_group, convolve, cyclic, delta,
+    is_class_function, load_cayley_file, quaternion8, symmetric3,
 )
 from .series import FormalSeries, SemidirectElement
 from .paths import (

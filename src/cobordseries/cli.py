@@ -36,17 +36,17 @@ from .series import FormalSeries
 REPORT_SCHEMA = 1
 
 
-def random_series(groupoid, order, rng, n=2, max_support=5):
-    unit = RationalMatrix.identity(n)
+def random_series(groupoid, order, rng):
+    """A 2x2 rational-matrix series on at most 5 random positive-grade elements."""
     elems = [e for e in groupoid.elements_up_to(order)
              if groupoid.ord(e) >= 1]
-    support = rng.sample(elems, min(max_support, len(elems)))
+    support = rng.sample(elems, min(5, len(elems)))
     coeffs = {}
     for elem in support:
         coeffs[elem] = RationalMatrix(
-            [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
-             for _ in range(n)])
-    return FormalSeries(groupoid, order, coeffs, unit)
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(2)]
+             for _ in range(2)])
+    return FormalSeries(groupoid, order, coeffs, RationalMatrix.identity(2))
 
 
 def run_series(args):

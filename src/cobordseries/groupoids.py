@@ -86,9 +86,6 @@ class GradedGroupoid:
         """Stable string id used in serialized series."""
         raise NotImplementedError
 
-    def parse_element(self, text: str):
-        raise NotImplementedError
-
     def _require(self, element):
         if element not in self:
             raise ValueError(f"{element!r} is not an element of {self.name}")
@@ -122,11 +119,6 @@ class NatMonoid(GradedGroupoid):
 
     def element_id(self, element):
         return f"n:{element}"
-
-    def parse_element(self, text):
-        if not text.startswith("n:"):
-            raise ValueError(f"bad nat element id {text!r}")
-        return int(text[2:])
 
     def __eq__(self, other):
         return isinstance(other, NatMonoid)
@@ -202,14 +194,6 @@ class IntervalGroupoid(GradedGroupoid):
         if element is NEUTRAL:
             return "e"
         return f"i:{element[0]}..{element[1]}"
-
-    def parse_element(self, text):
-        if text == "e":
-            return NEUTRAL
-        if not text.startswith("i:") or ".." not in text:
-            raise ValueError(f"bad interval element id {text!r}")
-        lo, hi = text[2:].split("..")
-        return (int(lo), int(hi))
 
     def __eq__(self, other):
         return isinstance(other, IntervalGroupoid) and self.window == other.window
@@ -314,15 +298,6 @@ class BoxGroupoid(GradedGroupoid):
         if element is NEUTRAL:
             return "e"
         return "b:" + "x".join(f"{lo}..{hi}" for lo, hi in element)
-
-    def parse_element(self, text):
-        if text == "e":
-            return NEUTRAL
-        if not text.startswith("b:"):
-            raise ValueError(f"bad box element id {text!r}")
-        spans = text[2:].split("x")
-        box = tuple(tuple(int(v) for v in span.split("..")) for span in spans)
-        return box
 
     def __eq__(self, other):
         return (isinstance(other, BoxGroupoid)

@@ -3,11 +3,8 @@
 Elements are integers 0..n-1 with 0 the identity.  The group law is
 validated on construction, so a FiniteGroup that exists is a group.
 Functions G -> scalar are represented densely; their product is group
-convolution in one of two normalizations:
-
-* ``counting``   : (f*g)(x) = sum_y f(x y^-1) g(y); unit = indicator of e.
-* ``probability``: (f*g)(x) = (1/|G|) sum_y f(x y^-1) g(y); unit = |G| * indicator of e
-  (the Dirac density with respect to the uniform probability measure).
+convolution with the counting measure, (f*g)(x) = sum_y f(x y^-1) g(y),
+whose unit is the indicator of e.
 """
 
 from __future__ import annotations
@@ -15,9 +12,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-
-COUNTING = "counting"
-PROBABILITY = "probability"
 
 
 class FiniteGroup:
@@ -227,24 +221,18 @@ def load_cayley_file(path) -> FiniteGroup:
 
 
 class GroupFunction:
-    """A function G -> scalar; the algebra product is group convolution.
-
-    ``normalization`` decides the convolution unit: COUNTING uses the plain
-    sum with unit 1_e, PROBABILITY carries the 1/|G| factor with unit
-    |G|·1_e.  Values may be exact (int/Fraction) or float.
+    """A function G -> scalar; the algebra product is counting convolution,
+    with unit 1_e.  Values may be exact (int/Fraction) or float.
     """
 
-    __slots__ = ("group", "values", "normalization")
+    __slots__ = ("group", "values")
 
-    def __init__(self, group, values, normalization=PROBABILITY):
-        if normalization not in (COUNTING, PROBABILITY):
-            raise ValueError(f"unknown normalization {normalization!r}")
+    def __init__(self, group, values):
         values = tuple(values)
         if len(values) != group.order:
             raise ValueError("value vector length must equal the group order")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "normalization", normalization)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupFunction is immutable")
@@ -255,35 +243,29 @@ class GroupFunction:
     def _check_compatible(self, other):
         if self.group != other.group:
             raise ValueError("group mismatch")
-        if self.normalization != other.normalization:
-            raise ValueError("normalization mismatch")
 
     def __add__(self, other):
         if not isinstance(other, GroupFunction):
             return NotImplemented
         self._check_compatible(other)
-        return GroupFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)),
-                             self.normalization)
+        return GroupFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other):
         if not isinstance(other, GroupFunction):
             return NotImplemented
         self._check_compatible(other)
-        return GroupFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)),
-                             self.normalization)
+        return GroupFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __neg__(self):
-        return GroupFunction(self.group, tuple(-a for a in self.values), self.normalization)
+        return GroupFunction(self.group, tuple(-a for a in self.values))
 
     def __mul__(self, other):
         if isinstance(other, GroupFunction):
-            self._check_compatible(other)
             return convolve(self, other)
         if type(other) is bool:
             raise ValueError("cannot scale a group function by a bool")
         if isinstance(other, (int, float, Fraction)):
-            return GroupFunction(self.group, tuple(a * other for a in self.values),
-                                 self.normalization)
+            return GroupFunction(self.group, tuple(a * other for a in self.values))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -294,46 +276,34 @@ class GroupFunction:
     def __eq__(self, other):
         if not isinstance(other, GroupFunction):
             return NotImplemented
-        return (self.group == other.group
-                and self.normalization == other.normalization
-                and self.values == other.values)
+        return self.group == other.group and self.values == other.values
 
     def __hash__(self):
-        return hash((self.group, self.values, self.normalization))
+        return hash((self.group, self.values))
 
     def __bool__(self):
         return any(self.values)
 
-    def max_abs(self):
-        return max(abs(v) for v in self.values)
-
     def __repr__(self):
         vals = ", ".join(f"{lbl}:{v}" for lbl, v in zip(self.group.labels, self.values))
-        return f"GroupFunction[{self.group.name};{self.normalization}]({vals})"
+        return f"GroupFunction[{self.group.name}]({vals})"
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = sum_y f(x y^-1) g(y), scaled by 1/|G| in probability mode."""
+    """(f*g)(x) = sum_y f(x y^-1) g(y)."""
     f._check_compatible(g)
     grp = f.group
-    n = grp.order
-    out = []
-    for x in grp.elements():
-        acc = sum(f.values[grp.table[x][grp.inv_table[y]]] * g.values[y]
-                  for y in grp.elements())
-        if f.normalization == PROBABILITY:
-            acc = acc * Fraction(1, n) if isinstance(acc, (int, Fraction)) else acc / n
-        out.append(acc)
-    return GroupFunction(grp, tuple(out), f.normalization)
+    out = tuple(sum(f.values[grp.table[x][grp.inv_table[y]]] * g.values[y]
+                    for y in grp.elements())
+                for x in grp.elements())
+    return GroupFunction(grp, out)
 
 
-def delta(group: FiniteGroup, g: int = 0, normalization=PROBABILITY) -> GroupFunction:
-    """The convolution unit translated to g (indicator, resp. |G|·indicator)."""
+def delta(group: FiniteGroup, g: int = 0) -> GroupFunction:
+    """The convolution unit translated to g: the indicator of g."""
     if type(g) is not int or not 0 <= g < group.order:
         raise ValueError(f"{g!r} is not an element of {group.name}")
-    height = 1 if normalization == COUNTING else group.order
-    return GroupFunction(group, tuple(height if x == g else 0 for x in group.elements()),
-                         normalization)
+    return GroupFunction(group, tuple(1 if x == g else 0 for x in group.elements()))
 
 
 def is_class_function(f: GroupFunction) -> bool:

@@ -76,13 +76,6 @@ class RationalMatrix:
         return cls(tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(n))
                          for r in range(n)))
 
-    @classmethod
-    def diagonal(cls, entries) -> "RationalMatrix":
-        entries = tuple(entries)
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
-                         for i in range(n)))
-
     @property
     def rows(self):
         """The entries as a tuple of rows of Fractions."""

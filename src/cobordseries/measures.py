@@ -1,5 +1,8 @@
 """Heat-kernel convolution semigroups and configuration measures on complexes.
 
+The heat density q_t = exp(t L) delta_e steps over a generator set read off
+the group's structure (``default_generators``), never its name, so a
+relabelled Cayley table gets the relabelled kernel.
 The density of a configuration C on a saturated complex K with domains
 (A_1, ..., A_k) is the product over domains of q_{|A_i|} evaluated on the
 ordered boundary product phi_{A_i}(C): each domain reads its boundary word
@@ -38,9 +41,7 @@ from .cells import (
     covers, domain_box, is_saturated, region_components, splits, word_value,
     INITIAL, FINAL, _open_faces, _unit_boxes,
 )
-from .groups import (
-    COUNTING, FiniteGroup, GroupFunction, convolve, delta, is_class_function,
-)
+from .groups import FiniteGroup, GroupFunction, convolve, delta, is_class_function
 from .series import FormalSeries
 
 
@@ -49,50 +50,30 @@ from .series import FormalSeries
 # ---------------------------------------------------------------------------
 
 def default_generators(group: FiniteGroup):
-    """All transpositions for S3, every non-identity element otherwise."""
-    if group.name == "S3":
-        return (1, 2, 3)
-    return tuple(g for g in group.elements() if g != group.identity)
+    """The heat generator set, read off the group's structure: the elements
+    of order 2 (the transpositions) of the non-abelian group of order 6,
+    every non-identity element of any other group.  Either set is
+    symmetric, closed under conjugation and generates the group."""
+    e = group.identity
+    if group.order == 6 and not group.is_abelian:
+        return tuple(g for g in group.elements() if g != e and group.mul(g, g) == e)
+    return tuple(g for g in group.elements() if g != e)
 
 
 class SemigroupDensity:
     """Heat family q_t = exp(t L) delta_e on a finite group.
 
-    The generator averages left steps over a symmetric, conjugation-closed
-    generating set S: (L f)(x) = (1/|S|) sum_{s in S} f(x s) - f(x).
-    Densities are probability mass functions (counting normalization), so
-    q_0 is the indicator of the identity and q_t * q_s = q_{t+s} under
-    counting convolution.
+    The generator averages left steps over the set S of
+    ``default_generators``: (L f)(x) = (1/|S|) sum_{s in S} f(x s) - f(x).
+    Densities are probability mass functions, so q_0 is the indicator of
+    the identity and q_t * q_s = q_{t+s} under (counting) convolution.
     """
 
-    def __init__(self, group: FiniteGroup, generators=None):
+    def __init__(self, group: FiniteGroup):
+        s = default_generators(group)
+        if not s:
+            raise ValueError(f"the trivial group {group.name} has no heat generators")
         self.group = group
-        if generators is None:
-            generators = default_generators(group)
-        generators = tuple(generators)
-        if any(type(g) is not int or not 0 <= g < group.order for g in generators):
-            raise ValueError(f"generators must be int elements of the group, got {generators!r}")
-        s = tuple(sorted(set(generators)))
-        if not s or group.identity in s:
-            raise ValueError("generator set must be non-empty and avoid the identity")
-        if any(group.inv(g) not in s for g in s):
-            raise ValueError("generator set must be symmetric")
-        for g in s:
-            for h in group.elements():
-                if group.mul(group.mul(h, g), group.inv(h)) not in s:
-                    raise ValueError("generator set must be conjugation-closed")
-        closure = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in s:
-                y = group.mul(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) != group.order:
-            raise ValueError("generator set must generate the group")
-        self.generators = s
         n = group.order
         gen = np.zeros((n, n))
         for x in group.elements():
@@ -103,7 +84,7 @@ class SemigroupDensity:
         self._cache: dict[float, GroupFunction] = {}
 
     def q(self, t) -> GroupFunction:
-        """Density at time t >= 0 (counting-normalized pmf)."""
+        """Density at time t >= 0 (a probability mass function)."""
         if isinstance(t, bool) or not isinstance(t, Real):
             raise ValueError(f"time must be a real number, got {t!r}")
         t = float(t)
@@ -116,7 +97,7 @@ class SemigroupDensity:
             else:
                 col = expm(t * self._generator_matrix)[:, self.group.identity]
                 values = tuple(float(v) for v in col)
-            self._cache[t] = GroupFunction(self.group, values, COUNTING)
+            self._cache[t] = GroupFunction(self.group, values)
         return self._cache[t]
 
     def __call__(self, t) -> GroupFunction:
@@ -126,7 +107,7 @@ class SemigroupDensity:
 def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
     """Worst deviations from the four semigroup axioms over the given times."""
     group = density.group
-    unit = delta(group, normalization=COUNTING)
+    unit = delta(group)
     res = {"unit": max(abs(a - b) for a, b in zip(density.q(0).values, unit.values))}
     conv_err = 0.0
     central_err = 0.0
@@ -632,7 +613,7 @@ def measure_series(groupoid, density: SemigroupDensity, order: int) -> FormalSer
     """The series assigning to each index its heat density at the index
     volume; multiplicative under composition because the family is a
     convolution semigroup."""
-    unit = delta(density.group, normalization=COUNTING)
+    unit = delta(density.group)
     coeffs = {}
     for elem in groupoid.elements_up_to(order):
         coeffs[elem] = density.q(groupoid.ord(elem))

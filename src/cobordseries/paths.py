@@ -68,10 +68,6 @@ class CoeffPoly:
     def zero_coeff(self):
         return self.unit * 0
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -183,11 +179,6 @@ class AlgebraPath:
             if clean.get(e) != CoeffPoly.one(unit):
                 raise ValueError("a unital path must be constantly 1 at the neutral element")
         self.polys = clean
-
-    def component(self, elem) -> CoeffPoly:
-        if elem not in self.groupoid:
-            raise ValueError(f"{elem!r} is not in {self.groupoid.name}")
-        return self.polys.get(elem, CoeffPoly.zero(self.unit))
 
     def __call__(self, t) -> FormalSeries:
         """Evaluate at a rational time; exact when coefficients are exact."""
@@ -320,7 +311,7 @@ def coeff_norm(value) -> float:
     raise ValueError(f"no norm for coefficient type {type(value).__name__}")
 
 
-def convergence_table(v: AlgebraPath, ns, grades=None):
+def convergence_table(v: AlgebraPath, ns):
     """Per-grade Euler-product errors against the exact solution at s = 1.
 
     Returns a list of rows {n, grade, error}; the exact reference is the
@@ -328,12 +319,10 @@ def convergence_table(v: AlgebraPath, ns, grades=None):
     """
     u = solve_left_ode(v)
     exact = u(1)
-    if grades is None:
-        grades = [m for m in range(1, v.order + 1)]
     rows = []
     for n in ns:
         approx = euler_product(v, n, 1)
-        for m in grades:
+        for m in range(1, v.order + 1):
             err = grade_component(approx - exact, m)
             rows.append({"n": n, "grade": m, "error": coeff_norm(err)})
     return rows

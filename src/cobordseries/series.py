@@ -6,7 +6,9 @@ dropped silently, mixing different N values is an error).  The coefficient
 algebra is anything with +, -, * (including scalar int/Fraction on the
 right) and a truthiness test for zero: Fraction scalars, RationalMatrix,
 GroupFunction, and the time polynomials of the product-integral module all
-qualify.
+qualify.  The validated constructor takes only coefficients of the unit's
+type (ints and Fractions as well when the unit is an int or a Fraction),
+and ``scale`` only ints and Fractions, so an exact series stays exact.
 
 Because coefficients of positive grade are nilpotent at truncation N, the
 exponential and logarithm are finite sums and are exact mutual inverses
@@ -36,12 +38,16 @@ class FormalSeries:
         self.groupoid = groupoid
         self.order = order
         self.unit = unit
+        scalar_unit = _is_exact_scalar(unit)
         clean = {}
         for elem, value in (coeffs or {}).items():
             if elem not in groupoid:
                 raise ValueError(f"{elem!r} is not in {groupoid.name}")
             if groupoid.ord(elem) > self.order:
                 raise ValueError(f"{elem!r} exceeds truncation order {self.order}")
+            if type(value) is not type(unit) and not (scalar_unit and _is_exact_scalar(value)):
+                raise ValueError(f"coefficient {value!r} is not in the algebra of "
+                                 f"the unit {unit!r}")
             if value:
                 clean[elem] = value
         self.coeffs = clean
@@ -114,8 +120,8 @@ class FormalSeries:
                                      {e: -v for e, v in self.coeffs.items()}, self.unit)
 
     def scale(self, scalar):
-        if type(scalar) is bool:
-            raise ValueError("cannot scale a series by a bool")
+        if not _is_exact_scalar(scalar):
+            raise ValueError(f"a series scales by an int or a Fraction, not {scalar!r}")
         return FormalSeries._trusted(self.groupoid, self.order,
                                      {e: v * scalar for e, v in self.coeffs.items()},
                                      self.unit)
@@ -224,11 +230,10 @@ class FormalSeries:
         return {self.groupoid.element_id(e): coeff_to_payload(v)
                 for e, v in self.coeffs.items()}
 
-    @classmethod
-    def from_payload(cls, groupoid, order, payload: dict, unit=Fraction(1)):
-        coeffs = {groupoid.parse_element(key): coeff_from_payload(value)
-                  for key, value in payload.items()}
-        return cls(groupoid, order, coeffs, unit)
+
+def _is_exact_scalar(value) -> bool:
+    """An int (not bool) or a Fraction."""
+    return type(value) is int or isinstance(value, Fraction)
 
 
 def _convolve(compose, out, i, a, level):
@@ -247,14 +252,6 @@ def coeff_to_payload(value):
     if isinstance(value, RationalMatrix):
         return [[str(x) for x in row] for row in value.rows]
     raise ValueError(f"cannot serialize coefficient of type {type(value).__name__}")
-
-
-def coeff_from_payload(payload):
-    if isinstance(payload, str):
-        return Fraction(payload)
-    if isinstance(payload, list):
-        return RationalMatrix(payload)
-    raise ValueError(f"cannot parse coefficient payload {payload!r}")
 
 
 class SemidirectElement:

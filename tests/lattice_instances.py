@@ -4,13 +4,41 @@ A guillotine subdivision cuts a box into box domains by recursive
 axis-parallel cuts at interior integer coordinates; the domains are
 pairwise interior-disjoint and tile the box.  Its facet complex holds the
 distinct unit facets of the domains in shuffled order with random (or all
-+1) orientations, so it saturates the domains.  Test modules import these
-strategies by module name (``from lattice_instances import ...``).
++1) orientations, so it saturates the domains.  A relabelled group is a
+built-in group whose non-identity elements are renumbered by a random
+permutation.  Test modules import these strategies by module name
+(``from lattice_instances import ...``).
 """
 
 from hypothesis import strategies as st
 
 from cobordseries.cells import Cell, CellComplex, domain_box
+from cobordseries.groups import FiniteGroup, builtin_group
+
+RELABEL_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "Q8")
+
+
+def relabel(group, perm, name):
+    """``group`` with element a renamed perm[a] (perm[0] == 0 keeps the
+    identity at 0), labels carried along."""
+    n = group.order
+    table = [[None] * n for _ in range(n)]
+    labels = [None] * n
+    for a in range(n):
+        labels[perm[a]] = group.labels[a]
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[group.table[a][b]]
+    return FiniteGroup(name, table, labels=labels)
+
+
+@st.composite
+def relabelled_groups(draw):
+    """(built-in group, permutation, relabelled copy): the copy keeps the
+    built-in name in half the draws and is called ``other`` otherwise."""
+    group = builtin_group(draw(st.sampled_from(RELABEL_GROUPS)))
+    perm = (0,) + tuple(draw(st.permutations(range(1, group.order))))
+    name = group.name if draw(st.booleans()) else "other"
+    return group, perm, relabel(group, perm, name)
 
 
 @st.composite

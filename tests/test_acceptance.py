@@ -18,7 +18,7 @@ from cobordseries.cells import (
     edge_cell, extend_abelian, extend_nonabelian, point_cell,
 )
 from cobordseries.groupoids import make_interval_groupoid, make_nat_monoid
-from cobordseries.groups import COUNTING, builtin_group, convolve, delta
+from cobordseries.groups import builtin_group, convolve, delta
 from cobordseries.matrices import RationalMatrix
 from cobordseries.measures import (
     CobordismBox, ComplexMeasure, SemigroupDensity, cut, factorization_check,
@@ -130,7 +130,7 @@ def test_criterion_3_semigroup_axioms():
     for name in ("Z2", "Z3", "Z4", "S3", "Q8"):
         group = builtin_group(name)
         density = SemigroupDensity(group)
-        ok &= density.q(0) == delta(group, normalization=COUNTING)
+        ok &= density.q(0) == delta(group)
         for t in times:
             qt = density.q(t)
             for cls in group.conjugacy_classes():

@@ -96,6 +96,20 @@ def test_table_file_group(tmp_path):
     assert code == 0 and report["pass"]
 
 
+def test_relabelled_s3_table_file_runs_like_the_builtin(tmp_path):
+    from lattice_instances import relabel
+    from cobordseries.groups import symmetric3
+
+    s3 = relabel(symmetric3(), (0, 4, 1, 5, 2, 3), "S3")
+    table = tmp_path / "relabelled.json"
+    table.write_text(json.dumps({"name": s3.name, "order": s3.order,
+                                 "labels": list(s3.labels),
+                                 "table": [list(row) for row in s3.table]}))
+    for source in (["--table-file", str(table)], ["--group", "S3"]):
+        code, report = run_json(tmp_path, ["cosurface", "markov-check"] + source)
+        assert code == 0 and report["pass"]
+
+
 def test_empty_invocation_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

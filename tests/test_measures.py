@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from lattice_instances import relabel, relabelled_groups
 
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
     domain_box, edge_cell, point_cell, splits,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
-from cobordseries.groups import COUNTING, builtin_group, delta, is_class_function
+from cobordseries.groups import builtin_group, cyclic, delta, is_class_function
 from cobordseries.groups import GroupFunction
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
-    cut, factorization_check, gibbs_density, is_adapted,
+    cut, default_generators, factorization_check, gibbs_density, is_adapted,
     is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
     semigroup_axiom_residuals, sigma_action,
@@ -62,11 +63,11 @@ def test_z2_heat_kernel_closed_form():
 
 
 def test_time_zero_is_delta():
-    assert SemigroupDensity(S3).q(0) == delta(S3, normalization=COUNTING)
+    assert SemigroupDensity(S3).q(0) == delta(S3)
 
 
 def test_heat_density_is_class_function():
-    density = SemigroupDensity(S3, generators=(1, 2, 3))
+    density = SemigroupDensity(S3)
     for t in (0.3, 1.0, 2.5):
         qt = density.q(t)
         for cls in S3.conjugacy_classes():
@@ -90,14 +91,53 @@ def test_semigroup_axioms(name):
 
 def test_generator_set_validation():
     with pytest.raises(ValueError):
-        SemigroupDensity(S3, generators=(1,))        # not conjugation-closed
-    with pytest.raises(ValueError):
-        SemigroupDensity(S3, generators=(4, 5))      # does not generate
-    with pytest.raises(ValueError):
-        SemigroupDensity(Z3, generators=(0, 1, 2))   # contains identity
-    with pytest.raises(ValueError):
         SemigroupDensity(Z3).q(-1.0)
-    assert SemigroupDensity(Z3).q(0.5).normalization == COUNTING
+
+
+def test_trivial_group_has_no_heat_density():
+    with pytest.raises(ValueError):
+        SemigroupDensity(cyclic(1))
+
+
+def is_heat_generator_set(group, s):
+    """Symmetric, closed under conjugation, and generating the group."""
+    if not s or group.identity in s or any(group.inv(g) not in s for g in s):
+        return False
+    if any(group.mul(group.mul(h, g), group.inv(h)) not in s
+           for g in s for h in group.elements()):
+        return False
+    reached, frontier = {group.identity}, [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for y in (group.mul(x, g) for g in s):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == group.order
+
+
+def test_builtin_generator_sets():
+    assert default_generators(S3) == (1, 2, 3)
+    assert default_generators(Z3) == (1, 2)
+    assert default_generators(builtin_group("Q8")) == tuple(range(1, 8))
+    assert default_generators(builtin_group("Z6")) == tuple(range(1, 6))
+
+
+@pytest.mark.parametrize("name", ["S3", "other"])
+def test_relabelled_s3_gets_its_transpositions(name):
+    perm = (0, 4, 1, 5, 2, 3)
+    relabelled = relabel(S3, perm, name)
+    assert default_generators(relabelled) == tuple(sorted(perm[g] for g in (1, 2, 3)))
+
+
+@given(relabelled_groups())
+def test_heat_generators_follow_the_group_structure(drawn):
+    group, perm, relabelled = drawn
+    assert is_heat_generator_set(relabelled, default_generators(relabelled))
+    density, moved = SemigroupDensity(group), SemigroupDensity(relabelled)
+    for t in (0.5, 2.0):
+        q, q_moved = density.q(t).values, moved.q(t).values
+        assert max(abs(q_moved[perm[x]] - q[x]) for x in group.elements()) <= 1e-14
 
 
 @pytest.mark.parametrize("t", ["0.5", True, None, 1j])
@@ -645,14 +685,14 @@ def test_group_function_rejects_bool_scalar_on_the_left(flag):
 def test_gibbs_density_beta_zero():
     cells, complex_, plaq = plaquette_setup(Z3)
     c = Cosurface(Z3, [(e, 1) for e in cells])
-    action = GroupFunction(Z3, (0.0, 1.0, 1.0), COUNTING)
+    action = GroupFunction(Z3, (0.0, 1.0, 1.0))
     assert gibbs_density(c, complex_, 0.0, action, [plaq]) == 1.0
 
 
 def test_gibbs_density_identity_plaquette():
     cells, complex_, plaq = plaquette_setup(Z3)
     c = Cosurface(Z3, [(e, 0) for e in cells])
-    action = GroupFunction(Z3, (0.0, 1.0, 1.0), COUNTING)
+    action = GroupFunction(Z3, (0.0, 1.0, 1.0))
     assert gibbs_density(c, complex_, 2.0, action, [plaq]) == 1.0
     assert gibbs_density(c, complex_, 2.0, action, [plaq]) == \
         math.exp(-2.0 * action.values[0])
@@ -661,7 +701,7 @@ def test_gibbs_density_identity_plaquette():
 def test_gibbs_requires_class_function():
     cells, complex_, plaq = plaquette_setup(S3)
     c = Cosurface(S3, [(e, 0) for e in cells])
-    lopsided = GroupFunction(S3, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), COUNTING)
+    lopsided = GroupFunction(S3, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert not is_class_function(lopsided)
     with pytest.raises(ValueError):
         gibbs_density(c, complex_, 1.0, lopsided, [plaq])
@@ -674,7 +714,7 @@ def test_measure_series_interval_coefficients():
     gpd = make_interval_groupoid(0, 5)
     series = measure_series(gpd, density, 5)
     assert series.coefficient((0, 2)) == density.q(2)
-    assert series.coefficient(gpd.neutral) == delta(Z3, normalization=COUNTING)
+    assert series.coefficient(gpd.neutral) == delta(Z3)
 
 
 def test_measure_series_multiplicative():
@@ -712,7 +752,7 @@ def test_gibbs_density_nonzero_action():
     plaq = domain_box(((0, 1), (0, 1)))
     c = Cosurface(Z3, [(cells[0], 1), (cells[1], 0), (cells[2], 0),
                        (cells[3], 0)])
-    action = GroupFunction(Z3, (0.0, 0.7, 0.7), COUNTING)
+    action = GroupFunction(Z3, (0.0, 0.7, 0.7))
     beta = 1.5
     # boundary product is the single nonidentity edge value
     expected = math.exp(-beta * 0.7)
@@ -968,16 +1008,10 @@ def test_cut_interface_must_be_an_int_inside_the_span(interface):
         cut(CobordismBox(((0, 2),)), chain, interface)
 
 
-@pytest.mark.parametrize("generators", [[1.9, 2.2], [True, 2], [1, 2.0], [-1, 1], [1, 3]])
-def test_generators_must_be_int_elements(generators):
-    with pytest.raises(ValueError, match="int elements"):
-        SemigroupDensity(Z3, generators=generators)
-
-
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
 def test_gibbs_density_beta_must_be_finite_and_non_negative(beta):
     cells, complex_, plaq = plaquette_setup(Z3)
     c = Cosurface(Z3, [(e, 1) for e in cells])
-    action = GroupFunction(Z3, (0.0, 1.0, 1.0), COUNTING)
+    action = GroupFunction(Z3, (0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="finite and >= 0"):
         gibbs_density(c, complex_, beta, action, [plaq])

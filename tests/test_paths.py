@@ -141,10 +141,10 @@ def test_path_order_must_be_a_non_negative_int(order):
 
 def test_solve_constant_direction_is_exponential_path():
     u = solve_left_ode(const_q_path())
-    assert u.component(0).coeffs == (ONE,)
-    assert u.component(1).coeffs == (0, ONE)
-    assert u.component(2).coeffs == (0, 0, Fraction(1, 2))
-    assert u.component(3).coeffs == (0, 0, 0, Fraction(1, 6))
+    assert u.polys[0].coeffs == (ONE,)
+    assert u.polys[1].coeffs == (0, ONE)
+    assert u.polys[2].coeffs == (0, 0, Fraction(1, 2))
+    assert u.polys[3].coeffs == (0, 0, 0, Fraction(1, 6))
 
 
 def test_solve_linear_direction():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -46,6 +47,31 @@ def test_bool_index_rejected():
         FormalSeries(make_nat_monoid(), 3, {True: Fraction(1)})
     with pytest.raises(ValueError):
         FormalSeries(make_interval_groupoid(0, 3), 3, {(False, 2): Fraction(1)})
+
+
+def test_float_coefficients_rejected_over_an_exact_unit():
+    with pytest.raises(ValueError, match="algebra"):
+        FormalSeries(make_nat_monoid(), 4, {1: 0.1, 2: 0.7})
+
+
+def test_bool_coefficient_rejected():
+    with pytest.raises(ValueError, match="algebra"):
+        FormalSeries(make_nat_monoid(), 3, {1: True})
+
+
+def test_coefficients_of_the_unit_type_or_exact_scalars_accepted():
+    nat = make_nat_monoid()
+    a = FormalSeries(nat, 4, {1: 2, 2: Fraction(1, 3)})
+    assert a.exp().log() == a
+    with pytest.raises(ValueError, match="algebra"):
+        FormalSeries(nat, 2, {1: RationalMatrix.identity(2)})
+    with pytest.raises(ValueError, match="algebra"):
+        FormalSeries(nat, 2, {1: Fraction(1)}, RationalMatrix.identity(2))
+
+
+def test_scale_rejects_a_float():
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        q_series().scale(0.5)
 
 
 @pytest.mark.parametrize("order", [6.7, "6", True, -1])
@@ -196,13 +222,16 @@ def test_positive_grade_series_is_nilpotent():
 # -- serialization ------------------------------------------------------------
 
 def test_payload_round_trip_scalar_and_matrix():
+    """The payload survives a JSON round trip in its documented format:
+    element id -> "p/q" string, or a matrix as row lists of such strings."""
     gpd = make_interval_groupoid(0, 3)
-    a = FormalSeries(gpd, 3, {(0, 2): Fraction(3, 7)})
-    assert FormalSeries.from_payload(gpd, 3, a.to_payload()) == a
-    rng = random.Random(19)
-    b = random_matrix_series(gpd, 3, rng)
-    assert FormalSeries.from_payload(gpd, 3, b.to_payload(),
-                                     unit=b.unit) == b
+    a = FormalSeries(gpd, 3, {(0, 2): Fraction(3, 7), (2, 3): 2})
+    assert json.loads(json.dumps(a.to_payload())) == {"i:0..2": "3/7", "i:2..3": "2"}
+    b = FormalSeries(gpd, 3, {gpd.neutral: RationalMatrix.identity(2),
+                              (1, 3): RationalMatrix([[1, Fraction(-1, 2)], [0, 2]])},
+                     RationalMatrix.identity(2))
+    assert json.loads(json.dumps(b.to_payload())) == {
+        "e": [["1", "0"], ["0", "1"]], "i:1..3": [["1", "-1/2"], ["0", "2"]]}
 
 
 # -- semidirect product -------------------------------------------------------
@@ -231,7 +260,7 @@ def test_semidirect_identity_law():
 def test_semidirect_conjugation_action():
     nat = make_nat_monoid()
     unit = RationalMatrix.identity(2)
-    g = RationalMatrix.diagonal([2, 1])
+    g = RationalMatrix([[2, 0], [0, 1]])
     a = FormalSeries(nat, 2, {1: RationalMatrix.unit(2, 0, 1)}, unit)
     conj = SemidirectElement._conjugate(a, g, g.inverse())
     assert conj.coefficient(1) == RationalMatrix.unit(2, 0, 1, 2)
