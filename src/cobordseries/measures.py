@@ -91,17 +91,9 @@ class SemigroupDensity:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and >= 0, got {t!r}")
         if t not in self._cache:
-            if t == 0.0:
-                values = tuple(1.0 if x == self.group.identity else 0.0
-                               for x in self.group.elements())
-            else:
-                col = expm(t * self._generator_matrix)[:, self.group.identity]
-                values = tuple(float(v) for v in col)
-            self._cache[t] = GroupFunction(self.group, values)
+            col = expm(t * self._generator_matrix)[:, self.group.identity]
+            self._cache[t] = GroupFunction(self.group, tuple(float(v) for v in col))
         return self._cache[t]
-
-    def __call__(self, t) -> GroupFunction:
-        return self.q(t)
 
 
 def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:

@@ -12,8 +12,10 @@ algebra.  Three routes are implemented and cross-checked:
   leftmost factor carries the latest time (the coefficients need not commute,
   which makes this order observable).
 
-Time polynomials carry exact Fraction time-coefficients; their value
-coefficients live in the same algebra as the series coefficients.
+A path is itself a formal series over the groupoid, with coefficients in
+the time polynomials A[s] over the value algebra A: products, inverses and
+validation are the series' own, and evaluation at a time t gives the series
+with values in A.  Time polynomials carry exact Fraction time-coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
-from .series import FormalSeries
+from .series import FormalSeries, _is_exact_scalar
 
 
 def _exact_time(t) -> Fraction:
@@ -145,65 +147,38 @@ class CoeffPoly:
         return "CoeffPoly(" + " + ".join(f"({c!r})*s^{k}" for k, c in enumerate(self.coeffs)) + ")"
 
 
-class AlgebraPath:
-    """Map s in [0,1] -> series, one time polynomial per groupoid element.
+class AlgebraPath(FormalSeries):
+    """Map s in [0,1] -> series: a formal series whose coefficients are time
+    polynomials, one per groupoid element.
 
-    Plain paths (directions, ``unital=False``) must have zero polynomial at
-    the neutral element; solutions of the left ODE are unital paths whose
-    neutral component is constantly the unit.
+    The series unit is ``CoeffPoly.one(u)`` for the value unit ``u``, so the
+    value unit is ``path.unit.unit``.  A direction of the left ODE has no
+    neutral component (``has_zero_e_part``); a solution is unital, constantly
+    the unit at the neutral element (``is_unital``).  The validated
+    constructor takes only ``CoeffPoly`` values over the value unit whose
+    coefficients pass the rule of ``FormalSeries``.
     """
 
-    __slots__ = ("groupoid", "order", "unit", "polys", "unital")
+    __slots__ = ()
 
-    def __init__(self, groupoid, order, polys, unit=Fraction(1), unital=False):
-        if type(order) is not int or order < 0:
-            raise ValueError(f"truncation order must be an int >= 0, not {order!r}")
-        self.groupoid = groupoid
-        self.order = order
-        self.unit = unit
-        self.unital = bool(unital)
-        clean = {}
-        for elem, poly in polys.items():
-            if elem not in groupoid:
-                raise ValueError(f"{elem!r} is not in {groupoid.name}")
-            if groupoid.ord(elem) > self.order:
-                raise ValueError(f"{elem!r} exceeds truncation order {self.order}")
-            if not isinstance(poly, CoeffPoly):
-                poly = CoeffPoly(poly, unit)
-            if poly:
-                clean[elem] = poly
-        e = groupoid.neutral
-        if not self.unital and e in clean:
-            raise ValueError("a direction path must vanish at the neutral element")
-        if self.unital:
-            if clean.get(e) != CoeffPoly.one(unit):
-                raise ValueError("a unital path must be constantly 1 at the neutral element")
-        self.polys = clean
+    def __init__(self, groupoid, order, polys, unit=Fraction(1)):
+        scalar_unit = _is_exact_scalar(unit)
+        for poly in polys.values():
+            if not (isinstance(poly, CoeffPoly) and poly.unit == unit and all(
+                    type(c) is type(unit) or (scalar_unit and _is_exact_scalar(c))
+                    for c in poly.coeffs)):
+                raise ValueError(f"{poly!r} is not a time polynomial over the unit {unit!r}")
+        super().__init__(groupoid, order, polys, CoeffPoly.one(unit))
+
+    @property
+    def polys(self):
+        return self.coeffs
 
     def __call__(self, t) -> FormalSeries:
         """Evaluate at a rational time; exact when coefficients are exact."""
         return FormalSeries._trusted(self.groupoid, self.order,
-                                     {e: p(t) for e, p in self.polys.items()}, self.unit)
-
-    def as_poly_series(self) -> FormalSeries:
-        """View the whole path as one series with polynomial coefficients."""
-        return FormalSeries._trusted(self.groupoid, self.order, self.polys,
-                                     CoeffPoly.one(self.unit))
-
-    @classmethod
-    def from_poly_series(cls, series: FormalSeries, unit, unital=False) -> "AlgebraPath":
-        return cls(series.groupoid, series.order, dict(series.coeffs), unit, unital=unital)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraPath):
-            return NotImplemented
-        return (self.groupoid == other.groupoid and self.order == other.order
-                and self.polys == other.polys)
-
-    def __repr__(self):
-        gpd = self.groupoid
-        parts = [f"{gpd.element_id(e)}: {p!r}" for e, p in self.polys.items()]
-        return f"AlgebraPath<{gpd.name}, N={self.order}>({', '.join(parts)})"
+                                     {e: p(t) for e, p in self.coeffs.items()},
+                                     self.unit.unit)
 
 
 def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
@@ -213,19 +188,18 @@ def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
     k = i∘j with i ≠ e of v_i(r)·u_j(r); since grades of i are >= 1 the
     right factor is already known from strictly lower grades.
     """
-    if v.unital:
+    if not v.has_zero_e_part():
         raise ValueError("the direction of the ODE must have no neutral component")
     gpd = v.groupoid
-    one_poly = CoeffPoly.one(v.unit)
-    solution = {gpd.neutral: one_poly}
+    solution = {gpd.neutral: v.unit}
     for elem in gpd.elements_up_to(v.order):
         if elem == gpd.neutral or elem is gpd.neutral:
             continue
-        integrand = CoeffPoly.zero(v.unit)
+        integrand = v.zero_coeff
         for i, j in gpd.decompositions(elem):
             if i == gpd.neutral or i is gpd.neutral:
                 continue
-            vi = v.polys.get(i)
+            vi = v.coeffs.get(i)
             uj = solution.get(j)
             if vi is None or uj is None:
                 continue
@@ -233,19 +207,16 @@ def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
         poly = integrand.integral()
         if poly:
             solution[elem] = poly
-    return AlgebraPath(gpd, v.order, solution, v.unit, unital=True)
+    return AlgebraPath._trusted(gpd, v.order, solution, v.unit)
 
 
 def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
     """du/ds · u^-1 computed exactly in the polynomial coefficient algebra."""
-    if not u.unital:
+    if not u.is_unital():
         raise ValueError("left logarithmic derivative needs a unital path")
-    series = u.as_poly_series()
     du = FormalSeries._trusted(u.groupoid, u.order,
-                               {e: p.derivative() for e, p in u.polys.items()},
-                               CoeffPoly.one(u.unit))
-    result = du * series.inverse()
-    return AlgebraPath.from_poly_series(result, u.unit, unital=False)
+                               {e: p.derivative() for e, p in u.coeffs.items()}, u.unit)
+    return AlgebraPath._trusted(u.groupoid, u.order, (du * u.inverse()).coeffs, u.unit)
 
 
 def iterated_integrals(v: AlgebraPath, grade: int):
@@ -257,24 +228,27 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     """
     if type(grade) is not int or not 0 <= grade <= v.order:
         raise ValueError(f"grade must be an int in 0..{v.order}, not {grade!r}")
+    if not v.has_zero_e_part():
+        raise ValueError("the direction must have no neutral component")
     gpd = v.groupoid
-    poly_unit = CoeffPoly.one(v.unit)
     # grades add under products, so layers truncated at ``grade`` are exact there
     v_series = FormalSeries._trusted(
-        gpd, grade, {e: p for e, p in v.polys.items() if gpd.ord(e) <= grade}, poly_unit)
-    total = FormalSeries.one(gpd, grade, poly_unit)
+        gpd, grade, {e: p for e, p in v.coeffs.items() if gpd.ord(e) <= grade}, v.unit)
+    total = FormalSeries.one(gpd, grade, v.unit)
     layer = total
     for _ in range(1, grade + 1):
         layer = v_series * layer
         layer = FormalSeries._trusted(gpd, grade,
                                       {e: p.integral() for e, p in layer.coeffs.items()},
-                                      poly_unit)
+                                      v.unit)
         total = total + layer
     return grade_component(total, grade)(1)
 
 
 def grade_component(series: FormalSeries, grade: int):
     """Sum of the coefficients of all elements of the given grade."""
+    if type(grade) is not int or not 0 <= grade <= series.order:
+        raise ValueError(f"grade must be an int in 0..{series.order}, not {grade!r}")
     gpd = series.groupoid
     acc = None
     for elem, value in series.coeffs.items():
@@ -290,11 +264,11 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     s = _exact_time(s)
     if not 0 <= s <= 1:
         raise ValueError("time must lie in [0, 1]")
-    if v.unital:
+    if not v.has_zero_e_part():
         raise ValueError("the direction must have no neutral component")
     gpd = v.groupoid
     j = int(n * s)  # floor: s is a non-negative Fraction
-    one = FormalSeries.one(gpd, v.order, v.unit)
+    one = FormalSeries.one(gpd, v.order, v.unit.unit)
     out = one + v(Fraction(j, n)).scale(s - Fraction(j, n))
     step = Fraction(1, n)
     for i in range(1, j + 1):

@@ -216,12 +216,10 @@ class FormalSeries:
 
     def __repr__(self):
         gpd = self.groupoid
-        if not self.coeffs:
-            return f"FormalSeries<{gpd.name}, N={self.order}>(0)"
         parts = [f"{gpd.element_id(e)}: {v!r}"
                  for e, v in sorted(self.coeffs.items(),
                                     key=lambda kv: (gpd.ord(kv[0]), gpd.element_id(kv[0])))]
-        return f"FormalSeries<{gpd.name}, N={self.order}>({', '.join(parts)})"
+        return f"{type(self).__name__}<{gpd.name}, N={self.order}>({', '.join(parts) or 0})"
 
     # -- serialization ---------------------------------------------------------
 

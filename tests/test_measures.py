@@ -151,8 +151,6 @@ def test_heat_density_rejects_non_finite_times(t):
     density = SemigroupDensity(S3)
     with pytest.raises(ValueError, match="finite"):
         density.q(t)
-    with pytest.raises(ValueError, match="finite"):
-        density(t)
 
 
 # -- phi and mu ---------------------------------------------------------------

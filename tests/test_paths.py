@@ -137,6 +137,47 @@ def test_path_order_must_be_a_non_negative_int(order):
         AlgebraPath(NAT, order, {1: CoeffPoly.constant(ONE)})
 
 
+MATRIX_UNIT = RationalMatrix.identity(2)
+
+
+@pytest.mark.parametrize("poly, unit", [
+    (CoeffPoly((0.1,)), ONE),
+    (CoeffPoly((True,)), ONE),
+    (CoeffPoly(("1/2",)), ONE),
+    (CoeffPoly((ONE,)), MATRIX_UNIT),
+    (CoeffPoly((ONE,), MATRIX_UNIT), MATRIX_UNIT),
+    ((ONE,), ONE),
+], ids=["float", "bool", "string", "scalar-poly-in-matrix-path",
+        "scalar-coefficient-in-matrix-path", "not-a-poly"])
+def test_path_rejects_a_coefficient_outside_the_value_algebra(poly, unit):
+    with pytest.raises(ValueError, match="not a time polynomial"):
+        AlgebraPath(NAT, 3, {1: poly}, unit)
+
+
+def with_neutral_part():
+    return AlgebraPath(NAT, 3, {0: CoeffPoly.constant(ONE), 1: CoeffPoly.constant(ONE)})
+
+
+@pytest.mark.parametrize("route", [
+    solve_left_ode, lambda v: euler_product(v, 4, 1), lambda v: iterated_integrals(v, 2),
+], ids=["solve_left_ode", "euler_product", "iterated_integrals"])
+def test_ode_routes_reject_a_neutral_coefficient(route):
+    with pytest.raises(ValueError, match="neutral"):
+        route(with_neutral_part())
+
+
+def test_left_log_derivative_rejects_a_direction():
+    with pytest.raises(ValueError, match="unital path"):
+        left_log_derivative(const_q_path())
+
+
+@pytest.mark.parametrize("grade", [True, 1.0, 7, -1])
+def test_grade_component_rejects_invalid_grades(grade):
+    series = FormalSeries(NAT, 3, {1: ONE, 2: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="grade must be an int"):
+        grade_component(series, grade)
+
+
 # -- exact ODE solution ---------------------------------------------------------
 
 def test_solve_constant_direction_is_exponential_path():
@@ -164,7 +205,7 @@ def test_solution_starts_at_one():
     rng = random.Random(37)
     for v in random_paths(rng, 6):
         u = solve_left_ode(v)
-        assert u(0) == FormalSeries.one(v.groupoid, v.order, v.unit)
+        assert u(0) == FormalSeries.one(v.groupoid, v.order, v.unit.unit)
 
 
 def test_left_log_derivative_recovers_direction_exactly():
@@ -207,15 +248,13 @@ def test_unreachable_grade_gives_zero():
 def full_order_iterated_integrals(v, grade):
     """Oracle: every layer built at the path's order, then one grade kept."""
     gpd = v.groupoid
-    v_series = v.as_poly_series()
-    poly_unit = CoeffPoly.one(v.unit)
-    total = FormalSeries.one(gpd, v.order, poly_unit)
+    total = FormalSeries.one(gpd, v.order, v.unit)
     layer = total
     for _ in range(1, grade + 1):
-        layer = v_series * layer
+        layer = v * layer
         layer = FormalSeries._trusted(gpd, v.order,
                                       {e: p.integral() for e, p in layer.coeffs.items()},
-                                      poly_unit)
+                                      v.unit)
         total = total + layer
     return grade_component(total, grade)(1)
 

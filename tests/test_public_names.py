@@ -7,9 +7,11 @@ own definition: in another top-level statement of the package (the
 including the dotted strings its ``LAYER_CALLS`` table resolves.  A public
 method or property of a public class counts as called when its name is
 used anywhere in the package (again not ``__init__``) or in ``perfbench/``
-outside its own def.  The only names allowed without a caller are those in
-``KEEP`` (members as ``Class.member``), each mapped to the test that checks
-a paper claim through it.
+outside its own def.  Only attribute uses and dotted strings count for a
+member, so a local variable of the same name does not hide an orphan; the
+same attribute name on two classes still does.  The only names allowed
+without a caller are those in ``KEEP`` (members as ``Class.member``), each
+mapped to the test that checks a paper claim through it.
 """
 
 import ast
@@ -40,6 +42,12 @@ def node_names(sub) -> tuple:
     of a dotted string."""
     if isinstance(sub, ast.Name):
         return (sub.id,)
+    return member_names(sub)
+
+
+def member_names(sub) -> tuple:
+    """The member names one node uses: an attribute or the parts of a
+    dotted string, never a bare identifier."""
     if isinstance(sub, ast.Attribute):
         return (sub.attr,)
     if (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
@@ -87,10 +95,10 @@ def member_orphans(package_sources: dict, other_sources=()) -> list:
             for member in cls.body
             if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
     uses = Counter(name for tree in [*trees.values(), *map(ast.parse, other_sources)]
-                   for sub in ast.walk(tree) for name in node_names(sub))
+                   for sub in ast.walk(tree) for name in member_names(sub))
     found = []
     for module, cls, member in defs:
-        own = sum(node_names(sub).count(member.name) for sub in ast.walk(member))
+        own = sum(member_names(sub).count(member.name) for sub in ast.walk(member))
         if uses[member.name] == own:
             found.append((module, f"{cls}.{member.name}"))
     return sorted(found)
@@ -144,3 +152,14 @@ def test_scanner_flags_an_orphan_method():
     bench = ["def run(shape):\n    return shape.used()\n"]
     assert member_orphans(package, bench) == [("core", "Shape.area")]
     assert member_orphans(package) == [("core", "Shape.area"), ("core", "Shape.used")]
+
+
+def test_scanner_ignores_a_local_variable_named_like_a_method():
+    package = {
+        "__init__": "from .core import Poly\n",
+        "core": ("class Poly:\n"
+                 "    def degree(self):\n        return 0\n\n"
+                 "    def used(self):\n        return 1\n"),
+    }
+    bench = ["def run(poly):\n    degree = 3\n    return poly.used() + degree\n"]
+    assert member_orphans(package, bench) == [("core", "Poly.degree")]
