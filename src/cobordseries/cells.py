@@ -7,8 +7,10 @@ sign.  Facets follow the cubical boundary rule with alternating signs
 by default negative facets are initial and positive facets final, which can
 be overridden per facet.  Reversing a cell flips the sign and swaps the
 initial/final assignment.  Base coordinates, axes, extents and the sign are
-Python ``int`` (``bool`` and floats are rejected), so every cell lies on the
-integer lattice.
+Python ``int`` (``bool`` and floats are rejected) held in tuples, so every
+cell lies on the integer lattice.  A cell is immutable, so it compiles its
+``key`` and ``box`` at construction and its ``facets`` on the first call;
+facets skip re-validation, since the facets of a valid cell are valid.
 
 Every closed lattice box is the disjoint union of its open unit faces: the
 boxes with (c, c) or (c, c + 1) on each axis.  The geometric predicates
@@ -103,7 +105,8 @@ FINAL = "final"
 
 @dataclass(frozen=True)
 class Cell:
-    """Oriented box cell; ``labels`` overrides the default facet assignment."""
+    """Oriented box cell; ``labels`` overrides the default facet assignment.
+    ``key``, ``box`` and ``facets`` are compiled once; facets skip validation."""
 
     base: tuple
     axes: tuple
@@ -112,6 +115,8 @@ class Cell:
     labels: tuple = field(default=(), compare=True)
 
     def __post_init__(self):
+        if any(type(t) is not tuple for t in (self.base, self.axes, self.extents, self.labels)):
+            raise ValueError("base, axes, extents and labels must be tuples")
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
         if any(type(x) is not int for x in (*self.base, *self.axes, *self.extents)):
@@ -124,6 +129,19 @@ class Cell:
             raise ValueError("extents must be >= 1")
         if any(not 0 <= a < len(self.base) for a in self.axes):
             raise ValueError("axis outside the ambient dimension")
+        self._compile()
+        keys = self.labels and [f.key() for f, _ in _trusted_cell(*self._key, self.sign).facets()]
+        if any(type(p) is not tuple or len(p) != 2 or p[0] not in keys
+               or p[1] not in (INITIAL, FINAL) for p in self.labels):
+            raise ValueError(f"labels must pair facet keys with {INITIAL!r} or {FINAL!r}")
+
+    def _compile(self):
+        """Fixed-order stores, never through ``__dict__``: attribute reads stay fast."""
+        spans = dict(zip(self.axes, self.extents))
+        box = tuple((b, b + spans.get(a, 0)) for a, b in enumerate(self.base))
+        object.__setattr__(self, "_key", (self.base, self.axes, self.extents))
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_facets", None)
 
     @property
     def dim(self) -> int:
@@ -135,11 +153,10 @@ class Cell:
 
     def key(self):
         """Unoriented geometry key."""
-        return (self.base, self.axes, self.extents)
+        return self._key
 
     def box(self):
-        spans = dict(zip(self.axes, self.extents))
-        return tuple((b, b + spans.get(a, 0)) for a, b in enumerate(self.base))
+        return self._box
 
     def reverse(self) -> "Cell":
         swapped = tuple((k, FINAL if lbl == INITIAL else INITIAL)
@@ -148,21 +165,20 @@ class Cell:
 
     def facets(self):
         """All facet cells with their induced absolute sign and label."""
-        out = []
-        overrides = dict(self.labels)
-        for pos, axis in enumerate(self.axes):
-            rest_axes = self.axes[:pos] + self.axes[pos + 1:]
-            rest_exts = self.extents[:pos] + self.extents[pos + 1:]
-            upper_rel = (-1) ** pos
-            for upper in (False, True):
-                base = list(self.base)
-                if upper:
-                    base[axis] += self.extents[pos]
-                rel = upper_rel if upper else -upper_rel
-                facet = Cell(tuple(base), rest_axes, rest_exts, self.sign * rel)
-                label = overrides.get(facet.key()) or (INITIAL if facet.sign < 0 else FINAL)
-                out.append((facet, label))
-        return out
+        if self._facets is None:
+            out, overrides = [], dict(self.labels)
+            for pos, axis in enumerate(self.axes):
+                rest_axes = self.axes[:pos] + self.axes[pos + 1:]
+                rest_exts = self.extents[:pos] + self.extents[pos + 1:]
+                for upper in (0, 1):  # relative sign (-1)^pos upper, -(-1)^pos lower
+                    base = list(self.base)
+                    base[axis] += upper * self.extents[pos]
+                    facet = _trusted_cell(tuple(base), rest_axes, rest_exts,
+                                          self.sign * (-1) ** (pos + 1 - upper))
+                    out.append((facet, overrides.get(facet._key)
+                                or (INITIAL if facet.sign < 0 else FINAL)))
+            object.__setattr__(self, "_facets", tuple(out))
+        return self._facets
 
     def alpha(self):
         """Initial facets (each carried with its induced sign)."""
@@ -188,6 +204,16 @@ class Cell:
         return f"Cell[{sgn}{span}]"
 
 
+def _trusted_cell(base, axes, extents, sign) -> Cell:
+    """Unlabelled ``Cell`` from valid fields (a valid cell's facet), unchecked."""
+    cell = object.__new__(Cell)
+    for name, value in (("base", base), ("axes", axes), ("extents", extents),
+                        ("sign", sign), ("labels", ())):
+        object.__setattr__(cell, name, value)
+    cell._compile()
+    return cell
+
+
 def point_cell(base, sign=1) -> Cell:
     return Cell(tuple(base), (), (), sign)
 
@@ -199,6 +225,8 @@ def edge_cell(base, axis, sign=1) -> Cell:
 def domain_box(spans, sign=1, labels=()) -> Cell:
     """Full box on the given per-axis spans; degenerate axes stay unspanned."""
     spans = tuple(spans)
+    if any(hi < lo for lo, hi in spans):
+        raise ValueError(f"box spans must have lo <= hi, got {spans!r}")
     base = tuple(lo for lo, hi in spans)
     axes = tuple(a for a, (lo, hi) in enumerate(spans) if hi > lo)
     extents = tuple(hi - lo for lo, hi in spans if hi > lo)
@@ -448,9 +476,8 @@ def _labelled_box(union_box, sign, alpha, beta):
     alpha_pieces, beta_pieces = _unit_boxes(alpha), _unit_boxes(beta)
     labels = []
     for facet, default_lbl in cell.facets():
-        fbox = facet.box()
-        in_alpha = covers(fbox, alpha_pieces)
-        in_beta = covers(fbox, beta_pieces)
+        in_alpha = covers(facet.box(), alpha_pieces)
+        in_beta = covers(facet.box(), beta_pieces)
         if in_alpha == in_beta:
             return None
         lbl = INITIAL if in_alpha else FINAL
@@ -483,12 +510,11 @@ def _compile_word(domain: Cell, complex_: CellComplex, need_cover: bool):
     ``need_cover``, for cells of the wrong dimension or partially on it."""
     found, covered = {}, True
     for facet, _ in domain.facets():
-        fbox = facet.box()
-        for face in _unit_faces(fbox):
+        for face in _unit_faces(facet.box()):
             hits = complex_.pieces.get(face, ())
             covered = covered and bool(hits)
             for pos in hits:
-                found[pos] = (fbox, facet.sign)
+                found[pos] = facet
     if need_cover and not covered:
         raise ValueError(f"boundary of {domain!r} is not covered by the complex")
     if complex_.cells and complex_.cells[0].dim != domain.dim - 1:
@@ -497,11 +523,10 @@ def _compile_word(domain: Cell, complex_: CellComplex, need_cover: bool):
     word = []
     for pos in sorted(found):
         cell = complex_.cells[pos]
-        fbox, fsign = found[pos]
-        if not box_contains(fbox, cell.box()):
+        if not box_contains(found[pos].box(), cell.box()):
             raise ValueError(
                 f"cell {cell!r} lies partially on the boundary of {domain!r}")
-        word.append((pos, 1 if cell.sign == fsign else -1))
+        word.append((pos, 1 if cell.sign == found[pos].sign else -1))
     return tuple(word), covered
 
 
@@ -531,18 +556,15 @@ class Cosurface:
             if type(value) is not int or not 0 <= value < group.order:
                 raise ValueError(f"value {value!r} on {cell!r} is not an element "
                                  f"of {group.name}")
-            key = cell.key()
             stored = value if cell.sign > 0 else group.inv(value)
-            if key in values and values[key] != stored:
+            if values.setdefault(cell.key(), stored) != stored:
                 raise ValueError(f"conflicting values for {cell!r}")
-            values[key] = stored
         self.values = values
 
     def value(self, cell: Cell) -> int:
-        key = cell.key()
-        if key not in self.values:
+        if cell.key() not in self.values:
             raise ValueError(f"no value assigned on {cell!r}")
-        v = self.values[key]
+        v = self.values[cell.key()]
         return v if cell.sign > 0 else self.group.inv(v)
 
     def evaluate_word(self, complex_: CellComplex, word) -> int:

@@ -30,11 +30,11 @@ with ``region_components`` (a piece's cells follow fragment order).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import product as iter_product, repeat
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
@@ -91,6 +91,7 @@ class SemigroupDensity:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and >= 0, got {t!r}")
         if t not in self._cache:
+            from scipy.linalg import expm  # loaded only where a density is evaluated
             col = expm(t * self._generator_matrix)[:, self.group.identity]
             self._cache[t] = GroupFunction(self.group, tuple(float(v) for v in col))
         return self._cache[t]
@@ -176,7 +177,11 @@ class ComplexMeasure:
         if not is_saturated(complex_, self.domains):
             raise ValueError("complex is not saturated for the domains")
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
-        self.q_tables = tuple(density.q(dom.volume).values for dom in self.domains)
+
+    @cached_property
+    def q_tables(self):
+        """Each domain's heat table q_|A|, computed on first use."""
+        return tuple(self.density.q(dom.volume).values for dom in self.domains)
 
     def density_array(self):
         """density_of on every configuration, one axis per cell, same products."""
@@ -359,10 +364,9 @@ def is_adapted(cells, cob: CobordismBox) -> bool:
                for face in (alpha, beta)):
             return False
         for facet, lbl in cell.facets():
-            fbox = facet.box()
-            if box_contains(alpha, fbox) and lbl != INITIAL:
+            if box_contains(alpha, facet.box()) and lbl != INITIAL:
                 return False
-            if box_contains(beta, fbox) and lbl != FINAL:
+            if box_contains(beta, facet.box()) and lbl != FINAL:
                 return False
     return True
 
@@ -383,30 +387,34 @@ class BorderPiece:
         return f"BorderPiece({list(self.cells)!r})"
 
 
+def _hyperplane(box):
+    """(normal axis, coordinate) of the first axis on which the box is flat."""
+    return next(((a, lo) for a, (lo, hi) in enumerate(box) if lo == hi), None)
+
+
 def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
     """Unordered complex induced on the border of the box by the covering.
 
     For each domain, each connected component of (domain boundary) ∩ (box
-    border) becomes one piece.  The fragments, the (d-1)-dimensional
-    intersections of the domain's facets with the box faces, are joined by
-    ``region_components``, so a piece's cells follow fragment order, which
-    is domain-facet order.  Piece cells inherit the border orientation of
-    the box, and the piece's own border gets initial/final labels from the
-    induced orientation of the complex cells meeting it.  The complex cells
-    on a domain's boundary are the ones its ``boundary_word`` reads, so a
-    cell partially on that boundary raises.
+    border) becomes one piece.  A fragment is the (d-1)-dimensional meet of
+    a domain facet with the box face in the facet's hyperplane; fragments
+    join by ``region_components``, so a piece's cells follow fragment
+    order, which is domain-facet order.  Piece cells inherit the border
+    orientation of the box, and the piece's own border gets initial/final
+    labels from the induced orientation of the complex cells meeting it.
+    The complex cells on a domain's boundary are the ones its
+    ``boundary_word`` reads, so a cell partially on that boundary raises.
     """
-    y_cell = cob.cell()
-    face_signs = {f.box(): f.sign for f, _ in y_cell.facets()}
+    faces = {_hyperplane(f.box()): f for f, _ in cob.cell().facets()}
     pieces = []
     for dom in domains:
         boundary = [complex_.cells[pos] for pos, _ in boundary_word(dom, complex_)]
         fragments = []
         for facet, _ in dom.facets():
-            for ybox, ysign in face_signs.items():
-                inter = box_intersect(facet.box(), ybox)
-                if inter is not None and box_dim(inter) == cob.dim - 1:
-                    fragments.append(domain_box(inter, sign=ysign))
+            face = faces.get(_hyperplane(facet.box()))
+            inter = box_intersect(facet.box(), face.box()) if face else None
+            if inter is not None and box_dim(inter) == cob.dim - 1:
+                fragments.append(domain_box(inter, sign=face.sign))
         for piece in region_components(fragments, ()):
             labels = set()
             boxes = [cell.box() for cell in piece]
@@ -471,14 +479,13 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
                   for a, span in enumerate(cob.spans))
     in_later, in_earlier, shared = [], [], []
     for cell in complex_.cells:
-        cbox = cell.box()
-        if box_contains(plane, cbox):
+        if box_contains(plane, cell.box()):
             shared.append(cell)
             in_later.append(cell)
             in_earlier.append(cell)
-        elif box_contains(tuple(spans_later), cbox):
+        elif box_contains(tuple(spans_later), cell.box()):
             in_later.append(cell)
-        elif box_contains(tuple(spans_earlier), cbox):
+        elif box_contains(tuple(spans_earlier), cell.box()):
             in_earlier.append(cell)
         else:
             raise ValueError(f"cell {cell!r} crosses the cutting interface")

@@ -97,6 +97,36 @@ def test_cell_rejects_non_integer_geometry(base, axes, extents, sign):
         Cell(base, axes, extents, sign)
 
 
+@pytest.mark.parametrize("base, axes, extents, labels", [
+    ([0, 0], (0,), (1,), ()),
+    ((0, 0), [0], (1,), ()),
+    ((0, 0), (0,), [1], ()),
+    ((0, 0), (0,), (1,), []),
+], ids=["list-base", "list-axes", "list-extents", "list-labels"])
+def test_cell_rejects_lists(base, axes, extents, labels):
+    with pytest.raises(ValueError, match="tuples"):
+        Cell(base, axes, extents, 1, labels)
+
+
+def test_cell_rejects_unknown_label_value():
+    lower = edge_cell((0, 0), 0).facets()[0][0]
+    with pytest.raises(ValueError, match="labels"):
+        Cell((0, 0), (0,), (1,), 1, ((lower.key(), "bogus"),))
+
+
+def test_cell_rejects_label_off_its_facets():
+    with pytest.raises(ValueError, match="labels"):
+        Cell((0, 0), (0,), (1,), 1, ((((5, 5), (), ()), FINAL),))
+    with pytest.raises(ValueError, match="labels"):
+        Cell((0, 0), (0,), (1,), 1, ((((0, 0), (), ()), FINAL, "extra"),))
+
+
+def test_domain_box_rejects_reversed_span():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        domain_box(((1, 0), (0, 1)))
+    assert domain_box(((1, 1), (0, 1))).axes == (1,)
+
+
 # -- gluing ---------------------------------------------------------------------
 
 def test_glue_segments_star():

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,23 @@ def test_density_of_rejects_malformed_configurations():
                 (0, 1, 2, True), (0, 1, 2, 1.0)]:
         with pytest.raises(ValueError, match="per cell"):
             measure.density_of(bad)
+
+
+def test_heat_tables_are_computed_on_first_use():
+    density = SemigroupDensity(S3)
+    measure = strip_measure(density)
+    assert "q_tables" not in vars(measure) and not density._cache
+    assert measure.q_tables == (density.q(1).values, density.q(1).values)
+    assert measure.q_tables is measure.q_tables
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = ("import sys, cobordseries\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "cobordseries.measures.SemigroupDensity(cobordseries.groups.cyclic(2)).q(1)\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_mu_requires_saturation():

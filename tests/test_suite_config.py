@@ -6,7 +6,9 @@ to suggest a patch, and that import emits a DeprecationWarning; unfiltered,
 it would stop the whole session with an INTERNALERROR.  The meta-test runs
 one failing property and one passing test under the repository's own
 ``filterwarnings`` list, in a fresh pytest process; every other
-DeprecationWarning and RuntimeWarning is still an error.
+DeprecationWarning and RuntimeWarning is still an error.  A second
+meta-test runs the suite's ``conftest.py`` on two files and reads the
+per-file times it prints, slowest first.
 """
 
 import tomllib
@@ -41,3 +43,17 @@ def test_other_deprecation_warnings_stay_errors():
         warnings.warn("an unrelated deprecation", DeprecationWarning)
     with pytest.raises(RuntimeWarning):
         warnings.warn("an unrelated runtime warning", RuntimeWarning)
+
+
+def test_summary_lists_time_per_file_slowest_first(pytester):
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyfile(
+        test_fast="def test_quick():\n    pass\n",
+        test_slow="import time\n\n"
+                  "def test_sleeps():\n    time.sleep(0.2)\n\n"
+                  "def test_sleeps_again():\n    time.sleep(0.2)\n")
+    result = pytester.runpytest_subprocess("-q", "-p", "no:cacheprovider")
+    result.assert_outcomes(passed=3)
+    result.stdout.re_match_lines([r".*setup \+ call time per test file.*",
+                                  r" +\d+\.\d\ds test_slow\.py$",
+                                  r" +\d+\.\d\ds test_fast\.py$"], consecutive=True)
