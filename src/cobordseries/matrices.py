@@ -5,14 +5,29 @@ numerators over one positive common denominator.  Every result is reduced
 by a single ``gcd(den, *num)``, so the form is canonical (``den > 0`` and
 ``gcd(den, *num) == 1``), equal matrices have equal storage and ``==`` is
 a tuple comparison.  The ``Fraction`` view (``rows``, ``m[i, j]``,
-``repr``) is built only at the boundary.
+``repr``) is built only at the boundary.  The arithmetic runs through per-size
+kernels: one unrolled expression each, compiled once from index literals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import mul
+
+
+@cache
+def _kernels(n: int):
+    """(a·b row by column, a*db + b*da, a*s, a//s) on flat n x n numerator tuples.
+    The generated source holds only integer index literals and the fixed names
+    a, b, da, db and s; no caller data ever reaches ``eval``."""
+    flat = range(n * n)
+    product = ", ".join(" + ".join(f"a[{i * n + k}]*b[{k * n + j}]" for k in range(n))
+                        for i in range(n) for j in range(n))
+    return (eval(f"lambda a, b: ({product},)"),
+            eval(f"lambda a, b, da, db: ({', '.join(f'a[{i}]*db + b[{i}]*da' for i in flat)},)"),
+            eval(f"lambda a, s: ({', '.join(f'a[{i}]*s' for i in flat)},)"),
+            eval(f"lambda a, s: ({', '.join(f'a[{i}]//s' for i in flat)},)"))
 
 
 def _entry(x) -> Fraction:
@@ -35,6 +50,9 @@ class RationalMatrix:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, rows):
+        rows = tuple(rows)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError(f"matrix rows must be lists or tuples, not {rows!r}")
         rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -51,12 +69,12 @@ class RationalMatrix:
         """Trusted constructor: integer numerators over den > 0, reduced here."""
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(x // g for x in num)
+            num = _kernels(n)[3](num, g)
             den //= g
         out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        _set_n(out, n)
+        _set_num(out, num)
+        _set_den(out, den)
         return out
 
     def __setattr__(self, name, value):
@@ -88,7 +106,10 @@ class RationalMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        n = self.n
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"matrix index must be a pair of ints in 0..{n - 1}, not {ij!r}")
+        return Fraction(self.num[i * n + j], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -105,34 +126,27 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         self._check_shape(other)
-        da, db = self.den, other.den
-        return RationalMatrix._make(
-            self.n, tuple(a * db + b * da for a, b in zip(self.num, other.num)), da * db)
+        return RationalMatrix._make(self.n, _kernels(self.n)[1](
+            self.num, other.num, self.den, other.den), self.den * other.den)
 
     def __sub__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         self._check_shape(other)
-        da, db = self.den, other.den
-        return RationalMatrix._make(
-            self.n, tuple(a * db - b * da for a, b in zip(self.num, other.num)), da * db)
+        return RationalMatrix._make(self.n, _kernels(self.n)[1](
+            self.num, other.num, -self.den, other.den), self.den * other.den)
 
     def __neg__(self):
-        return RationalMatrix._make(self.n, tuple(-a for a in self.num), self.den)
+        return RationalMatrix._make(self.n, _kernels(self.n)[2](self.num, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             self._check_shape(other)
-            n, a, b = self.n, self.num, other.num
-            rows = [a[i * n:(i + 1) * n] for i in range(n)]
-            cols = [b[j::n] for j in range(n)]
-            return RationalMatrix._make(
-                n, tuple(sum(map(mul, row, col)) for row in rows for col in cols),
-                self.den * other.den)
+            return RationalMatrix._make(self.n, _kernels(self.n)[0](self.num, other.num),
+                                        self.den * other.den)
         if type(other) is int or isinstance(other, Fraction):
-            return RationalMatrix._make(
-                self.n, tuple(a * other.numerator for a in self.num),
-                self.den * other.denominator)
+            return RationalMatrix._make(self.n, _kernels(self.n)[2](self.num, other.numerator),
+                                        self.den * other.denominator)
         if type(other) is bool:
             raise ValueError("cannot scale a matrix by a bool")
         return NotImplemented
@@ -198,6 +212,9 @@ class RationalMatrix:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
         return f"RationalMatrix([{body}])"
 
+
+_set_n, _set_num, _set_den = (RationalMatrix.n.__set__, RationalMatrix.num.__set__,
+                              RationalMatrix.den.__set__)
 
 if __name__ == "__main__":
     import doctest

@@ -211,12 +211,19 @@ def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
 
 
 def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
-    """du/ds · u^-1 computed exactly in the polynomial coefficient algebra."""
+    """v = du/ds · u^-1 exactly, solving v·u = du by grade: u is 1 at the neutral
+    element, so v_k = du_k - sum of v_i·u_j over k = i∘j with ord(j) > 0."""
     if not u.is_unital():
         raise ValueError("left logarithmic derivative needs a unital path")
-    du = FormalSeries._trusted(u.groupoid, u.order,
-                               {e: p.derivative() for e, p in u.coeffs.items()}, u.unit)
-    return AlgebraPath._trusted(u.groupoid, u.order, (du * u.inverse()).coeffs, u.unit)
+    gpd, u_coeffs, v = u.groupoid, u.coeffs, {}
+    for k in gpd.elements_up_to(u.order)[1:]:
+        vk = u_coeffs[k].derivative() if k in u_coeffs else u.zero_coeff
+        for i, j in gpd.decompositions(k):
+            if i in v and j in u_coeffs and gpd.ord(j) > 0:
+                vk = vk - v[i] * u_coeffs[j]
+        if vk:
+            v[k] = vk
+    return AlgebraPath._trusted(gpd, u.order, v, u.unit)
 
 
 def iterated_integrals(v: AlgebraPath, grade: int):
@@ -295,10 +302,9 @@ def convergence_table(v: AlgebraPath, ns):
     exact = u(1)
     rows = []
     for n in ns:
-        approx = euler_product(v, n, 1)
+        diff = euler_product(v, n, 1) - exact
         for m in range(1, v.order + 1):
-            err = grade_component(approx - exact, m)
-            rows.append({"n": n, "grade": m, "error": coeff_norm(err)})
+            rows.append({"n": n, "grade": m, "error": coeff_norm(grade_component(diff, m))})
     return rows
 
 

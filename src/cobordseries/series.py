@@ -266,6 +266,9 @@ class SemidirectElement:
     def __init__(self, g, a: FormalSeries):
         if not a.has_zero_e_part():
             raise ValueError("series part must have zero coefficient at the neutral element")
+        if not (isinstance(g, RationalMatrix) and isinstance(a.unit, RationalMatrix)
+                and g.n == a.unit.n):
+            raise ValueError(f"{g!r} must be a matrix of the size of the series unit {a.unit!r}")
         self.g_inv = g.inverse()  # raises on singular g
         self.g = g
         self.a = a

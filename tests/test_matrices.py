@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cobordseries.matrices
 from cobordseries.groupoids import from_spec
-from cobordseries.matrices import RationalMatrix
+from cobordseries.matrices import RationalMatrix, _kernels
 from cobordseries.series import FormalSeries
 
 
@@ -158,6 +158,33 @@ def test_matches_fraction_rows_oracle(pair, k, power):
         assert_same(a.inverse(), expected)
 
 
+@st.composite
+def sized_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(square(n)), draw(square(n))
+
+
+@given(sized_pairs(), st.integers(-5, 5), st.fractions(max_denominator=10**9),
+       st.integers(0, 3))
+def test_kernels_match_fraction_rows_oracle_up_to_size_five(pair, k, q, power):
+    rows_a, rows_b = pair
+    a, b = RationalMatrix(rows_a), RationalMatrix(rows_b)
+    oa, ob = FractionRowsMatrix(rows_a), FractionRowsMatrix(rows_b)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b, oa - ob)
+    assert_same(-a, -oa)
+    assert_same(a * b, oa * ob)
+    assert_same(a * k, oa * k)
+    assert_same(a * q, oa * q)
+    assert_same(q * a, oa * q)
+    assert_same(a ** power, oa ** power)
+
+
+def test_kernels_are_compiled_once_per_size():
+    assert _kernels(2) is _kernels(2)
+    assert _kernels(3) is not _kernels(2)
+
+
 def test_equal_matrices_have_equal_storage():
     a = RationalMatrix([[Fraction(2, 4), 1], [0, "3/6"]])
     b = RationalMatrix([[1, 2], [0, 1]]) * Fraction(1, 2)
@@ -178,6 +205,23 @@ def test_constructor_rejects_non_rational_entries(bad):
 def test_constructor_accepts_ints_fractions_and_rational_strings():
     m = RationalMatrix([["1/2", Fraction(-3, 9)], [7, "0"]])
     assert m.rows == ((Fraction(1, 2), Fraction(-1, 3)), (Fraction(7), Fraction(0)))
+
+
+@pytest.mark.parametrize("rows", [["12", "34"], [[1, 2], "34"], [(1, 2), {3, 4}]],
+                         ids=["strings", "one-string", "set"])
+def test_constructor_rejects_rows_that_are_not_lists_or_tuples(rows):
+    with pytest.raises(ValueError, match="lists or tuples"):
+        RationalMatrix(rows)
+
+
+@pytest.mark.parametrize("index", [(True, 0), (0, False), (0, -1), (-1, 0), (2, 0), (0, 2),
+                                   (1.0, 0), (0, Fraction(1))],
+                         ids=["bool-row", "bool-column", "negative-column", "negative-row",
+                              "row-past-end", "column-past-end", "float", "fraction"])
+def test_entry_index_must_be_an_int_in_range(index):
+    m = RationalMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="matrix index"):
+        m[index]
 
 
 def test_scalar_product_rejects_bool():

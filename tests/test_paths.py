@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobordseries.groupoids import make_interval_groupoid, make_nat_monoid
+from cobordseries.groupoids import from_spec, make_interval_groupoid, make_nat_monoid
 from cobordseries.matrices import RationalMatrix
 from cobordseries.paths import (
     AlgebraPath, CoeffPoly, convergence_table, error_ratios,
@@ -260,11 +260,11 @@ def full_order_iterated_integrals(v, grade):
 
 
 @st.composite
-def polynomial_paths(draw):
-    """Direction paths over the naturals or an interval window, with
-    rational or 2x2 rational-matrix polynomial coefficients."""
+def polynomial_paths(draw, groupoids=(NAT, make_interval_groupoid(0, 4))):
+    """Direction paths over the naturals or an interval window (or the given
+    groupoids), with rational or 2x2 rational-matrix polynomial coefficients."""
     order = draw(st.integers(0, 4))
-    gpd = draw(st.sampled_from((NAT, make_interval_groupoid(0, 4))))
+    gpd = draw(st.sampled_from(groupoids))
     matrix = draw(st.booleans())
     unit = RationalMatrix.identity(2) if matrix else ONE
     scalars = st.fractions(-3, 3, max_denominator=3)
@@ -286,6 +286,24 @@ def polynomial_paths(draw):
 def test_iterated_integrals_match_full_order_layers(v):
     for grade in range(v.order + 1):
         assert iterated_integrals(v, grade) == full_order_iterated_integrals(v, grade)
+
+
+def inverse_product_log_derivative(u):
+    """Oracle: du/ds times the series inverse of u, as one full product."""
+    du = FormalSeries._trusted(u.groupoid, u.order,
+                               {e: p.derivative() for e, p in u.coeffs.items()}, u.unit)
+    return AlgebraPath._trusted(u.groupoid, u.order, (du * u.inverse()).coeffs, u.unit)
+
+
+@given(polynomial_paths(groupoids=(NAT, make_interval_groupoid(0, 4),
+                                   from_spec("box:2:0..2,0..2"))))
+def test_left_log_derivative_matches_the_inverse_product(w):
+    """On unital paths drawn directly: the unit plus a drawn direction w."""
+    gpd, unit = w.groupoid, w.unit.unit
+    u = AlgebraPath(gpd, w.order, {**w.coeffs, gpd.neutral: CoeffPoly.one(unit)}, unit)
+    v = left_log_derivative(u)
+    assert v == inverse_product_log_derivative(u)
+    assert v == AlgebraPath(gpd, v.order, v.coeffs, unit)
 
 
 @pytest.mark.parametrize("grade", [-1, 4, 1.0, True],

@@ -288,3 +288,20 @@ def test_semidirect_rejects_singular():
     with pytest.raises(ValueError):
         SemidirectElement(RationalMatrix.zeros(2),
                           FormalSeries.zero(nat, 2, unit))
+
+
+def test_semidirect_rejects_a_matrix_of_another_size():
+    series = FormalSeries.zero(make_nat_monoid(), 2, RationalMatrix.identity(2))
+    with pytest.raises(ValueError, match="size"):
+        SemidirectElement(RationalMatrix.identity(3), series)
+
+
+def test_semidirect_rejects_a_series_with_scalar_coefficients():
+    with pytest.raises(ValueError, match="size"):
+        SemidirectElement(RationalMatrix.identity(2), q_series())
+
+
+def test_semidirect_rejects_a_scalar_acting_element():
+    series = FormalSeries.zero(make_nat_monoid(), 2, RationalMatrix.identity(2))
+    with pytest.raises(ValueError, match="size"):
+        SemidirectElement(Fraction(2), series)
