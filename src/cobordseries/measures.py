@@ -11,15 +11,16 @@ the resulting group element to the heat density at time |A_i| = the cell
 count of the domain; the word is evaluated by ``cells.word_value``.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
-as a numpy tensor.  The Markov property is checked by one ``np.einsum``
-contraction of these factors with the side tables, each stacked with
-ones on a batch index of its own (so at most 50 cells), leaving the
-splitting cells open.  Reordering and pasting only relabel the words
-(sigma re-sorts each by its cells' positions in sigma K; a piece's words
-keep their order on the pasted positions) before the factor products are
-compared as arrays over G^K.  Enumeration stays as the oracle:
-``configurations()`` is the single enumerator of G^K, and ``density_of``
-and ``conditional_mass`` evaluate one configuration at a time against it.
+as a numpy tensor.  The Markov property is checked by one contraction of
+these factors with the side tables, each stacked with ones on a batch index
+of its own (so at most 50 cells), leaving the splitting cells open; it runs
+numpy's greedy pairwise path, planned once per operand signature (``_plan``).
+Reordering and pasting only relabel the words (sigma re-sorts each by its
+cells' positions in sigma K; a piece's words keep their order on the pasted
+positions) before the factor products are compared as arrays over G^K.
+Enumeration stays as the oracle: ``configurations()`` is the single
+enumerator of G^K, and ``density_of`` and ``conditional_mass`` evaluate one
+configuration at a time against it.
 
 The cobordism border is a set of open-face questions too: ``is_adapted``
 asks whether an interior open unit face of a cell lies in the initial or
@@ -30,9 +31,10 @@ with ``region_components`` (a piece's cells follow fragment order).
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import product as iter_product, repeat
+from functools import cache, cached_property
+from itertools import product as iter_product
 from numbers import Real
+from string import ascii_letters
 
 import numpy as np
 
@@ -85,16 +87,19 @@ class SemigroupDensity:
 
     def q(self, t) -> GroupFunction:
         """Density at time t >= 0 (a probability mass function)."""
-        if isinstance(t, bool) or not isinstance(t, Real):
-            raise ValueError(f"time must be a real number, got {t!r}")
-        t = float(t)
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"time must be finite and >= 0, got {t!r}")
+        t = _finite_nonnegative("time", t)
         if t not in self._cache:
             from scipy.linalg import expm  # loaded only where a density is evaluated
             col = expm(t * self._generator_matrix)[:, self.group.identity]
             self._cache[t] = GroupFunction(self.group, tuple(float(v) for v in col))
         return self._cache[t]
+
+
+def _finite_nonnegative(name, x) -> float:
+    """x as a float, if it is a real number (not a bool), finite and >= 0."""
+    if isinstance(x, bool) or not isinstance(x, Real) or not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"{name} must be a finite real number >= 0, got {x!r}")
+    return float(x)
 
 
 def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
@@ -218,6 +223,40 @@ class ComplexMeasure:
 # Markov property
 # ---------------------------------------------------------------------------
 
+@cache
+def _assignment_maker(positions):
+    """t -> a fresh dict {positions[i]: t[i]}.  The source holds only int position
+    literals (from ``range``) and the name t; no caller data ever reaches ``eval``."""
+    return eval(f"lambda t: {{{', '.join(f'{p}: t[{i}]' for i, p in enumerate(positions))}}}")
+
+
+@cache
+def _plan(signature, out):
+    """numpy's greedy einsum path for operands of these (shape, axes) onto the output
+    axes, as steps (operand indices, popped in that order; subscripts, axis k being
+    ascii_letters[k]); a step keeps the axes the output or a remaining operand reads."""
+    inputs = ["".join(ascii_letters[k] for k in axes) for _, axes in signature]
+    out = "".join(ascii_letters[k] for k in out)
+    path = np.einsum_path(",".join(inputs) + "->" + out, *(
+        np.broadcast_to(0.0, shape) for shape, _ in signature), optimize="greedy")[0][1:]
+    steps = []
+    for inds in path:
+        inds = tuple(sorted(inds, reverse=True))
+        taken = [inputs.pop(k) for k in inds]
+        inputs.append("".join(sorted(set("".join(taken)) & set(out + "".join(inputs))))
+                      if inputs else out)
+        steps.append((inds, ",".join(taken) + "->" + inputs[-1]))
+    return tuple(steps)
+
+
+def _contract(operands, out):
+    """np.einsum of [(array, axes), ...] onto the output axes (tuples), by the cached plan."""
+    arrays = [a for a, _ in operands]
+    for inds, subscripts in _plan(tuple((a.shape, axes) for a, axes in operands), out):
+        arrays.append(np.einsum(subscripts, *[arrays.pop(k) for k in inds]))
+    return arrays[0]
+
+
 def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     """Both sides of the conditional-independence identity, per conditioning
     value on the splitting subcomplex L = cells[lo:hi+1].
@@ -227,39 +266,43 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     ``itertools.product`` order.  Once ``splits`` succeeds, the side
     functions read the contiguous runs cells[lo:] (plus) and cells[:hi+1]
     (minus): a cell in both closures would share a unit piece with L, which
-    a saturated complex does not allow.  The four sums per L-assignment are
-    one einsum contraction of the domain factors with each side's table
-    stacked under a row of ones (the side function left out) on a batch
-    index of its own; the two batch indices take two of einsum's 52, so at
-    most 50 cells.  The output rows are mass, plus, minus, both.
+    a saturated complex does not allow; they must return finite floats.  The
+    four sums per L-assignment are one ``_contract`` (planned per operand shapes) of
+    the domain factors with each side's table stacked under a row of ones (the
+    side function left out) on a batch index of its own; the two batch indices
+    take two of the 52 index letters, so at most 50 cells.  The output rows are
+    mass, plus, minus, both.
     Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"split indices must be ints, got {lo!r}, {hi!r}")
+    if not (callable(f_plus) and callable(f_minus)):
+        raise ValueError(f"side functions must be callable, got {f_plus!r}, {f_minus!r}")
     complex_ = measure.complex
     if len(complex_) > 50:
         raise ValueError(f"markov_check contracts at most 50 cells (np.einsum's "
                          f"index limit, less two batch indices), got {len(complex_)}")
     if splits(complex_, lo, hi, measure.region_cells()) is None:
         raise ValueError("the subcomplex does not split the region")
-    plus_positions = list(range(lo, len(complex_)))
-    minus_positions = list(range(hi + 1))
     l_positions = list(range(lo, hi + 1))
     n, c_minus, c_plus = measure.group.order, len(complex_), len(complex_) + 1
 
-    def side_stack(f, positions, c):
+    def side_stack(name, f, positions, c):
         """Rows (1, f) of f's side table on the batch index c."""
         k = len(positions)
-        assignments = map(dict, map(zip, repeat(positions), iter_product(range(n), repeat=k)))
+        assignments = map(_assignment_maker(positions), iter_product(range(n), repeat=k))
         stack = np.ones((2,) + (n,) * k)
         stack[1] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
-        return stack, [c, *positions]
+        if not np.isfinite(stack[1]).all():
+            raise ValueError(f"{name} returned a non-finite value")
+        return stack, (c, *positions)
 
     factors = [word_factor(measure.group, word, q)
                for word, q in zip(measure.words, measure.q_tables)]
-    operands = [*factors, side_stack(f_plus, plus_positions, c_plus),
-                side_stack(f_minus, minus_positions, c_minus)]
-    sums = np.einsum(*(x for a, axes in operands for x in (a, list(axes))),
-                     [c_minus, c_plus, *l_positions], optimize="greedy")
+    operands = [*factors, side_stack("f_plus", f_plus, tuple(range(lo, len(complex_))), c_plus),
+                side_stack("f_minus", f_minus, tuple(range(hi + 1)), c_minus)]
+    sums = _contract(operands, (c_minus, c_plus, *l_positions))
     sums = zip(iter_product(range(n), repeat=len(l_positions)), *sums.reshape(4, -1).tolist())
     table = {}
     max_residual = 0.0
@@ -556,6 +599,7 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
     earlier domains first; a ``domains_pasted`` ordering violating that is
     rejected for non-abelian groups rather than silently reordered.
     """
+    _finite_nonnegative("tol", tol)
     group = density.group
     if domains_pasted is None:
         domains_pasted = tuple(domains_earlier) + tuple(domains_later)
@@ -622,6 +666,7 @@ def measure_series(groupoid, density: SemigroupDensity, order: int) -> FormalSer
 def measure_series_multiplicativity(series: FormalSeries, tol=1e-12):
     """Worst |coefficient(i∘j) - coefficient(i) * coefficient(j)| over all
     composable pairs inside the truncation window."""
+    _finite_nonnegative("tol", tol)
     gpd = series.groupoid
     elems = gpd.elements_up_to(series.order)
     worst = 0.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from lattice_instances import relabel, relabelled_groups
 
 from cobordseries.cells import (
@@ -927,17 +927,20 @@ def test_markov_side_functions_get_fresh_dicts_in_product_order(gname, name, spl
             list(itertools.product(range(n), repeat=len(positions)))
 
 
-def test_markov_check_contracts_once(monkeypatch):
-    """One top-level einsum per check and no separate einsum_path; Z6 and S3
-    checks of the same shapes, run in either order, match the enumeration."""
+def test_markov_check_plans_once_per_signature(monkeypatch):
+    """One greedy path search per operand signature: Z6 and S3 checks of the
+    same shapes, run in either order, share their plans and match the
+    enumeration."""
     from cobordseries import measures as measures_mod
 
-    calls = {"einsum_path": 0, "einsum": 0}
-    for fname in calls:
-        def counting(*args, _fname=fname, _original=getattr(np, fname), **kwargs):
-            calls[_fname] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(measures_mod.np, fname, counting)
+    measures_mod._plan.cache_clear()
+    calls = {"einsum_path": 0}
+
+    def counting(*args, _original=np.einsum_path, **kwargs):
+        calls["einsum_path"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(measures_mod.np, "einsum_path", counting)
     measures = {g: oracle_measure(g, "chain5") for g in ("Z6", "S3")}
     f_plus, f_minus = weighted, lambda vals: 1.0 - 0.05 * max(vals.values())
     splits_ = oracle_splits("chain5")
@@ -946,17 +949,94 @@ def test_markov_check_contracts_once(monkeypatch):
     for order in (("Z6", "S3"), ("S3", "Z6")):
         for gname in order:
             for split in splits_:
-                before = calls["einsum"]
                 table, residual = markov_check(measures[gname], split, split,
                                                f_plus, f_minus)
-                assert calls["einsum"] == before + 1
                 want, want_residual = expected[gname, split]
                 assert list(table) == list(want)
                 for key, pair in want.items():
                     assert abs(table[key][0] - pair[0]) <= 1e-13
                     assert abs(table[key][1] - pair[1]) <= 1e-13
                 assert abs(residual - want_residual) <= 1e-13
-    assert calls == {"einsum_path": 0, "einsum": 4 * len(splits_)}
+    assert calls == {"einsum_path": len(splits_)}
+
+
+@st.composite
+def einsum_problems(draw):
+    """2-7 operands of small shapes over up to 52 index labels, each label
+    with one size, and an output of some of the labels in a drawn order."""
+    labels = draw(st.lists(st.integers(0, 51), min_size=1, max_size=9, unique=True))
+    size = {k: draw(st.integers(1, 3)) for k in labels}
+    operands = [tuple(draw(st.lists(st.sampled_from(labels), max_size=4, unique=True)))
+                for _ in range(draw(st.integers(2, 7)))]
+    used = sorted({k for axes in operands for k in axes})
+    out = tuple(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
+    shapes = [tuple(size[k] for k in axes) for axes in operands]
+    return shapes, operands, out, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100)
+@given(einsum_problems())
+def test_contract_matches_greedy_einsum(problem):
+    """The planned pairwise steps give np.einsum's greedy result (1e-13 relative)."""
+    from cobordseries.measures import _contract
+
+    shapes, axes, out, seed = problem
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(0.5, 1.5, shape) for shape in shapes]
+    want = np.einsum(*(x for a, ax in zip(arrays, axes) for x in (a, list(ax))),
+                     list(out), optimize="greedy")
+    got = _contract(list(zip(arrays, axes)), out)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 51), min_size=1, max_size=5, unique=True)
+       .filter(lambda ps: max(ps) >= 10 and sorted(ps) != list(range(min(ps), max(ps) + 1))),
+       st.integers(1, 3))
+def test_assignment_maker_builds_fresh_zipped_dicts(positions, n):
+    """Each call gives a new dict equal to dict(zip(positions, values)), keys
+    in the positions' order, over itertools.product order."""
+    from cobordseries.measures import _assignment_maker
+
+    make = _assignment_maker(tuple(positions))
+    values = list(itertools.product(range(n), repeat=len(positions)))
+    dicts = list(map(make, values))
+    assert [list(d.items()) for d in dicts] == [list(zip(positions, t)) for t in values]
+    assert len({id(d) for d in dicts}) == len(dicts)
+
+
+@pytest.mark.parametrize("side", ["f_plus", "f_minus"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_markov_rejects_non_finite_side_values(side, bad):
+    """max() drops a nan residual, so a non-finite side value must raise."""
+    measure = chain_measure(4, SemigroupDensity(Z2))
+    sides = {"f_plus": lambda v: 1.0, "f_minus": lambda v: 1.0}
+    sides[side] = lambda v: bad
+    with pytest.raises(ValueError, match=f"{side} returned a non-finite value"):
+        markov_check(measure, 1, 1, **sides)
+
+
+@pytest.mark.parametrize("lo,hi", [(True, True), (1.0, 1), (1, 1.0), (np.int64(1), 1)])
+def test_markov_split_indices_must_be_ints(lo, hi):
+    measure = chain_measure(4, SemigroupDensity(Z2))
+
+    def never(vals):
+        pytest.fail("side function called")
+
+    with pytest.raises(ValueError, match="split indices must be ints"):
+        markov_check(measure, lo, hi, never, never)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1])
+@pytest.mark.parametrize("side", ["f_plus", "f_minus"])
+def test_markov_side_functions_must_be_callable(side, bad):
+    measure = chain_measure(4, SemigroupDensity(Z2))
+    sides = {"f_plus": lambda v: pytest.fail("side function called"),
+             "f_minus": lambda v: pytest.fail("side function called")}
+    sides[side] = bad
+    with pytest.raises(ValueError, match="side functions must be callable"):
+        markov_check(measure, 1, 1, **sides)
 
 
 @pytest.mark.parametrize("gname,name", [case for case in ORACLE_INSTANCES
@@ -1034,3 +1114,25 @@ def test_gibbs_density_beta_must_be_finite_and_non_negative(beta):
     action = GroupFunction(Z3, (0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="finite and >= 0"):
         gibbs_density(c, complex_, beta, action, [plaq])
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -1.0, True, "x", None]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_factorization_check_tolerance_must_be_finite_and_non_negative(tol):
+    chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
+    result = cut(CobordismBox(((0, 2),)), chain, 1)
+    args = (result.k, result.k_prime, chain, [domain_box(((1, 2),))],
+            [domain_box(((0, 1),))], SemigroupDensity(Z3))
+    assert factorization_check(*args, tol=0) == (True, 0.0)
+    with pytest.raises(ValueError, match="tol must be a finite real number >= 0"):
+        factorization_check(*args, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_measure_series_multiplicativity_tolerance_must_be_finite_and_non_negative(tol):
+    series = measure_series(make_interval_groupoid(0, 3), SemigroupDensity(Z3), 3)
+    assert measure_series_multiplicativity(series, tol=1)[0]
+    with pytest.raises(ValueError, match="tol must be a finite real number >= 0"):
+        measure_series_multiplicativity(series, tol=tol)
