@@ -11,10 +11,10 @@ the resulting group element to the heat density at time |A_i| = the cell
 count of the domain; the word is evaluated by ``cells.word_value``.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
-as a numpy tensor.  The Markov property is checked by one contraction of
-these factors with the side tables, each stacked with ones on a batch index
-of its own (so at most 50 cells), leaving the splitting cells open; it runs
-numpy's greedy pairwise path, planned once per operand signature (``_plan``).
+and ``_word_product``, the one product kernel, multiplies words' factors
+into an array over G^K (or over one side of it) in place.  The Markov check
+reduces each side on its own: once L splits the region, every word reads
+one side only, so each conditional sum is a product of two one-sided sums.
 Reordering and pasting only relabel the words (sigma re-sorts each by its
 cells' positions in sigma K; a piece's words keep their order on the pasted
 positions) before the factor products are compared as arrays over G^K.
@@ -34,7 +34,6 @@ import math
 from functools import cache, cached_property
 from itertools import product as iter_product
 from numbers import Real
-from string import ascii_letters
 
 import numpy as np
 
@@ -160,14 +159,16 @@ def word_factor(group: FiniteGroup, word, q):
     return np.asarray(q)[phi], tuple(axes)
 
 
-def _word_product(group: FiniteGroup, size: int, words, q_tables):
-    """Product of the words' factors in word-list order, one axis per
-    position 0..size-1 (length 1 where no word reads the position)."""
-    read = {pos for word in words for pos, _ in word}
-    out = np.ones([group.order if a in read else 1 for a in range(size)])
+def _word_product(group: FiniteGroup, positions: range, words, q_tables, out=None):
+    """Product of the words' factors in word-list order, multiplied into ``out``
+    in place; the trailing axes of ``out`` are the positions, and without
+    ``out`` it starts from ones (length 1 where no word reads the position)."""
+    if out is None:
+        read = {pos for word in words for pos, _ in word}
+        out = np.ones([group.order if a in read else 1 for a in positions])
     for word, q in zip(words, q_tables):
         factor, axes = word_factor(group, word, q)
-        out *= factor.reshape([group.order if a in axes else 1 for a in range(size)])
+        out *= factor.reshape([group.order if a in axes else 1 for a in positions])
     return out
 
 
@@ -190,7 +191,8 @@ class ComplexMeasure:
 
     def density_array(self):
         """density_of on every configuration, one axis per cell, same products."""
-        return _word_product(self.group, len(self.complex), self.words, self.q_tables)
+        return _word_product(self.group, range(len(self.complex)), self.words,
+                             self.q_tables)
 
     def density_of(self, config) -> float:
         """Product over domains of q_{|A_i|}(phi_{A_i}(C)); config is a
@@ -211,6 +213,11 @@ class ComplexMeasure:
     def conditional_mass(self, fixed: dict) -> float:
         """Sum of densities over configurations extending the fixed cell
         values (positions -> elements); the alpha-conditioned kernel."""
+        for pos, val in fixed.items():
+            if type(pos) is not int or not 0 <= pos < len(self.complex):
+                raise ValueError(f"a fixed position is in 0..{len(self.complex) - 1}, got {pos!r}")
+            if type(val) is not int or not 0 <= val < self.group.order:
+                raise ValueError(f"a fixed value is an element of {self.group.name}, got {val!r}")
         return sum(self.density_of(c) for c in self.configurations()
                    if all(c[pos] == val for pos, val in fixed.items()))
 
@@ -230,33 +237,6 @@ def _assignment_maker(positions):
     return eval(f"lambda t: {{{', '.join(f'{p}: t[{i}]' for i, p in enumerate(positions))}}}")
 
 
-@cache
-def _plan(signature, out):
-    """numpy's greedy einsum path for operands of these (shape, axes) onto the output
-    axes, as steps (operand indices, popped in that order; subscripts, axis k being
-    ascii_letters[k]); a step keeps the axes the output or a remaining operand reads."""
-    inputs = ["".join(ascii_letters[k] for k in axes) for _, axes in signature]
-    out = "".join(ascii_letters[k] for k in out)
-    path = np.einsum_path(",".join(inputs) + "->" + out, *(
-        np.broadcast_to(0.0, shape) for shape, _ in signature), optimize="greedy")[0][1:]
-    steps = []
-    for inds in path:
-        inds = tuple(sorted(inds, reverse=True))
-        taken = [inputs.pop(k) for k in inds]
-        inputs.append("".join(sorted(set("".join(taken)) & set(out + "".join(inputs))))
-                      if inputs else out)
-        steps.append((inds, ",".join(taken) + "->" + inputs[-1]))
-    return tuple(steps)
-
-
-def _contract(operands, out):
-    """np.einsum of [(array, axes), ...] onto the output axes (tuples), by the cached plan."""
-    arrays = [a for a, _ in operands]
-    for inds, subscripts in _plan(tuple((a.shape, axes) for a, axes in operands), out):
-        arrays.append(np.einsum(subscripts, *[arrays.pop(k) for k in inds]))
-    return arrays[0]
-
-
 def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     """Both sides of the conditional-independence identity, per conditioning
     value on the splitting subcomplex L = cells[lo:hi+1].
@@ -266,12 +246,13 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     ``itertools.product`` order.  Once ``splits`` succeeds, the side
     functions read the contiguous runs cells[lo:] (plus) and cells[:hi+1]
     (minus): a cell in both closures would share a unit piece with L, which
-    a saturated complex does not allow; they must return finite floats.  The
-    four sums per L-assignment are one ``_contract`` (planned per operand shapes) of
-    the domain factors with each side's table stacked under a row of ones (the
-    side function left out) on a batch index of its own; the two batch indices
-    take two of the 52 index letters, so at most 50 cells.  The output rows are
-    mass, plus, minus, both.
+    a saturated complex does not allow; they must return finite floats.
+    Each domain word goes to the side whose run holds all its positions (the
+    minus side if it reads only L); a word reading both sides raises.  Each
+    side's table under a row of ones, times its words' factors, is summed
+    over the non-L axes to rows M, S; the rows mass, plus, minus, both are
+    M_-M_+, M_-S_+, S_-M_+, S_-S_+.  A side of k cells makes n**k calls, and
+    n**k > 2**24 raises before any call.
     Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
@@ -280,30 +261,39 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     if not (callable(f_plus) and callable(f_minus)):
         raise ValueError(f"side functions must be callable, got {f_plus!r}, {f_minus!r}")
     complex_ = measure.complex
-    if len(complex_) > 50:
-        raise ValueError(f"markov_check contracts at most 50 cells (np.einsum's "
-                         f"index limit, less two batch indices), got {len(complex_)}")
     if splits(complex_, lo, hi, measure.region_cells()) is None:
         raise ValueError("the subcomplex does not split the region")
-    l_positions = list(range(lo, hi + 1))
-    n, c_minus, c_plus = measure.group.order, len(complex_), len(complex_) + 1
+    n = measure.group.order
+    sides = (("f_plus", f_plus, range(lo, len(complex_)), [], []),
+             ("f_minus", f_minus, range(hi + 1), [], []))
+    for word, q in zip(measure.words, measure.q_tables):
+        read = [pos for pos, _ in word]
+        if read and min(read) < lo and max(read) > hi:
+            raise ValueError(f"domain word {word!r} reads both sides of cells[{lo}:{hi + 1}]")
+        _, _, _, words, q_tables = sides[not read or max(read) <= hi]
+        words.append(word)
+        q_tables.append(q)
+    for name, _, positions, _, _ in sides:
+        if n ** len(positions) > 2 ** 24:
+            raise ValueError(f"{name} would be called n**k = {n}**{len(positions)} = "
+                             f"{n ** len(positions)} times, more than 2**24")
 
-    def side_stack(name, f, positions, c):
-        """Rows (1, f) of f's side table on the batch index c."""
+    def side_sums(name, f, positions, words, q_tables):
+        """Rows (1, f) of f's side table times its words' factors, each summed
+        over the side's non-L axes to n**|L| sums in product order."""
         k = len(positions)
         assignments = map(_assignment_maker(positions), iter_product(range(n), repeat=k))
         stack = np.ones((2,) + (n,) * k)
         stack[1] = np.fromiter(map(f, assignments), float, n ** k).reshape((n,) * k)
         if not np.isfinite(stack[1]).all():
             raise ValueError(f"{name} returned a non-finite value")
-        return stack, (c, *positions)
+        _word_product(measure.group, positions, words, q_tables, out=stack)
+        before_l = n ** (lo - positions.start)  # 1 on the plus side
+        return stack.reshape(2, before_l, n ** (hi - lo + 1), -1).sum(axis=(1, 3))
 
-    factors = [word_factor(measure.group, word, q)
-               for word, q in zip(measure.words, measure.q_tables)]
-    operands = [*factors, side_stack("f_plus", f_plus, tuple(range(lo, len(complex_))), c_plus),
-                side_stack("f_minus", f_minus, tuple(range(hi + 1)), c_minus)]
-    sums = _contract(operands, (c_minus, c_plus, *l_positions))
-    sums = zip(iter_product(range(n), repeat=len(l_positions)), *sums.reshape(4, -1).tolist())
+    sums_plus, sums_minus = (side_sums(*side) for side in sides)
+    sums = zip(iter_product(range(n), repeat=hi - lo + 1),
+               *(sums_minus[:, None] * sums_plus).reshape(4, -1).tolist())
     table = {}
     max_residual = 0.0
     for key, mass, plus, minus, both in sums:
@@ -340,7 +330,8 @@ def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
     moved_to = np.argsort(_permutation(perm, measure.complex)).tolist()
     words = [sorted(word, key=lambda e: moved_to[e[0]]) for word in measure.words]
     difference = measure.density_array()
-    difference -= _word_product(measure.group, len(moved_to), words, measure.q_tables)
+    difference -= _word_product(measure.group, range(len(moved_to)), words,
+                                measure.q_tables)
     return float(np.max(np.abs(difference, out=difference)))
 
 
@@ -548,6 +539,8 @@ def paste(k: CellComplex, k_prime: CellComplex, cos=None, cos_prime=None) -> Cel
     the first complex and then of the second, so that re-extracting either
     complex from the result preserves its order.
     """
+    if (cos is None) != (cos_prime is None):
+        raise ValueError("condition B needs both cosurfaces or neither, got one")
     if len(k_prime) == 0:
         return k
     if len(k) == 0:
@@ -565,7 +558,7 @@ def paste(k: CellComplex, k_prime: CellComplex, cos=None, cos_prime=None) -> Cel
         raise ValueError("complexes share no interface covering")
     if [i for i, _ in shared] != sorted(i for i, _ in shared):
         raise ValueError("shared cells occur in different orders")
-    if cos is not None and cos_prime is not None:
+    if cos is not None:
         for i, _ in shared:
             cell = k.cells[i]
             if cos.value(cell) != cos_prime.value(cell):
@@ -583,7 +576,12 @@ def paste(k: CellComplex, k_prime: CellComplex, cos=None, cos_prime=None) -> Cel
 
 
 def extract(k_pasted: CellComplex, original: CellComplex) -> CellComplex:
-    """Subsequence of the pasted complex consisting of the original's cells."""
+    """Subsequence of the pasted complex consisting of the original's cells
+    (each of which must be in the pasted complex)."""
+    pasted = {c.key() for c in k_pasted.cells}
+    for cell in original.cells:
+        if cell.key() not in pasted:
+            raise ValueError(f"{cell!r} is not in the pasted complex")
     keys = {c.key() for c in original.cells}
     return CellComplex([c for c in k_pasted.cells if c.key() in keys])
 
@@ -623,7 +621,8 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
         if None in moved_to:
             raise ValueError(f"{piece.cells[moved_to.index(None)]!r} is not in the pasted complex")
         words = [[(moved_to[pos], exp) for pos, exp in word] for word in measure.words]
-        difference = difference * _word_product(group, len(k_pp), words, measure.q_tables)
+        difference = difference * _word_product(group, range(len(k_pp)), words,
+                                                 measure.q_tables)
     difference -= measure_pp.density_array()
     worst = float(np.max(np.abs(difference, out=difference)))
     return worst <= tol, worst
@@ -639,8 +638,7 @@ def gibbs_density(cosurface, complex_: CellComplex, beta: float,
     a class function (invariant action)."""
     if not is_class_function(action):
         raise ValueError("the action must be a class function")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"coupling constant must be finite and >= 0, got {beta!r}")
+    beta = _finite_nonnegative("coupling constant", beta)
     total = 0.0
     for plaq in plaquettes:
         word = boundary_word(plaq, complex_)

@@ -32,10 +32,11 @@ def relabel(group, perm, name):
 
 
 @st.composite
-def relabelled_groups(draw):
-    """(built-in group, permutation, relabelled copy): the copy keeps the
-    built-in name in half the draws and is called ``other`` otherwise."""
-    group = builtin_group(draw(st.sampled_from(RELABEL_GROUPS)))
+def relabelled_groups(draw, names=RELABEL_GROUPS):
+    """(built-in group, permutation, relabelled copy) for a group drawn from
+    ``names``: the copy keeps the built-in name in half the draws and is
+    called ``other`` otherwise."""
+    group = builtin_group(draw(st.sampled_from(names)))
     perm = (0,) + tuple(draw(st.permutations(range(1, group.order))))
     name = group.name if draw(st.booleans()) else "other"
     return group, perm, relabel(group, perm, name)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from lattice_instances import relabel, relabelled_groups
+from lattice_instances import (
+    facet_complex, guillotine_domains, relabel, relabelled_groups,
+)
 
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
@@ -201,6 +204,17 @@ def test_conditional_mass_equals_brute_filtered_sum():
         measure.density_of(c) for c in measure.configurations())
 
 
+@pytest.mark.parametrize("fixed,match", [
+    ({5: 0}, "fixed position"), ({-1: 0}, "fixed position"), ({True: 0}, "fixed position"),
+    ({1.0: 0}, "fixed position"), ({0: 7}, "fixed value"), ({0: -1}, "fixed value"),
+    ({0: True}, "fixed value"), ({0: 1.0}, "fixed value")])
+def test_conditional_mass_rejects_positions_and_values_outside_range(fixed, match):
+    measure = chain_measure(3, SemigroupDensity(S3))
+    assert measure.conditional_mass({2: 5}) > 0.0
+    with pytest.raises(ValueError, match=match):
+        measure.conditional_mass(fixed)
+
+
 def test_density_of_rejects_malformed_configurations():
     measure = ComplexMeasure(plaquette_setup(Z3)[1],
                              [domain_box(((0, 1), (0, 1)))], SemigroupDensity(Z3))
@@ -294,9 +308,19 @@ def test_markov_requires_splitting():
 
 
 def test_markov_rejects_more_cells_than_einsum_indices():
+    """A side of k cells would make n**k side-function calls; past 2**24 the
+    check raises, naming the side and n**k, before calling either side."""
     measure = chain_measure(51, SemigroupDensity(Z2))
-    with pytest.raises(ValueError, match="at most 50 cells"):
-        markov_check(measure, 26, 26, lambda v: 1.0, lambda v: 1.0)
+    calls = []
+
+    def counted(vals):
+        calls.append(vals)
+        return 1.0
+
+    with pytest.raises(ValueError, match=r"f_plus would be called n\*\*k = 2\*\*25 = "
+                                         r"33554432 times, more than 2\*\*24"):
+        markov_check(measure, 26, 26, counted, counted)
+    assert calls == []
 
 
 def inside_closure_oracle(cell, component):
@@ -626,6 +650,18 @@ def test_paste_condition_b_violation():
         paste(k, kp, cos, cos_p)
 
 
+@pytest.mark.parametrize("which", ["cos", "cos_prime"])
+def test_paste_needs_both_cosurfaces_or_neither(which):
+    a, s1, b = point_cell((0,)), point_cell((1,)), point_cell((2,))
+    k = CellComplex([a, s1, b])
+    kp = CellComplex([point_cell((3,)), s1, point_cell((4,))])
+    given_ = {"cos": Cosurface(Z2, [(a, 0), (s1, 1), (b, 0)]),
+              "cos_prime": Cosurface(Z2, [(point_cell((3,)), 0), (s1, 0),
+                                          (point_cell((4,)), 1)])}
+    with pytest.raises(ValueError, match="both cosurfaces or neither"):
+        paste(k, kp, **{which: given_[which]})
+
+
 def test_paste_neutral_piece():
     chain = CellComplex([point_cell((0,)), point_cell((1,))])
     assert paste(chain, CellComplex([])) == chain
@@ -764,6 +800,14 @@ def test_extract_preserves_original_orders():
     assert extract(pasted, kp) == kp
 
 
+def test_extract_rejects_an_original_cell_missing_from_the_pasted_complex():
+    from cobordseries.measures import extract
+
+    a, s, b = point_cell((0,)), point_cell((1,)), point_cell((2,))
+    with pytest.raises(ValueError, match=re.escape(f"{b!r} is not in the pasted complex")):
+        extract(CellComplex([a, s]), CellComplex([b]))
+
+
 def test_gibbs_density_nonzero_action():
     cells = [edge_cell((0, 0), 0), edge_cell((1, 0), 1),
              edge_cell((0, 1), 0), edge_cell((0, 0), 1)]
@@ -778,6 +822,15 @@ def test_gibbs_density_nonzero_action():
     assert abs(gibbs_density(c, complex_, beta, action, [plaq]) - expected) < 1e-14
     with pytest.raises(ValueError):
         gibbs_density(c, complex_, -1.0, action, [plaq])
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, True, False, "x", None, 1j])
+def test_gibbs_density_beta_must_be_finite_and_non_negative(beta):
+    cells, complex_, plaq = plaquette_setup(Z3)
+    c = Cosurface(Z3, [(e, 1) for e in cells])
+    action = GroupFunction(Z3, (0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="coupling constant must be a finite real number >= 0"):
+        gibbs_density(c, complex_, beta, action, [plaq])
 
 
 def test_file_loaded_group_runs_the_measure_pipeline(tmp_path):
@@ -899,6 +952,99 @@ def test_markov_contraction_matches_enumeration(gname, name):
             assert abs(residual - expected_residual) <= 1e-13
 
 
+CONFIG_BUDGET = 4096
+BOX_EXTENTS = ([(m,) for m in range(1, 12)] + [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+               + [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)])
+
+
+def finest_cell_count(extents):
+    """Unit facets of the unit grid in a box of these extents: the largest
+    facet complex of any guillotine subdivision of the box."""
+    return sum((e + 1) * math.prod(extents[:a] + extents[a + 1:])
+               for a, e in enumerate(extents))
+
+
+@st.composite
+def markov_instances(draw):
+    """(relabelled group, guillotine domains, facet complex) with at most
+    CONFIG_BUDGET configurations; relabelled S3 in about half the draws."""
+    _, _, group = draw(st.one_of(relabelled_groups(), relabelled_groups(("S3",))))
+    extents = draw(st.sampled_from([e for e in BOX_EXTENTS if group.order
+                                    ** finest_cell_count(e) <= CONFIG_BUDGET]))
+    domains = draw(guillotine_domains(tuple((0, e) for e in extents)))
+    return group, domains, draw(facet_complex(domains))
+
+
+def enumerated_markov(densities, sides, lo, hi, f_plus, f_minus):
+    """The conditional sums in one pass over the (configuration, density_of)
+    pairs; ``sides`` are the plus and minus side positions."""
+    sums = {}
+    for config, w in densities:
+        fp = f_plus({i: config[i] for i in sides[0]})
+        fm = f_minus({i: config[i] for i in sides[1]})
+        acc = sums.setdefault(config[lo:hi + 1], [0.0, 0.0, 0.0, 0.0])
+        acc[0] += w
+        acc[1] += w * fp * fm
+        acc[2] += w * fp
+        acc[3] += w * fm
+    table, residual = {}, 0.0
+    for key, (mass, both, fp, fm) in sums.items():
+        table[key] = None if mass == 0.0 else (both / mass, (fp / mass) * (fm / mass))
+        if table[key] is not None:
+            residual = max(residual, abs(table[key][0] - table[key][1]))
+    return table, residual
+
+
+def test_markov_check_matches_enumeration_on_generated_instances():
+    """On guillotine facet complexes over relabelled groups, at every lo..hi
+    where splits succeeds, markov_check is within 1e-13 of one enumeration
+    pass over density_of."""
+    checked = {}
+    f_minus = lambda vals: 1.0 - 0.05 * max(vals.values())  # noqa: E731
+
+    @given(markov_instances())
+    def check(instance):
+        group, domains, complex_ = instance
+        measure = ComplexMeasure(complex_, domains, SemigroupDensity(group))
+        densities = [(c, measure.density_of(c)) for c in measure.configurations()]
+        region, size = measure.region_cells(), len(complex_)
+        for lo in range(size):
+            for hi in range(lo, size):
+                split = splits(complex_, lo, hi, region)
+                if split is None:
+                    continue
+                sides = [[i for i, cell in enumerate(complex_.cells)
+                          if lo <= i <= hi or inside_closure_oracle(cell, comp)]
+                         for comp in split[:2]]
+                table, residual = markov_check(measure, lo, hi, weighted, f_minus)
+                want, want_residual = enumerated_markov(densities, sides, lo, hi,
+                                                        weighted, f_minus)
+                assert list(table) == list(want)
+                for key, pair in want.items():
+                    if pair is None:
+                        assert table[key] is None
+                    else:
+                        assert abs(table[key][0] - pair[0]) <= 1e-13
+                        assert abs(table[key][1] - pair[1]) <= 1e-13
+                assert abs(residual - want_residual) <= 1e-13
+                kind = "S3" if not group.is_abelian and group.order == 6 else "other"
+                checked[kind] = checked.get(kind, 0) + 1
+
+    check()
+    assert checked.get("S3") and checked.get("other"), checked
+
+
+def test_markov_rejects_a_word_reading_both_sides_before_any_side_call():
+    measure = chain_measure(4, SemigroupDensity(Z2))
+    measure.words = measure.words[:2] + (((0, -1), (3, 1)),)
+
+    def never(vals):
+        pytest.fail("side function called")
+
+    with pytest.raises(ValueError, match=r"reads both sides of cells\[1:2\]"):
+        markov_check(measure, 1, 1, never, never)
+
+
 @pytest.mark.parametrize("gname,name,split", [("S3", "strip", 3), ("Q8", "chain4", 1)])
 def test_markov_side_functions_get_fresh_dicts_in_product_order(gname, name, split):
     """Each side function call gets its own dict, keyed by exactly the side's
@@ -928,19 +1074,20 @@ def test_markov_side_functions_get_fresh_dicts_in_product_order(gname, name, spl
 
 
 def test_markov_check_plans_once_per_signature(monkeypatch):
-    """One greedy path search per operand signature: Z6 and S3 checks of the
-    same shapes, run in either order, share their plans and match the
-    enumeration."""
+    """No einsum and no path search: Z6 and S3 checks of the same shapes,
+    run in either order, match the enumeration."""
     from cobordseries import measures as measures_mod
 
-    measures_mod._plan.cache_clear()
-    calls = {"einsum_path": 0}
+    calls = {"einsum": 0, "einsum_path": 0}
 
-    def counting(*args, _original=np.einsum_path, **kwargs):
-        calls["einsum_path"] += 1
-        return _original(*args, **kwargs)
+    def counting(name, original):
+        def f(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return f
 
-    monkeypatch.setattr(measures_mod.np, "einsum_path", counting)
+    for name in calls:
+        monkeypatch.setattr(measures_mod.np, name, counting(name, getattr(np, name)))
     measures = {g: oracle_measure(g, "chain5") for g in ("Z6", "S3")}
     f_plus, f_minus = weighted, lambda vals: 1.0 - 0.05 * max(vals.values())
     splits_ = oracle_splits("chain5")
@@ -957,37 +1104,7 @@ def test_markov_check_plans_once_per_signature(monkeypatch):
                     assert abs(table[key][0] - pair[0]) <= 1e-13
                     assert abs(table[key][1] - pair[1]) <= 1e-13
                 assert abs(residual - want_residual) <= 1e-13
-    assert calls == {"einsum_path": len(splits_)}
-
-
-@st.composite
-def einsum_problems(draw):
-    """2-7 operands of small shapes over up to 52 index labels, each label
-    with one size, and an output of some of the labels in a drawn order."""
-    labels = draw(st.lists(st.integers(0, 51), min_size=1, max_size=9, unique=True))
-    size = {k: draw(st.integers(1, 3)) for k in labels}
-    operands = [tuple(draw(st.lists(st.sampled_from(labels), max_size=4, unique=True)))
-                for _ in range(draw(st.integers(2, 7)))]
-    used = sorted({k for axes in operands for k in axes})
-    out = tuple(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
-    shapes = [tuple(size[k] for k in axes) for axes in operands]
-    return shapes, operands, out, draw(st.integers(0, 2 ** 32 - 1))
-
-
-@settings(max_examples=100)
-@given(einsum_problems())
-def test_contract_matches_greedy_einsum(problem):
-    """The planned pairwise steps give np.einsum's greedy result (1e-13 relative)."""
-    from cobordseries.measures import _contract
-
-    shapes, axes, out, seed = problem
-    rng = np.random.default_rng(seed)
-    arrays = [rng.uniform(0.5, 1.5, shape) for shape in shapes]
-    want = np.einsum(*(x for a, ax in zip(arrays, axes) for x in (a, list(ax))),
-                     list(out), optimize="greedy")
-    got = _contract(list(zip(arrays, axes)), out)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert calls == {"einsum": 0, "einsum_path": 0}
 
 
 @settings(max_examples=100)
@@ -1105,15 +1222,6 @@ def test_cut_interface_must_be_an_int_inside_the_span(interface):
     chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
     with pytest.raises(ValueError, match="interface"):
         cut(CobordismBox(((0, 2),)), chain, interface)
-
-
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
-def test_gibbs_density_beta_must_be_finite_and_non_negative(beta):
-    cells, complex_, plaq = plaquette_setup(Z3)
-    c = Cosurface(Z3, [(e, 1) for e in cells])
-    action = GroupFunction(Z3, (0.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        gibbs_density(c, complex_, beta, action, [plaq])
 
 
 BAD_TOLERANCES = [math.nan, math.inf, -1.0, True, "x", None]

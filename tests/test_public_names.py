@@ -12,6 +12,11 @@ member, so a local variable of the same name does not hide an orphan; the
 same attribute name on two classes still does.  The only names allowed
 without a caller are those in ``KEEP`` (members as ``Class.member``), each
 mapped to the test that checks a paper claim through it.
+
+A private top-level def or class must be used by another top-level
+statement of the package, and a use counts only from a statement that is
+not itself an orphan, so a helper that only a dead helper calls is flagged
+too.  Tests and ``perfbench/`` do not count for private names.
 """
 
 import ast
@@ -83,6 +88,26 @@ def orphans(package_sources: dict, other_sources=()) -> list:
     return sorted(found)
 
 
+def private_orphans(package_sources: dict) -> list:
+    """Private top-level defs and classes of the package modules (name ->
+    source text) that no live top-level statement of the package uses, as
+    sorted (module, name) pairs; orphans are removed until none is left."""
+    statements = [(module, stmt, references(stmt))
+                  for module, text in package_sources.items() if module != "__init__"
+                  for stmt in ast.parse(text).body]
+    private = [(module, stmt) for module, stmt, _ in statements
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and stmt.name.startswith("_")]
+    dead = set()
+    while True:
+        newly = {stmt for _, stmt in private if stmt not in dead and not any(
+            stmt.name in used for _, other, used in statements
+            if other is not stmt and other not in dead)}
+        if not newly:
+            return sorted((module, stmt.name) for module, stmt in private if stmt in dead)
+        dead |= newly
+
+
 def member_orphans(package_sources: dict, other_sources=()) -> list:
     """Public methods and properties of the package's public classes that
     nothing uses outside their own def, as sorted (module, "Class.member")
@@ -123,6 +148,27 @@ def test_keep_lists_only_uncalled_names_with_their_claim_tests():
         body = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == test)
         assert name.split(".")[-1] in references(body), f"{test_id} does not use {name}"
+
+
+def test_every_private_def_has_a_caller_in_the_package():
+    package = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert private_orphans(package) == [], "private defs nothing in the package calls"
+
+
+def test_scanner_flags_an_orphan_private_def():
+    package = {
+        "__init__": "from .core import _exported\n",
+        "core": ("def _used():\n    return 1\n\n"
+                 "def _exported():\n    return 2\n\n"
+                 "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+                 "def _leaf():\n    return 3\n\n"
+                 "def _dead():\n    return _leaf()\n\n"
+                 "class _Shape:\n    pass\n\n"
+                 "def area():\n    return _used() + _Shape.__name__.count('_')\n"),
+        "cli": "from .core import _used\n\nVALUE = _used()\n",
+    }
+    assert private_orphans(package) == [("core", "_dead"), ("core", "_exported"),
+                                        ("core", "_leaf"), ("core", "_recursive")]
 
 
 def test_scanner_flags_an_orphan_def():
