@@ -85,10 +85,6 @@ class RationalMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, n: int) -> "RationalMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
         """Matrix with a single nonzero entry at (i, j)."""
         return cls(tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(n))

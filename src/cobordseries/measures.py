@@ -2,7 +2,11 @@
 
 The heat density q_t = exp(t L) delta_e steps over a generator set read off
 the group's structure (``default_generators``), never its name, so a
-relabelled Cayley table gets the relabelled kernel.
+relabelled Cayley table gets the relabelled kernel.  It is evaluated in
+spectral form, with no matrix exponential: ``heat_spectrum`` builds, once
+per Cayley table, the integer roots mu of the minimal polynomial of
+M = |S| L on delta_e and the exact rational class functions pi_mu, and
+q_t = delta_e + sum_{mu < 0} pi_mu expm1(mu t / |S|).
 The density of a configuration C on a saturated complex K with domains
 (A_1, ..., A_k) is the product over domains of q_{|A_i|} evaluated on the
 ordered boundary product phi_{A_i}(C): each domain reads its boundary word
@@ -31,6 +35,7 @@ with ``region_components`` (a piece's cells follow fragment order).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product as iter_product
 from numbers import Real
@@ -61,6 +66,95 @@ def default_generators(group: FiniteGroup):
     return tuple(g for g in group.elements() if g != e)
 
 
+def _scaled_generator(group: FiniteGroup):
+    """(|S|, M): M = |S| L as integer rows, M[x][y] = #{g in S : x g = y} - |S| [x = y],
+    for the set S of ``default_generators``."""
+    s = default_generators(group)
+    if not s:
+        raise ValueError(f"the trivial group {group.name} has no heat generators")
+    rows = [[0] * group.order for _ in group.elements()]
+    for x in group.elements():
+        rows[x][x] -= len(s)
+        for g in s:
+            rows[x][group.mul(x, g)] += 1
+    return len(s), rows
+
+
+def _integer_roots(poly, bound):
+    """The roots of the monic integer polynomial ``poly`` (coefficients from
+    the constant term up), each simple and in [-bound, 0], from 0 down.
+
+    A rational root of a monic integer polynomial is an integer dividing its
+    constant term (the rational root test); each root found is divided out
+    by synthetic division.  Any other root raises ValueError.
+    """
+    poly, roots = list(poly), []
+    for mu in range(0, -bound - 1, -1):
+        if len(poly) > 1 and (mu == 0 or poly[0] % mu == 0):
+            quotient, carry = [], 0
+            for c in reversed(poly):
+                carry = c + mu * carry
+                quotient.append(carry)
+            if quotient.pop() == 0:
+                roots.append(mu)
+                poly = quotient[::-1]
+    if len(poly) > 1:
+        raise ValueError(f"a root of {poly} (coefficients from the constant term up) "
+                         f"is not a simple integer in [{-bound}, 0]")
+    return roots
+
+
+@cache
+def heat_spectrum(group: FiniteGroup):
+    """(|S|, ((mu, pi_mu), ...)): q_t = sum_mu exp(mu t / |S|) pi_mu exactly,
+    mu = 0 first, each pi_mu a tuple of Fractions; cached per Cayley table.
+
+    The Krylov vectors delta_e, M delta_e, ... of M = ``_scaled_generator``
+    become dependent after k steps; the dependency is the minimal polynomial
+    of M on delta_e, monic over the integers (Gauss's lemma), whose roots
+    ``_integer_roots`` finds in [-2|S|, 0] (Gershgorin).  Any other root
+    raises ValueError, which ``default_generators`` never causes: for
+    S = G minus e, M = J - |G| I (J all ones) has the eigenvalues 0 and -|G|,
+    and S3's transposition walk has 0, -3 and -6.  Each pi_mu = l_mu(M)
+    delta_e, for the Lagrange basis polynomial l_mu, sums Krylov vectors.
+    """
+    size, m = _scaled_generator(group)
+    vectors, basis = [delta(group).values], []
+    while True:  # eliminate each new Krylov vector against the earlier ones
+        k = len(vectors) - 1
+        row, comb = list(vectors[k]), [int(i == k) for i in range(group.order + 1)]
+        for pivot, b_row, b_comb in basis:
+            a, b = b_row[pivot], row[pivot]
+            row = [a * x - b * y for x, y in zip(row, b_row)]
+            comb = [a * x - b * y for x, y in zip(comb, b_comb)]
+        if not any(row):
+            break
+        g = math.gcd(*row, *comb)
+        basis.append((next(i for i, x in enumerate(row) if x),
+                      [x // g for x in row], [x // g for x in comb]))
+        vectors.append([sum(a * b for a, b in zip(m_row, vectors[k])) for m_row in m])
+    roots = _integer_roots([c // comb[k] for c in comb[:k + 1]], 2 * size)
+    spectrum = []
+    for mu in roots:  # pi_mu = l_mu(M) delta_e, summed over the Krylov vectors
+        poly, den = [1], 1
+        for nu in roots:
+            if nu != mu:
+                poly = [a - nu * b for a, b in zip([0] + poly, poly + [0])]
+                den *= mu - nu
+        spectrum.append((mu, tuple(Fraction(sum(c * v[x] for c, v in zip(poly, vectors)), den)
+                                   for x in group.elements())))
+    return size, tuple(spectrum)
+
+
+@cache
+def _heat_terms(group: FiniteGroup):
+    """The float form of ``heat_spectrum``: (delta_e, ((lambda, pi_lambda), ...)
+    over lambda = mu / |S| < 0)."""
+    size, spectrum = heat_spectrum(group)
+    return (tuple(float(x) for x in delta(group).values),
+            tuple((mu / size, tuple(map(float, pi))) for mu, pi in spectrum if mu))
+
+
 class SemigroupDensity:
     """Heat family q_t = exp(t L) delta_e on a finite group.
 
@@ -68,29 +162,26 @@ class SemigroupDensity:
     ``default_generators``: (L f)(x) = (1/|S|) sum_{s in S} f(x s) - f(x).
     Densities are probability mass functions, so q_0 is the indicator of
     the identity and q_t * q_s = q_{t+s} under (counting) convolution.
+    Each q_t is evaluated from the group's cached exact spectrum
+    (``heat_spectrum``) as q_t = delta_e + sum_{lambda < 0} pi_lambda
+    expm1(lambda t): a few float multiply-adds per element, and exactly
+    delta_e at t = 0.
     """
 
     def __init__(self, group: FiniteGroup):
-        s = default_generators(group)
-        if not s:
-            raise ValueError(f"the trivial group {group.name} has no heat generators")
         self.group = group
-        n = group.order
-        gen = np.zeros((n, n))
-        for x in group.elements():
-            gen[x, x] -= 1.0
-            for g in s:
-                gen[x, group.mul(x, g)] += 1.0 / len(s)
-        self._generator_matrix = gen
+        self._unit, self._terms = _heat_terms(group)
         self._cache: dict[float, GroupFunction] = {}
 
     def q(self, t) -> GroupFunction:
         """Density at time t >= 0 (a probability mass function)."""
         t = _finite_nonnegative("time", t)
         if t not in self._cache:
-            from scipy.linalg import expm  # loaded only where a density is evaluated
-            col = expm(t * self._generator_matrix)[:, self.group.identity]
-            self._cache[t] = GroupFunction(self.group, tuple(float(v) for v in col))
+            values = self._unit
+            for rate, pi in self._terms:
+                growth = math.expm1(rate * t)
+                values = [v + p * growth for v, p in zip(values, pi)]
+            self._cache[t] = GroupFunction(self.group, values)
         return self._cache[t]
 
 
@@ -147,10 +238,19 @@ def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
 # the configuration measure
 # ---------------------------------------------------------------------------
 
+@cache
+def _group_arrays(group: FiniteGroup):
+    """The Cayley and inverse tables as read-only arrays, once per Cayley table."""
+    arrays = np.array(group.table), np.array(group.inv_table)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def word_factor(group: FiniteGroup, word, q):
     """(q[phi], axes): phi = ``word_value`` of the word (same products, same order) on
     every assignment of its distinct positions ``axes`` (sorted), one axis each."""
-    table, inverse, n = np.asarray(group.table), np.asarray(group.inv_table), group.order
+    (table, inverse), n = _group_arrays(group), group.order
     axes = sorted({pos for pos, _ in word})
     phi = np.asarray(group.identity)
     for pos, exp in word:
@@ -577,11 +677,15 @@ def paste(k: CellComplex, k_prime: CellComplex, cos=None, cos_prime=None) -> Cel
 
 def extract(k_pasted: CellComplex, original: CellComplex) -> CellComplex:
     """Subsequence of the pasted complex consisting of the original's cells
-    (each of which must be in the pasted complex)."""
-    pasted = {c.key() for c in k_pasted.cells}
+    (each of which must be in the pasted complex, with the same orientation
+    and labels)."""
+    pasted = {c.key(): c for c in k_pasted.cells}
     for cell in original.cells:
         if cell.key() not in pasted:
             raise ValueError(f"{cell!r} is not in the pasted complex")
+        if pasted[cell.key()] != cell:
+            raise ValueError(f"{cell!r} differs in orientation or labels from "
+                             f"{pasted[cell.key()]!r} in the pasted complex")
     keys = {c.key() for c in original.cells}
     return CellComplex([c for c in k_pasted.cells if c.key() in keys])
 

@@ -148,7 +148,7 @@ def test_matches_fraction_rows_oracle(pair, k, power):
     assert_same(k * a, oa * k)
     assert_same(a ** power, oa ** power)
     assert (a == b) == (oa == ob)
-    assert a - a == RationalMatrix.zeros(a.n)
+    assert a - a == a * 0
     try:
         expected = oa.inverse()
     except ValueError:

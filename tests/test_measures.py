@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +19,21 @@ from cobordseries.cells import (
     domain_box, edge_cell, point_cell, splits,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
-from cobordseries.groups import builtin_group, cyclic, delta, is_class_function
+from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
 from cobordseries.groups import GroupFunction
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
-    cut, default_generators, factorization_check, gibbs_density, is_adapted,
-    is_complex_for_cobordism, markov_check, measure_series,
+    cut, default_generators, factorization_check, gibbs_density, heat_spectrum,
+    is_adapted, is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
-    semigroup_axiom_residuals, sigma_action,
+    semigroup_axiom_residuals, sigma_action, _group_arrays, _integer_roots,
+    _scaled_generator,
 )
 
 Z2 = builtin_group("Z2")
 Z3 = builtin_group("Z3")
 S3 = builtin_group("S3")
+BUILTIN = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12", "S3", "Q8")
 
 
 def chain_measure(length, density):
@@ -82,8 +85,7 @@ def test_heat_density_is_class_function():
             assert len(vals) == 1
 
 
-@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8",
-                                  "Z9", "Z10", "Z11", "Z12", "S3", "Q8"])
+@pytest.mark.parametrize("name", BUILTIN)
 def test_semigroup_axioms(name):
     group = builtin_group(name)
     res = semigroup_axiom_residuals(SemigroupDensity(group),
@@ -235,11 +237,105 @@ def test_heat_tables_are_computed_on_first_use():
 
 def test_import_leaves_scipy_linalg_unloaded():
     code = ("import sys, cobordseries\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
-            "cobordseries.measures.SemigroupDensity(cobordseries.groups.cyclic(2)).q(1)\n"
-            "assert 'scipy.linalg' in sys.modules\n")
+            "for name in ('Z2', 'S3'):\n"
+            "    density = cobordseries.measures.SemigroupDensity(\n"
+            "        cobordseries.groups.builtin_group(name))\n"
+            "    density.q(0), density.q(1), density.q(2.5)\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# -- the spectral form: an expm oracle and an exact certificate -----------------
+
+def generator_matrix(group):
+    """L as a float matrix, L[x, x g] += 1/|S| and L[x, x] -= 1, for the
+    oracle q_t = expm(t L)[:, e]."""
+    s = default_generators(group)
+    gen = np.zeros((group.order, group.order))
+    for x in group.elements():
+        gen[x, x] -= 1.0
+        for g in s:
+            gen[x, group.mul(x, g)] += 1.0 / len(s)
+    return gen
+
+
+heat_groups = st.one_of(st.sampled_from(BUILTIN).map(builtin_group),
+                        relabelled_groups().map(lambda drawn: drawn[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(heat_groups, st.floats(0, 50))
+def test_heat_density_matches_the_expm_oracle(group, t):
+    from scipy.linalg import expm
+
+    density = SemigroupDensity(group)
+    oracle = expm(t * generator_matrix(group))[:, group.identity]
+    assert max(abs(a - b) for a, b in zip(density.q(t).values, oracle)) <= 1e-14
+    assert density.q(0).values == tuple(1.0 if x == group.identity else 0.0
+                                        for x in group.elements())
+
+
+def assert_heat_certificate(group):
+    """The exact laws that make q_t = sum_mu exp(mu t / |S|) pi_mu a
+    convolution semigroup of central probability densities for all t, s."""
+    size, m = _scaled_generator(group)
+    assert size == len(default_generators(group))
+    assert all(m[x][y] >= 0 for x in group.elements() for y in group.elements() if x != y)
+    assert all(sum(row) == 0 for row in m)
+    assert heat_spectrum(group)[0] == size
+    pis = {mu: GroupFunction(group, pi) for mu, pi in heat_spectrum(group)[1]}
+    zero = GroupFunction(group, (0,) * group.order)
+    assert 0 in pis and all(-2 * size <= mu <= 0 for mu in pis)
+    for mu, pi in pis.items():
+        assert all(type(v) is Fraction for v in pi.values)
+        assert is_class_function(pi)
+        assert sum(pi.values) == (1 if mu == 0 else 0)
+        assert [sum(a * v for a, v in zip(row, pi.values)) for row in m] == \
+            [mu * v for v in pi.values]
+        for nu, other in pis.items():
+            assert convolve(pi, other) == (pi if nu == mu else zero)
+    assert sum(pis.values(), zero) == delta(group)
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_heat_spectrum_certificate(name):
+    assert_heat_certificate(builtin_group(name))
+
+
+@given(relabelled_groups())
+def test_heat_spectrum_certificate_on_relabelled_groups(drawn):
+    assert_heat_certificate(drawn[2])
+
+
+def test_heat_spectrum_is_cached_per_cayley_table():
+    relabelled = relabel(S3, tuple(range(6)), "other")
+    assert relabelled is not S3 and relabelled == S3
+    assert heat_spectrum(relabelled) is heat_spectrum(S3)
+    assert [mu for mu, _ in heat_spectrum(S3)[1]] == [0, -3, -6]
+
+
+def test_word_factor_reads_shared_read_only_group_tables():
+    arrays = _group_arrays(S3)
+    assert _group_arrays(relabel(S3, tuple(range(6)), "other")) is arrays
+    table, inverse = arrays
+    assert table.tolist() == [list(row) for row in S3.table]
+    assert inverse.tolist() == list(S3.inv_table)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        inverse[0] = 1
+
+
+def test_integer_roots_refuses_an_irrational_or_repeated_root():
+    assert _integer_roots([0, 18, 9, 1], 6) == [0, -3, -6]  # x (x + 3) (x + 6)
+    with pytest.raises(ValueError, match="not a simple integer"):
+        _integer_roots([-2, 0, 1], 6)  # x^2 - 2
+    with pytest.raises(ValueError, match="not a simple integer"):
+        _integer_roots([0, 1, 2, 1], 6)  # x (x + 1)^2
+    with pytest.raises(ValueError, match="not a simple integer"):
+        _integer_roots([0, 7, 1], 6)  # x (x + 7): a root below -6
 
 
 def test_mu_requires_saturation():
@@ -806,6 +902,15 @@ def test_extract_rejects_an_original_cell_missing_from_the_pasted_complex():
     a, s, b = point_cell((0,)), point_cell((1,)), point_cell((2,))
     with pytest.raises(ValueError, match=re.escape(f"{b!r} is not in the pasted complex")):
         extract(CellComplex([a, s]), CellComplex([b]))
+
+
+def test_extract_rejects_an_original_cell_oriented_otherwise():
+    from cobordseries.measures import extract
+
+    a, s, b = point_cell((0,)), point_cell((1,)), point_cell((2,))
+    assert extract(CellComplex([a, s, b]), CellComplex([a, s])) == CellComplex([a, s])
+    with pytest.raises(ValueError, match=re.escape(f"{a.reverse()!r} differs in orientation")):
+        extract(CellComplex([a, s, b]), CellComplex([a.reverse(), s]))
 
 
 def test_gibbs_density_nonzero_action():

@@ -286,7 +286,7 @@ def test_semidirect_rejects_singular():
     nat = make_nat_monoid()
     unit = RationalMatrix.identity(2)
     with pytest.raises(ValueError):
-        SemidirectElement(RationalMatrix.zeros(2),
+        SemidirectElement(unit * 0,
                           FormalSeries.zero(nat, 2, unit))
 
 
