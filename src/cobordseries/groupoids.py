@@ -47,6 +47,13 @@ class _Neutral:
 NEUTRAL = _Neutral()
 
 
+def _grade_bound(max_grade) -> int:
+    """max_grade, if it is an int (not a bool) >= 0."""
+    if type(max_grade) is not int or max_grade < 0:
+        raise ValueError(f"grade bound must be an int >= 0, not {max_grade!r}")
+    return max_grade
+
+
 class GradedGroupoid:
     """Base interface; instances are immutable and safe to share."""
 
@@ -74,7 +81,8 @@ class GradedGroupoid:
         raise NotImplementedError
 
     def elements_up_to(self, max_grade: int):
-        """All elements of grade <= max_grade, neutral first, grade-sorted."""
+        """All elements of grade <= max_grade, neutral first, grade-sorted;
+        max_grade must be an int (not a bool) >= 0."""
         raise NotImplementedError
 
     def decompositions(self, k):
@@ -111,7 +119,7 @@ class NatMonoid(GradedGroupoid):
         return i + j
 
     def elements_up_to(self, max_grade):
-        return list(range(max_grade + 1))
+        return list(range(_grade_bound(max_grade) + 1))
 
     def decompositions(self, k):
         self._require(k)
@@ -174,7 +182,7 @@ class IntervalGroupoid(GradedGroupoid):
 
     def elements_up_to(self, max_grade):
         a, b = self.window
-        out = [NEUTRAL]
+        max_grade, out = _grade_bound(max_grade), [NEUTRAL]
         for lo in range(a, b):
             for hi in range(lo + 1, min(b, lo + max_grade) + 1):
                 out.append((lo, hi))
@@ -270,7 +278,7 @@ class BoxGroupoid(GradedGroupoid):
         return tuple(merged)
 
     def elements_up_to(self, max_grade):
-        out = [NEUTRAL]
+        max_grade, out = _grade_bound(max_grade), [NEUTRAL]
         ranges = [[(lo2, hi2) for lo2 in range(lo, hi) for hi2 in range(lo2 + 1, hi + 1)]
                   for lo, hi in self.window]
         for combo in iter_product(*ranges):

@@ -38,6 +38,21 @@ def _entry(x) -> Fraction:
                      f"not {x!r}")
 
 
+def _check_size(n):
+    """n, if it is an int (not a bool) >= 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"matrix size must be an int >= 1, not {n!r}")
+    return n
+
+
+def _check_index(n, ij):
+    """ij, if it is a pair of ints (not bools) in 0..n-1."""
+    i, j = ij
+    if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+        raise ValueError(f"matrix index must be a pair of ints in 0..{n - 1}, not {ij!r}")
+    return ij
+
+
 class RationalMatrix:
     """Immutable n x n matrix over the rationals.
 
@@ -82,11 +97,13 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
+        _check_size(n)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
         """Matrix with a single nonzero entry at (i, j)."""
+        _check_index(_check_size(n), (i, j))
         return cls(tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(n))
                          for r in range(n)))
 
@@ -101,11 +118,8 @@ class RationalMatrix:
         return iter(self.rows)
 
     def __getitem__(self, ij):
-        i, j = ij
-        n = self.n
-        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-            raise ValueError(f"matrix index must be a pair of ints in 0..{n - 1}, not {ij!r}")
-        return Fraction(self.num[i * n + j], self.den)
+        i, j = _check_index(self.n, ij)
+        return Fraction(self.num[i * self.n + j], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

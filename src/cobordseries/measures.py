@@ -3,10 +3,13 @@
 The heat density q_t = exp(t L) delta_e steps over a generator set read off
 the group's structure (``default_generators``), never its name, so a
 relabelled Cayley table gets the relabelled kernel.  It is evaluated in
-spectral form, with no matrix exponential: ``heat_spectrum`` builds, once
-per Cayley table, the integer roots mu of the minimal polynomial of
-M = |S| L on delta_e and the exact rational class functions pi_mu, and
-q_t = delta_e + sum_{mu < 0} pi_mu expm1(mu t / |S|).
+spectral form, with no matrix exponential: q_t = delta_e + sum_{mu < 0}
+pi_mu expm1(mu t / |S|), where M = |S| L has the integer eigenvalues mu and
+the pi_mu are exact rational class functions.  S is closed under
+conjugation, so the pi_mu are character projections (Diaconis 1988), and
+``heat_spectrum`` reads them off one of two closed forms, because
+``default_generators`` makes only two kinds of S: G minus e (mu = 0, -|G|)
+and the transpositions of S3 (mu = 0, -3, -6).
 The density of a configuration C on a saturated complex K with domains
 (A_1, ..., A_k) is the product over domains of q_{|A_i|} evaluated on the
 ordered boundary product phi_{A_i}(C): each domain reads its boundary word
@@ -66,84 +69,29 @@ def default_generators(group: FiniteGroup):
     return tuple(g for g in group.elements() if g != e)
 
 
-def _scaled_generator(group: FiniteGroup):
-    """(|S|, M): M = |S| L as integer rows, M[x][y] = #{g in S : x g = y} - |S| [x = y],
-    for the set S of ``default_generators``."""
-    s = default_generators(group)
-    if not s:
-        raise ValueError(f"the trivial group {group.name} has no heat generators")
-    rows = [[0] * group.order for _ in group.elements()]
-    for x in group.elements():
-        rows[x][x] -= len(s)
-        for g in s:
-            rows[x][group.mul(x, g)] += 1
-    return len(s), rows
-
-
-def _integer_roots(poly, bound):
-    """The roots of the monic integer polynomial ``poly`` (coefficients from
-    the constant term up), each simple and in [-bound, 0], from 0 down.
-
-    A rational root of a monic integer polynomial is an integer dividing its
-    constant term (the rational root test); each root found is divided out
-    by synthetic division.  Any other root raises ValueError.
-    """
-    poly, roots = list(poly), []
-    for mu in range(0, -bound - 1, -1):
-        if len(poly) > 1 and (mu == 0 or poly[0] % mu == 0):
-            quotient, carry = [], 0
-            for c in reversed(poly):
-                carry = c + mu * carry
-                quotient.append(carry)
-            if quotient.pop() == 0:
-                roots.append(mu)
-                poly = quotient[::-1]
-    if len(poly) > 1:
-        raise ValueError(f"a root of {poly} (coefficients from the constant term up) "
-                         f"is not a simple integer in [{-bound}, 0]")
-    return roots
-
-
-@cache
 def heat_spectrum(group: FiniteGroup):
     """(|S|, ((mu, pi_mu), ...)): q_t = sum_mu exp(mu t / |S|) pi_mu exactly,
-    mu = 0 first, each pi_mu a tuple of Fractions; cached per Cayley table.
+    mu = 0 first and the rest descending, each pi_mu a tuple of Fractions.
 
-    The Krylov vectors delta_e, M delta_e, ... of M = ``_scaled_generator``
-    become dependent after k steps; the dependency is the minimal polynomial
-    of M on delta_e, monic over the integers (Gauss's lemma), whose roots
-    ``_integer_roots`` finds in [-2|S|, 0] (Gershgorin).  Any other root
-    raises ValueError, which ``default_generators`` never causes: for
-    S = G minus e, M = J - |G| I (J all ones) has the eigenvalues 0 and -|G|,
-    and S3's transposition walk has 0, -3 and -6.  Each pi_mu = l_mu(M)
-    delta_e, for the Lagrange basis polynomial l_mu, sums Krylov vectors.
+    S = ``default_generators`` is closed under conjugation, so M = |S| L acts
+    on each isotypic part of the group algebra by a scalar, and each pi_mu is
+    a sum of character projections (Diaconis, *Group Representations in
+    Probability and Statistics*, 1988).  Only two step sets occur.  For
+    S = G minus e, M = J - n I (J all ones, n = |G|): mu is 0 or -n,
+    pi_0 = 1/n and pi_{-n} = delta_e - 1/n.  For the three transpositions of
+    S3, mu is 0, -3 or -6: pi_0 = 1/6, pi_{-6} = sign/6 (sign is -1 on the
+    transpositions) and pi_{-3} = delta_e - pi_0 - pi_{-6}.
     """
-    size, m = _scaled_generator(group)
-    vectors, basis = [delta(group).values], []
-    while True:  # eliminate each new Krylov vector against the earlier ones
-        k = len(vectors) - 1
-        row, comb = list(vectors[k]), [int(i == k) for i in range(group.order + 1)]
-        for pivot, b_row, b_comb in basis:
-            a, b = b_row[pivot], row[pivot]
-            row = [a * x - b * y for x, y in zip(row, b_row)]
-            comb = [a * x - b * y for x, y in zip(comb, b_comb)]
-        if not any(row):
-            break
-        g = math.gcd(*row, *comb)
-        basis.append((next(i for i, x in enumerate(row) if x),
-                      [x // g for x in row], [x // g for x in comb]))
-        vectors.append([sum(a * b for a, b in zip(m_row, vectors[k])) for m_row in m])
-    roots = _integer_roots([c // comb[k] for c in comb[:k + 1]], 2 * size)
-    spectrum = []
-    for mu in roots:  # pi_mu = l_mu(M) delta_e, summed over the Krylov vectors
-        poly, den = [1], 1
-        for nu in roots:
-            if nu != mu:
-                poly = [a - nu * b for a, b in zip([0] + poly, poly + [0])]
-                den *= mu - nu
-        spectrum.append((mu, tuple(Fraction(sum(c * v[x] for c, v in zip(poly, vectors)), den)
-                                   for x in group.elements())))
-    return size, tuple(spectrum)
+    s, n, e = default_generators(group), group.order, group.identity
+    if not s:
+        raise ValueError(f"the trivial group {group.name} has no heat generators")
+    trivial = (0, (Fraction(1, n),) * n)
+    if len(s) == n - 1:
+        return n - 1, (trivial, (-n, tuple(int(x == e) - Fraction(1, n)
+                                           for x in group.elements())))
+    sign = tuple(Fraction(-1 if x in s else 1, 6) for x in group.elements())
+    standard = tuple(int(x == e) - Fraction(1, 6) - v for x, v in zip(group.elements(), sign))
+    return 3, (trivial, (-3, standard), (-6, sign))
 
 
 @cache
@@ -162,10 +110,13 @@ class SemigroupDensity:
     ``default_generators``: (L f)(x) = (1/|S|) sum_{s in S} f(x s) - f(x).
     Densities are probability mass functions, so q_0 is the indicator of
     the identity and q_t * q_s = q_{t+s} under (counting) convolution.
-    Each q_t is evaluated from the group's cached exact spectrum
-    (``heat_spectrum``) as q_t = delta_e + sum_{lambda < 0} pi_lambda
+    Each q_t is evaluated from the group's exact spectrum, cached per
+    Cayley table, as q_t = delta_e + sum_{lambda < 0} pi_lambda
     expm1(lambda t): a few float multiply-adds per element, and exactly
-    delta_e at t = 0.
+    delta_e at t = 0.  ``heat_spectrum`` gives it in closed form: the
+    eigenvalues 0 and -|G|/(|G| - 1) with pi_0 = 1/|G| for S = G minus e,
+    and 0, -1 and -2 with the trivial, standard and sign character
+    projections for the transpositions of S3 (Diaconis 1988).
     """
 
     def __init__(self, group: FiniteGroup):

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for generated saturated lattice instances.
+"""Hypothesis strategies for generated saturated lattice instances, and
+the fixed chain and strip measures that the test modules share.
 
 A guillotine subdivision cuts a box into box domains by recursive
 axis-parallel cuts at interior integer coordinates; the domains are
@@ -6,16 +7,35 @@ pairwise interior-disjoint and tile the box.  Its facet complex holds the
 distinct unit facets of the domains in shuffled order with random (or all
 +1) orientations, so it saturates the domains.  A relabelled group is a
 built-in group whose non-identity elements are renumbered by a random
-permutation.  Test modules import these strategies by module name
-(``from lattice_instances import ...``).
+permutation.  The chain and the two-plaquette strip are the CLI's own
+``chain_instance`` and ``strip_instance``.  Test modules import these by
+module name (``from lattice_instances import ...``).
 """
 
 from hypothesis import strategies as st
 
 from cobordseries.cells import Cell, CellComplex, domain_box
+from cobordseries.cli import chain_instance, strip_instance
 from cobordseries.groups import FiniteGroup, builtin_group
+from cobordseries.measures import ComplexMeasure
 
 RELABEL_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "Q8")
+
+
+def chain_measure(length, density):
+    """Points 0..length-1 with the unit intervals between them as domains."""
+    return ComplexMeasure(*chain_instance(length), density)
+
+
+def strip_cells():
+    """The seven edges of two unit squares side by side, as a list; the
+    shared middle edge is at position 3."""
+    return list(strip_instance()[0].cells)
+
+
+def strip_measure(density):
+    """The two unit squares of ``strip_cells`` as domains."""
+    return ComplexMeasure(*strip_instance(), density)
 
 
 def relabel(group, perm, name):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from lattice_instances import chain_measure, strip_cells, strip_measure
 
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, boundary_word, dimension_extend, domain_box,
@@ -143,25 +144,6 @@ def test_criterion_3_semigroup_axioms():
                           for a, b in zip(lhs.values, rhs.values)) <= 1e-12
     report(3, "semigroup axioms to 1e-12 on Z2,Z3,Z4,S3,Q8",
            time.perf_counter() - start, 5, ok)
-
-
-def chain_measure(length, density):
-    cells = [point_cell((i,)) for i in range(length)]
-    domains = [domain_box(((i, i + 1),)) for i in range(length - 1)]
-    return ComplexMeasure(CellComplex(cells), domains, density)
-
-
-def strip_cells():
-    return [
-        edge_cell((0, 0), 1), edge_cell((0, 0), 0), edge_cell((0, 1), 0),
-        edge_cell((1, 0), 1),
-        edge_cell((1, 0), 0), edge_cell((1, 1), 0), edge_cell((2, 0), 1),
-    ]
-
-
-def strip_measure(density):
-    domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
-    return ComplexMeasure(CellComplex(strip_cells()), domains, density)
 
 
 def indicator(extreme):

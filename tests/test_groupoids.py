@@ -116,6 +116,20 @@ def test_axioms_exhaustive_up_to_grade_four(gpd):
     assert axiom_violations(gpd, 4) == []
 
 
+@pytest.mark.parametrize("gpd", [
+    make_nat_monoid(),
+    make_interval_groupoid(0, 4),
+    make_box_groupoid(2, ((0, 2), (0, 2))),
+], ids=["nat", "interval", "box"])
+@pytest.mark.parametrize("bad", [-1, True, False, 2.0, "2", None])
+def test_grade_bound_must_be_a_non_negative_int(gpd, bad):
+    with pytest.raises(ValueError, match="grade bound"):
+        gpd.elements_up_to(bad)
+    with pytest.raises(ValueError, match="grade bound"):
+        axiom_violations(gpd, bad)
+    assert gpd.elements_up_to(0) == [gpd.neutral]
+
+
 def test_decomposition_grade_additivity():
     gpd = make_interval_groupoid(0, 4)
     for k in gpd.elements_up_to(4):

@@ -224,6 +224,19 @@ def test_entry_index_must_be_an_int_in_range(index):
         m[index]
 
 
+@pytest.mark.parametrize("args", [(2, 5, 5), (2, True, 0), (2, 0, 1.0), (True, 0, 0)],
+                         ids=["index-past-end", "bool-row", "float-column", "bool-size"])
+def test_unit_rejects_an_index_outside_the_matrix(args):
+    with pytest.raises(ValueError, match="matrix index|matrix size"):
+        RationalMatrix.unit(*args)
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_identity_size_must_be_an_int(n):
+    with pytest.raises(ValueError, match="matrix size"):
+        RationalMatrix.identity(n)
+
+
 def test_scalar_product_rejects_bool():
     m = RationalMatrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import (
-    facet_complex, guillotine_domains, relabel, relabelled_groups,
+    chain_measure, facet_complex, guillotine_domains, relabel, relabelled_groups,
+    strip_cells, strip_measure,
 )
 
 from cobordseries.cells import (
@@ -20,39 +21,19 @@ from cobordseries.cells import (
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
 from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
-from cobordseries.groups import GroupFunction
+from cobordseries.groups import FiniteGroup, GroupFunction
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
     cut, default_generators, factorization_check, gibbs_density, heat_spectrum,
     is_adapted, is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
-    semigroup_axiom_residuals, sigma_action, _group_arrays, _integer_roots,
-    _scaled_generator,
+    semigroup_axiom_residuals, sigma_action, _group_arrays, _heat_terms,
 )
 
 Z2 = builtin_group("Z2")
 Z3 = builtin_group("Z3")
 S3 = builtin_group("S3")
 BUILTIN = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12", "S3", "Q8")
-
-
-def chain_measure(length, density):
-    cells = [point_cell((i,)) for i in range(length)]
-    domains = [domain_box(((i, i + 1),)) for i in range(length - 1)]
-    return ComplexMeasure(CellComplex(cells), domains, density)
-
-
-def strip_cells():
-    return [
-        edge_cell((0, 0), 1), edge_cell((0, 0), 0), edge_cell((0, 1), 0),
-        edge_cell((1, 0), 1),  # shared edge, position 3
-        edge_cell((1, 0), 0), edge_cell((1, 1), 0), edge_cell((2, 0), 1),
-    ]
-
-
-def strip_measure(density):
-    domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
-    return ComplexMeasure(CellComplex(strip_cells()), domains, density)
 
 
 def indicator_extreme(extreme):
@@ -261,7 +242,46 @@ def generator_matrix(group):
     return gen
 
 
-heat_groups = st.one_of(st.sampled_from(BUILTIN).map(builtin_group),
+def permutation_group(perms):
+    """The Cayley table of a permutation group, identity first, (p q)(x) = p(q(x))."""
+    perms = sorted(perms, key=lambda p: p != tuple(range(len(p))))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def generated(*gens):
+    """The permutations that the given permutations generate."""
+    identity = tuple(range(len(gens[0])))
+    found, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in (tuple(p[x] for x in g) for g in gens):
+            if q not in found:
+                found.add(q)
+                frontier.append(q)
+    return found
+
+
+def direct_product(m, n):
+    """Z_m x Z_n, the pair (a, b) at index a n + b."""
+    return [[(a // n + b // n) % m * n + (a + b) % n for b in range(m * n)]
+            for a in range(m * n)]
+
+
+# Groups that only a Cayley table file reaches: every one takes S = G minus e.
+CAYLEY_FILE_GROUPS = {
+    "V4": FiniteGroup("V4", direct_product(2, 2)),
+    "D4": FiniteGroup("D4", permutation_group(generated((1, 2, 3, 0), (0, 3, 2, 1)))),
+    "A4": FiniteGroup("A4", permutation_group(generated((1, 2, 0, 3), (0, 2, 3, 1)))),
+    "Z2xZ4": FiniteGroup("Z2xZ4", direct_product(2, 4)),
+}
+
+
+def heat_group(name):
+    return CAYLEY_FILE_GROUPS.get(name) or builtin_group(name)
+
+
+heat_groups = st.one_of(st.sampled_from(BUILTIN + tuple(CAYLEY_FILE_GROUPS)).map(heat_group),
                         relabelled_groups().map(lambda drawn: drawn[2]))
 
 
@@ -279,9 +299,13 @@ def test_heat_density_matches_the_expm_oracle(group, t):
 
 def assert_heat_certificate(group):
     """The exact laws that make q_t = sum_mu exp(mu t / |S|) pi_mu a
-    convolution semigroup of central probability densities for all t, s."""
-    size, m = _scaled_generator(group)
-    assert size == len(default_generators(group))
+    convolution semigroup of central probability densities for all t, s.
+    M = |S| L is built here as integer rows, M[x][y] = #{g in S : x g = y}
+    - |S| [x = y], independently of the spectrum it certifies."""
+    s = default_generators(group)
+    size = len(s)
+    m = [[sum(group.mul(x, g) == y for g in s) - size * (x == y) for y in group.elements()]
+         for x in group.elements()]
     assert all(m[x][y] >= 0 for x in group.elements() for y in group.elements() if x != y)
     assert all(sum(row) == 0 for row in m)
     assert heat_spectrum(group)[0] == size
@@ -299,9 +323,9 @@ def assert_heat_certificate(group):
     assert sum(pis.values(), zero) == delta(group)
 
 
-@pytest.mark.parametrize("name", BUILTIN)
+@pytest.mark.parametrize("name", BUILTIN + tuple(CAYLEY_FILE_GROUPS))
 def test_heat_spectrum_certificate(name):
-    assert_heat_certificate(builtin_group(name))
+    assert_heat_certificate(heat_group(name))
 
 
 @given(relabelled_groups())
@@ -310,9 +334,11 @@ def test_heat_spectrum_certificate_on_relabelled_groups(drawn):
 
 
 def test_heat_spectrum_is_cached_per_cayley_table():
+    """The spectrum's float form is cached once per Cayley table, and the
+    roots come 0 first, then descending."""
     relabelled = relabel(S3, tuple(range(6)), "other")
     assert relabelled is not S3 and relabelled == S3
-    assert heat_spectrum(relabelled) is heat_spectrum(S3)
+    assert _heat_terms(relabelled) is _heat_terms(S3)
     assert [mu for mu, _ in heat_spectrum(S3)[1]] == [0, -3, -6]
 
 
@@ -326,16 +352,6 @@ def test_word_factor_reads_shared_read_only_group_tables():
         table[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         inverse[0] = 1
-
-
-def test_integer_roots_refuses_an_irrational_or_repeated_root():
-    assert _integer_roots([0, 18, 9, 1], 6) == [0, -3, -6]  # x (x + 3) (x + 6)
-    with pytest.raises(ValueError, match="not a simple integer"):
-        _integer_roots([-2, 0, 1], 6)  # x^2 - 2
-    with pytest.raises(ValueError, match="not a simple integer"):
-        _integer_roots([0, 1, 2, 1], 6)  # x (x + 1)^2
-    with pytest.raises(ValueError, match="not a simple integer"):
-        _integer_roots([0, 7, 1], 6)  # x (x + 7): a root below -6
 
 
 def test_mu_requires_saturation():

@@ -8,7 +8,8 @@ one failing property and one passing test under the repository's own
 ``filterwarnings`` list, in a fresh pytest process; every other
 DeprecationWarning and RuntimeWarning is still an error.  A second
 meta-test runs the suite's ``conftest.py`` on two files and reads the
-per-file times it prints, slowest first.
+per-file times it prints, slowest first, and the raw and calibrated totals
+after them.
 """
 
 import tomllib
@@ -56,4 +57,8 @@ def test_summary_lists_time_per_file_slowest_first(pytester):
     result.assert_outcomes(passed=3)
     result.stdout.re_match_lines([r".*setup \+ call time per test file.*",
                                   r" +\d+\.\d\ds test_slow\.py$",
-                                  r" +\d+\.\d\ds test_fast\.py$"], consecutive=True)
+                                  r" +\d+\.\d\ds test_fast\.py$",
+                                  r" +\d+\.\d\ds total$",
+                                  r" +\d+\.\d\ds calibrated total \(host \d+\.\d\dx the "
+                                  r"reference: \d+\.\d\dx at start, \d+\.\d\dx at end\)$"],
+                                 consecutive=True)
