@@ -138,7 +138,8 @@ class SemigroupDensity:
 
 def _finite_nonnegative(name, x) -> float:
     """x as a float, if it is a real number (not a bool), finite and >= 0."""
-    if isinstance(x, bool) or not isinstance(x, Real) or not (math.isfinite(x) and x >= 0):
+    if not (type(x) is float or type(x) is int or isinstance(x, Real) and type(x) is not bool) \
+            or not (math.isfinite(x) and x >= 0):
         raise ValueError(f"{name} must be a finite real number >= 0, got {x!r}")
     return float(x)
 

@@ -7,9 +7,9 @@ boundary limits, with d/dt c_t = 1 at t = 0.  Yet the left ODE
 dg/dt o g^{-1} = 1 admits only the translations g_t(x) = x + t, which leave
 the group for every t > 0 because the boundary limit at 1 becomes 1 + t.
 All claims are checked numerically on dense grids; ``check_membership``
-walks its grid in cache-sized slices and computes P once per point.  Each
-point sees the float operations of one whole-grid pass and min/max are
-exact, so every reported float is bitwise the whole-grid value.
+walks its grid in cache-sized slices through one reused buffer block, takes
+P, P' and dc/dx once per point, and checks x +/- h at its ends (rounding is
+monotone).  Every reported float is bitwise the value of one whole-grid pass.
 """
 
 from __future__ import annotations
@@ -27,30 +27,32 @@ def p_prime(x):
     return (1.0 - 2.0 * x) / 2.0
 
 
-def _bump(u, p):
-    return p * u / ((1.0 - p) * u + p)
+# In _bump, _c and _dc_dx, out and work (never x) take the result and the temporaries.
+def _bump(u, p, out=None, work=None):
+    den = np.add(np.multiply(np.subtract(1.0, p, out=work), u, out=work), p, out=work)
+    return np.divide(np.multiply(p, u, out=out), den, out=out)
 
 
-def _c(t, x, p):
-    return x + _bump(t, p) if t >= 0 else x - _bump(-t, p)
+def _c(t, x, p, out=None, work=None):
+    return (np.add if t >= 0 else np.subtract)(x, _bump(abs(t), p, out, work), out=out)
 
 
-def _dc_dx(t, x, p):
-    """Exact space derivative: 1 +/- t^2 P'(x) / (t + P(x)(1 - t))^2."""
+def _dc_dx(t, dp, p, out=None, work=None):
+    """Exact dc/dx = 1 +/- t^2 P'(x) / (t + P(x)(1 - t))^2 from dp = P'(x), p = P(x)."""
     u = abs(t)
-    dphi = (u * u * p_prime(x)) / (u + p * (1.0 - u)) ** 2 if u > 0 \
-        else np.zeros_like(x)
-    return 1.0 + dphi if t >= 0 else 1.0 - dphi
+    den = np.square(np.add(u, np.multiply(p, 1.0 - u, out=work), out=work), out=work)
+    dphi = np.divide(np.multiply(u * u, dp, out=out), den, out=out)
+    return (np.add if t >= 0 else np.subtract)(1.0, dphi, out=out)
 
 
 def _domain(t, x):
-    """x as a float array and P(x), once x lies in (0, 1) and t in (-1, 1)."""
+    """x as a float array, once it lies in (0, 1) and t in (-1, 1)."""
     x = np.asarray(x, dtype=float)
     if np.any((x <= 0) | (x >= 1)):
         raise ValueError("x must lie in the open unit interval")
     if not -1 < t < 1:
         raise ValueError("t must lie in (-1, 1)")
-    return x, p_poly(x)
+    return x
 
 
 def phi(t, x):
@@ -63,13 +65,14 @@ def phi(t, x):
 
 def c(t, x):
     """The path value c_t(x); t in (-1, 1), x in (0, 1)."""
-    return _c(t, *_domain(t, x))
+    x = _domain(t, x)
+    return _c(t, x, p_poly(x))
 
 
 def dc_dt(t, x):
     """Exact time derivative (P(x) / ((1 - P(x)) t + P(x)))^2 for t >= 0,
     mirrored for t < 0; equal to 1 everywhere at t = 0."""
-    x, p = _domain(t, x)
+    p = p_poly(_domain(t, x))
     u = abs(t)
     return (p / ((1.0 - p) * u + p)) ** 2
 
@@ -86,24 +89,33 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
         raise ValueError(f"grid_size must be a positive int, got {grid_size!r}")
     if not 0 < fd_step < 0.5:   # also rejects nan and inf
         raise ValueError(f"fd_step must lie in (0, 1/2), got {fd_step!r}")
+    _domain(t, ())   # checks t; the grid itself lies in (0, 1)
+    ft, h = float(t), float(fd_step)   # ufuncs writing float64 buffers take float scalars
     grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    mins, fd_errs = [], []
-    for start in range(0, grid_size, BLOCK):
-        x, p = _domain(t, grid[start:start + BLOCK])
-        ct = _c(t, x, p)
-        deriv = _dc_dx(t, x, p)
-        mins.append([np.min(ct - (x - p)), np.min((x + p) - ct),
-                     np.min(np.abs(p_prime(x)) - np.abs(deriv - 1.0)), np.min(deriv)])
-        keep = (x > fd_step) & (x < 1.0 - fd_step)
-        if keep.any():
-            inner = x[keep]
-            fd = (c(t, inner + fd_step) - c(t, inner - fd_step)) / (2.0 * fd_step)
-            fd_errs.append(np.max(np.abs(fd - _dc_dx(t, inner, p[keep]))))
-    if not fd_errs:
+    lo, hi = np.searchsorted(grid, h, "right"), np.searchsorted(grid, 1.0 - h)
+    if lo >= hi:   # the sorted grid's inner points h < x < 1 - h are grid[lo:hi]
         raise ValueError(f"no grid point lies more than fd_step={fd_step!r} inside (0, 1)")
+    _domain(t, (grid[lo] - h, grid[hi - 1] + h))   # rounded x -/+ h is monotone in x
+    buffers, mins, fd_errs = np.empty((5, BLOCK)), [], []
+    for start in range(0, grid_size, BLOCK):
+        x = grid[start:start + BLOCK]
+        ct, work, _, deriv, dev = buffers[:, :x.size]
+        p, dp = p_poly(x), p_prime(x)
+        _c(ft, x, p, ct, work)
+        np.abs(np.subtract(_dc_dx(ft, dp, p, deriv, work), 1.0, out=dev), out=dev)
+        mins.append([np.min(np.subtract(ct, np.subtract(x, p, out=work), out=work)),
+                     np.min(np.subtract(np.add(x, p, out=work), ct, out=work)),
+                     np.min(np.subtract(np.abs(dp, out=dp), dev, out=dp)), np.min(deriv)])
+        a, b = max(lo - start, 0), min(hi - start, x.size)
+        if a < b:   # c_t at the shifted points xs, then the finite difference's error
+            plus, work, minus, _, xs = buffers[:, :b - a]
+            _c(ft, np.add(x[a:b], h, out=xs), p_poly(xs), plus, work)
+            _c(ft, np.subtract(x[a:b], h, out=xs), p_poly(xs), minus, work)
+            fd = np.divide(np.subtract(plus, minus, out=plus), 2.0 * h, out=plus)
+            fd_errs.append(np.max(np.abs(np.subtract(fd, deriv[a:b], out=fd), out=fd)))
     lower_slack, upper_slack, deriv_bound_slack, deriv_min = map(float, np.min(mins, axis=0))
     fd_err = float(np.max(fd_errs))
-    report = {
+    return {
         "t": t,
         "grid_size": grid_size,
         "lower_slack": lower_slack,
@@ -116,7 +128,6 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
                  and deriv_bound_slack >= -1e-15
                  and deriv_min > 0 and fd_err <= 1e-8),
     }
-    return report
 
 
 def derivative_at_zero(x, fd_step=1e-4):

@@ -7,12 +7,15 @@ inputs and a verdict never depends on timing or on an earlier run.
 ``pytester`` runs small pytest sessions for the suite's own meta-tests.
 The terminal summary ends with the setup and call time summed per test
 file, slowest first, so that a slower suite shows which file grew.  Below
-that it prints the total, raw and calibrated: a fixed interpreter kernel is
-timed (best of three) at session start and end, and the calibrated total is
-the raw total divided by the kernel's mean slowdown against its time on the
-reference machine, so that totals from slow and fast hosts compare.
+that it prints the total, raw and calibrated.  A fixed interpreter kernel
+is timed (best of three) at session start, after each test file (between
+tests, outside their durations) and at session end; the calibrated total
+is the raw total divided by the median of these readings, each the
+kernel's slowdown against its time on the reference machine, so that totals
+from slow and fast hosts compare.
 """
 
+import statistics
 import time
 from fractions import Fraction
 
@@ -28,7 +31,7 @@ settings.load_profile("deterministic")
 # The best-of-three time of ``interpreter_kernel`` on the reference machine
 # (2-vCPU Intel Xeon VM, Python 3.11) at full speed, as in perfbench/harness.py.
 REFERENCE_S = 0.00084
-SLOWDOWN_AT_START = pytest.StashKey[float]()
+SLOWDOWNS = pytest.StashKey[list]()
 
 
 def interpreter_kernel():
@@ -51,7 +54,17 @@ def machine_slowdown():
 
 
 def pytest_sessionstart(session):
-    session.config.stash[SLOWDOWN_AT_START] = machine_slowdown()
+    session.config.stash[SLOWDOWNS] = [machine_slowdown()]
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """After the last test of each file, once its teardown is done, read the
+    kernel again."""
+    result = yield
+    if nextitem is None or nextitem.path != item.path:
+        item.config.stash[SLOWDOWNS].append(machine_slowdown())
+    return result
 
 
 def pytest_terminal_summary(terminalreporter, config):
@@ -65,9 +78,12 @@ def pytest_terminal_summary(terminalreporter, config):
         terminalreporter.write_sep("-", "setup + call time per test file")
         for path, seconds in sorted(per_file.items(), key=lambda kv: -kv[1]):
             terminalreporter.write_line(f"{seconds:8.2f}s {path}")
-        start, end = config.stash[SLOWDOWN_AT_START], machine_slowdown()
-        total, slowdown = sum(per_file.values()), (start + end) / 2
+        readings = config.stash[SLOWDOWNS] + [machine_slowdown()]
+        total, slowdown = sum(per_file.values()), statistics.median(readings)
         terminalreporter.write_line(f"{total:8.2f}s total")
         terminalreporter.write_line(
             f"{total / slowdown:8.2f}s calibrated total (host {slowdown:.2f}x the reference: "
-            f"{start:.2f}x at start, {end:.2f}x at end)")
+            f"{readings[0]:.2f}x at start, {readings[-1]:.2f}x at end)")
+        terminalreporter.write_line(
+            f"{len(readings):8d} kernel readings, median taken: session start, end of each "
+            "test file, session end")

@@ -13,9 +13,10 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from lattice_instances import chain_instance, strip_cells, strip_instance
 
 import cobordseries.cells as cells_mod
-from cobordseries.cells import CellComplex, domain_box, edge_cell, point_cell
+from cobordseries.cells import CellComplex, domain_box, point_cell
 from cobordseries.groups import builtin_group
 from cobordseries.measures import (
     CobordismBox, ComplexMeasure, SemigroupDensity, cut, factorization_check,
@@ -28,22 +29,18 @@ MAX_CONFIGS = 4096
 
 
 def chain(length):
-    cells = [point_cell((i,)) for i in range(length)]
-    return cells, [domain_box(((i, i + 1),)) for i in range(length - 1)], ((0, length - 1),)
+    complex_, domains = chain_instance(length)
+    return list(complex_.cells), domains, ((0, length - 1),)
 
 
 def plaquette():
-    cells = [edge_cell((0, 0), 0), edge_cell((1, 0), 1),
-             edge_cell((0, 1), 0), edge_cell((0, 0), 1)]
-    return cells, [domain_box(((0, 1), (0, 1)))], None
+    """The strip's left square, its edges bottom, right, top, left."""
+    cells = strip_cells()
+    return [cells[i] for i in (1, 3, 2, 0)], strip_instance()[1][:1], None
 
 
 def strip():
-    cells = [edge_cell((0, 0), 1), edge_cell((0, 0), 0), edge_cell((0, 1), 0),
-             edge_cell((1, 0), 1), edge_cell((1, 0), 0), edge_cell((1, 1), 0),
-             edge_cell((2, 0), 1)]
-    return cells, [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))], \
-        ((0, 2), (0, 1))
+    return strip_cells(), strip_instance()[1], ((0, 2), (0, 1))
 
 
 INSTANCES = {"chain3": chain(3), "chain4": chain(4), "plaquette": plaquette(),

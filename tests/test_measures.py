@@ -143,6 +143,17 @@ def test_heat_density_rejects_non_finite_times(t):
         density.q(t)
 
 
+@pytest.mark.parametrize("t", [np.float64(0.5), Fraction(1, 2), np.int64(2), 2])
+def test_heat_density_accepts_any_real_time(t):
+    assert SemigroupDensity(S3).q(t).values == SemigroupDensity(S3).q(float(t)).values
+
+
+@pytest.mark.parametrize("t", [-0.5, -1, Fraction(-1, 2), np.float64(-1e-300)])
+def test_heat_density_rejects_a_negative_time(t):
+    with pytest.raises(ValueError, match="time must be a finite real number >= 0"):
+        SemigroupDensity(S3).q(t)
+
+
 # -- phi and mu ---------------------------------------------------------------
 
 def test_phi_orientation_cases():

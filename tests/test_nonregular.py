@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_formulas_match_the_whole_grid_copies():
     x = np.linspace(1e-6, 1 - 1e-6, 10_001)
     for t in PAPER_TS:
         assert np.array_equal(nr.c(t, x), _whole_c(t, x))
-        assert np.array_equal(nr._dc_dx(t, x, nr.p_poly(x)), _whole_dc_dx(t, x))
+        assert np.array_equal(nr._dc_dx(t, nr.p_prime(x), nr.p_poly(x)), _whole_dc_dx(t, x))
         assert np.array_equal(nr.phi(abs(t), x), _whole_phi(abs(t), x))
 
 
@@ -207,6 +208,75 @@ def test_membership_equals_whole_grid_on_the_million_point_grid(t):
        st.sampled_from(SLICE_GRIDS))
 def test_membership_equals_whole_grid_on_generated_times(t, grid_size):
     assert_same_report(t, grid_size)
+
+
+def slice_edge_steps(grid_size):
+    """fd_step values whose inner range h < x < 1 - h starts (x[k] < 1/2) or
+    ends (x[k] > 1/2, end exclusive) at a grid index k next to a slice
+    boundary: k = m BLOCK - 1, m BLOCK, m BLOCK + 1.  A start uses the grid
+    point x[k - 1] and the float just below x[k]; an end uses 1 - x[k] and
+    the float just below it, which rounding may move by one index."""
+    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    steps = []
+    for m in range(1, grid_size // nr.BLOCK + 1):
+        for k in (m * nr.BLOCK - 1, m * nr.BLOCK, m * nr.BLOCK + 1):
+            if k >= grid_size:
+                continue
+            kind, h = ("start", x[k - 1]) if x[k] < 0.5 else ("end", 1.0 - x[k])
+            below = np.nextafter(x[k] if kind == "start" else h, 0)
+            steps += [(kind, k, float(h)), (kind, k, float(below))]
+    return steps
+
+
+EDGE_GRIDS = (3 * nr.BLOCK + 7, 4 * nr.BLOCK - 3)
+EDGE_CASES = [(grid_size, kind, k, h) for grid_size in EDGE_GRIDS
+              for kind, k, h in slice_edge_steps(grid_size)]
+
+
+def inner_range(grid_size, fd_step):
+    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    inner = np.flatnonzero((x > fd_step) & (x < 1.0 - fd_step))
+    return int(inner[0]), int(inner[-1]) + 1
+
+
+def test_edge_steps_start_and_end_the_inner_range_at_every_slice_edge():
+    reached = {(grid_size, kind, k) for grid_size, kind, k, h in EDGE_CASES
+               if inner_range(grid_size, h)[kind == "end"] == k}
+    wanted = {(grid_size, kind, k) for grid_size, kind, k, _ in EDGE_CASES}
+    assert reached == wanted
+    assert {k % nr.BLOCK for _, kind, k in wanted if kind == "start"} == {nr.BLOCK - 1, 0, 1}
+    assert {k % nr.BLOCK for _, kind, k in wanted if kind == "end"} == {nr.BLOCK - 1, 0, 1}
+
+
+@pytest.mark.parametrize("grid_size, kind, k, fd_step", EDGE_CASES)
+@pytest.mark.parametrize("t", (0.0, 0.5, -0.9))
+def test_membership_equals_whole_grid_when_the_inner_range_meets_a_slice_edge(
+        t, grid_size, kind, k, fd_step):
+    try:
+        whole_grid_membership(t, grid_size, fd_step=fd_step)
+    except ValueError as error:   # x + h rounds to 1.0 for the last inner point
+        with pytest.raises(ValueError, match=str(error)):
+            nr.check_membership(t, grid_size, fd_step=fd_step)
+    else:
+        assert_same_report(t, grid_size, fd_step=fd_step)
+
+
+def test_an_end_step_takes_x_plus_h_to_one():
+    # so the raising branch of the test above is reached
+    def raises(grid_size, fd_step):
+        try:
+            whole_grid_membership(0.5, grid_size, fd_step=fd_step)
+        except ValueError:
+            return True
+        return False
+
+    assert any(raises(g, h) for g, kind, _, h in EDGE_CASES if kind == "end")
+
+
+def test_membership_reads_an_exact_time_and_step_as_floats():
+    exact = nr.check_membership(Fraction(1, 2), 1000, fd_step=Fraction(1, 1000))
+    assert exact["t"] == Fraction(1, 2)
+    assert {**exact, "t": 0.5} == nr.check_membership(0.5, 1000, fd_step=0.001)
 
 
 def test_membership_evaluates_p_once_per_point(monkeypatch):

@@ -9,7 +9,8 @@ one failing property and one passing test under the repository's own
 DeprecationWarning and RuntimeWarning is still an error.  A second
 meta-test runs the suite's ``conftest.py`` on two files and reads the
 per-file times it prints, slowest first, and the raw and calibrated totals
-after them.
+after them; a third counts the calibration kernel's readings, one at each
+end of the session and one after each test file.
 """
 
 import tomllib
@@ -62,3 +63,13 @@ def test_summary_lists_time_per_file_slowest_first(pytester):
                                   r" +\d+\.\d\ds calibrated total \(host \d+\.\d\dx the "
                                   r"reference: \d+\.\d\dx at start, \d+\.\d\dx at end\)$"],
                                  consecutive=True)
+
+
+def test_summary_counts_a_kernel_reading_after_each_file(pytester):
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyfile(test_one="def test_a():\n    pass\n\ndef test_b():\n    pass\n",
+                        test_two="def test_c():\n    pass\n")
+    result = pytester.runpytest_subprocess("-q", "-p", "no:cacheprovider")
+    result.assert_outcomes(passed=3)
+    result.stdout.re_match_lines([r" +4 kernel readings, median taken: session start, end of "
+                                  r"each test file, session end$"])
