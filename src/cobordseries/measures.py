@@ -659,15 +659,10 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
         domains_pasted = tuple(domains_earlier) + tuple(domains_later)
     elif not group.is_abelian:
         earlier_keys = {dom.key() for dom in domains_earlier}
-        seen_later = False
-        for dom in domains_pasted:
-            if dom.key() in earlier_keys:
-                if seen_later:
-                    raise ValueError(
-                        "non-abelian pasting requires the earlier-piece domains "
-                        "at the beginning of the list")
-            else:
-                seen_later = True
+        earlier = [dom.key() in earlier_keys for dom in domains_pasted]
+        if earlier != sorted(earlier, reverse=True):
+            raise ValueError("non-abelian pasting requires the earlier-piece domains "
+                             "at the beginning of the list")
     measure_pp = ComplexMeasure(k_pp, tuple(domains_pasted), density)
     pasted_at = {cell.key(): pos for pos, cell in enumerate(k_pp.cells)}
     difference = 1.0  # the later piece's product times the earlier one's

@@ -66,14 +66,14 @@ def phi(t, x):
 def c(t, x):
     """The path value c_t(x); t in (-1, 1), x in (0, 1)."""
     x = _domain(t, x)
-    return _c(t, x, p_poly(x))
+    return _c(float(t), x, p_poly(x))
 
 
 def dc_dt(t, x):
     """Exact time derivative (P(x) / ((1 - P(x)) t + P(x)))^2 for t >= 0,
     mirrored for t < 0; equal to 1 everywhere at t = 0."""
     p = p_poly(_domain(t, x))
-    u = abs(t)
+    u = abs(float(t))
     return (p / ((1.0 - p) * u + p)) ** 2
 
 

@@ -4,7 +4,7 @@ The central object solved here is du/ds · u(s)^-1 = v(s) with u(0) = 1,
 where v takes values in the positive-grade part of a truncated series
 algebra.  Three routes are implemented and cross-checked:
 
-* ``solve_left_ode``      — exact grade recursion with polynomial integration;
+* ``solve_left_ode``      — the series' level solve u = 1 + integral(v·u);
 * ``iterated_integrals``  — the time-ordered simplex integrals, summed per grade;
 * ``euler_product``       — the ordered finite product
       u_n(s) = (1 + (s - j/n) v(j/n)) * prod_{i=1..j} (1 + (1/n) v((j-i)/n)),
@@ -15,7 +15,9 @@ algebra.  Three routes are implemented and cross-checked:
 A path is itself a formal series over the groupoid, with coefficients in
 the time polynomials A[s] over the value algebra A: products, inverses and
 validation are the series' own, and evaluation at a time t gives the series
-with values in A.  Time polynomials carry exact Fraction time-coefficients.
+with values in A.  The ODE solve and the left log-derivative run on the series'
+product kernel, at a cost that follows the supports, not the groupoid's window.
+Time polynomials carry exact Fraction time-coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
-from .series import FormalSeries, _is_exact_scalar
+from .series import FormalSeries, _convolve, _is_exact_scalar
 
 
 def _exact_time(t) -> Fraction:
@@ -182,48 +184,33 @@ class AlgebraPath(FormalSeries):
 
 
 def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
-    """Exact solution u of du/ds = v(s)·u(s), u(0) = 1, by grade recursion.
-
-    The grade-k component is the integral of sum over decompositions
-    k = i∘j with i ≠ e of v_i(r)·u_j(r); since grades of i are >= 1 the
-    right factor is already known from strictly lower grades.
-    """
+    """Exact solution u of du/ds = v(s)·u(s), u(0) = 1: the series' level solve
+    u = 1 + integral(v·u), each grade of u read off strictly lower ones."""
     if not v.has_zero_e_part():
         raise ValueError("the direction of the ODE must have no neutral component")
-    gpd = v.groupoid
-    solution = {gpd.neutral: v.unit}
-    for elem in gpd.elements_up_to(v.order):
-        if elem == gpd.neutral or elem is gpd.neutral:
-            continue
-        integrand = v.zero_coeff
-        for i, j in gpd.decompositions(elem):
-            if i == gpd.neutral or i is gpd.neutral:
-                continue
-            vi = v.coeffs.get(i)
-            uj = solution.get(j)
-            if vi is None or uj is None:
-                continue
-            integrand = integrand + vi * uj
-        poly = integrand.integral()
-        if poly:
-            solution[elem] = poly
-    return AlgebraPath._trusted(gpd, v.order, solution, v.unit)
+    return v._level_solve(CoeffPoly.integral)
 
 
 def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
-    """v = du/ds · u^-1 exactly, solving v·u = du by grade: u is 1 at the neutral
-    element, so v_k = du_k - sum of v_i·u_j over k = i∘j with ord(j) > 0."""
+    """v = du/ds · u^-1 exactly: v = du - v·(u - 1) solved by grade on the series'
+    product kernel, the solved levels of v as left factors, each pair once."""
     if not u.is_unital():
         raise ValueError("left logarithmic derivative needs a unital path")
-    gpd, u_coeffs, v = u.groupoid, u.coeffs, {}
-    for k in gpd.elements_up_to(u.order)[1:]:
-        vk = u_coeffs[k].derivative() if k in u_coeffs else u.zero_coeff
-        for i, j in gpd.decompositions(k):
-            if i in v and j in u_coeffs and gpd.ord(j) > 0:
-                vk = vk - v[i] * u_coeffs[j]
-        if vk:
-            v[k] = vk
-    return AlgebraPath._trusted(gpd, u.order, v, u.unit)
+    gpd, du, minus_u = u.groupoid, {}, {}
+    for k, p in u.coeffs.items():
+        if (g := gpd.ord(k)) > 0:
+            du.setdefault(g, {})[k] = p.derivative()
+            minus_u.setdefault(g, []).append((k, -p))
+    levels = {}
+    for grade in range(1, u.order + 1):
+        out = du.get(grade, {})
+        for h, level in levels.items():
+            right = minus_u.get(grade - h, ())
+            for i, vi in level:
+                _convolve(gpd._compose, out, i, vi, right)
+        levels[grade] = [(k, p) for k, p in out.items() if p]
+    return AlgebraPath._trusted(gpd, u.order, {k: p for level in levels.values()
+                                               for k, p in level}, u.unit)
 
 
 def iterated_integrals(v: AlgebraPath, grade: int):

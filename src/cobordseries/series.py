@@ -14,10 +14,10 @@ Because coefficients of positive grade are nilpotent at truncation N, the
 exponential and logarithm are finite sums and are exact mutual inverses
 over exact coefficient arithmetic.
 
-The kernels work grade by grade: a product groups the right operand by grade
-and pairs each left element only with the levels that stay within the order,
-and the inverse solves w = 1 - a·w one grade at a time, one product's work
-instead of N.  Both compose validated supports with the unchecked ``_compose``.
+The kernels work grade by grade on validated supports, through the unchecked
+``_compose``: a product pairs each left element with the right operand's grade
+levels within the order, and one level solve, x = 1 + post(a·x), gives the
+inverse (post the identity) and the left ODE of ``paths`` (the time integral).
 """
 
 from __future__ import annotations
@@ -161,24 +161,26 @@ class FormalSeries:
     # -- group structure on 1 + positive-grade part ---------------------------
 
     def inverse(self) -> "FormalSeries":
-        """Inverse of a unital series, solving w = 1 - a·w (a = self - 1) grade
-        by grade: level g of w is -sum a_i·w_j over j in level g - ord(i), so
-        each pair is composed once.  Relies on grade additivity (checked by
-        ``axiom_violations``); the unique solution is the geometric sum's."""
+        """Inverse of a unital series: w = 1 - a·w for a = self - 1, the level
+        solve on -self; the unique solution is the geometric sum's."""
         if not self.is_unital():
             raise ValueError("inverse requires leading coefficient equal to the unit")
+        return (-self)._level_solve(lambda c: c)
+
+    def _level_solve(self, post):
+        """x = 1 + post(a·x) for a = self's positive part, as ``type(self)``: level g
+        is post(sum of a_i·x_j over j in level g - ord(i)), each pair composed once
+        (grade additivity is checked by ``axiom_violations``); post(0) must be 0."""
         gpd, order = self.groupoid, self.order
-        minus_a = [(i, -v, g) for i, v in self.coeffs.items() if (g := gpd.ord(i)) > 0]
+        terms = [(i, v, g) for i, v in self.coeffs.items() if (g := gpd.ord(i)) > 0]
         levels = {0: [(gpd.neutral, self.unit)]}
         for grade in range(1, order + 1):
             out = {}
-            for i, v, g in minus_a:
-                level = levels.get(grade - g)
-                if level:
-                    _convolve(gpd._compose, out, i, v, level)
-            levels[grade] = [(k, v) for k, v in out.items() if v]
-        return FormalSeries._trusted(gpd, order, {k: v for level in levels.values()
-                                                  for k, v in level}, self.unit)
+            for i, v, g in terms:
+                _convolve(gpd._compose, out, i, v, levels.get(grade - g, ()))
+            levels[grade] = [(k, x) for k, v in out.items() if (x := post(v))]
+        return type(self)._trusted(gpd, order, {k: v for level in levels.values()
+                                                for k, v in level}, self.unit)
 
     def exp(self) -> "FormalSeries":
         """exp of a series with zero neutral part: finite sum of a^k / k!."""

@@ -8,8 +8,9 @@ distinct unit facets of the domains in shuffled order with random (or all
 +1) orientations, so it saturates the domains.  A relabelled group is a
 built-in group whose non-identity elements are renumbered by a random
 permutation.  The chain and the two-plaquette strip are the CLI's own
-``chain_instance`` and ``strip_instance``.  Test modules import these by
-module name (``from lattice_instances import ...``).
+``chain_instance`` and ``strip_instance``.  The rectangle skeleton is the
+boundary of a rectangle plus the edges of guillotine cuts.  Test modules
+import these by module name (``from lattice_instances import ...``).
 """
 
 from hypothesis import strategies as st
@@ -20,6 +21,26 @@ from cobordseries.groups import FiniteGroup, builtin_group
 from cobordseries.measures import ComplexMeasure
 
 RELABEL_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "Q8")
+
+
+def skeleton_cells(width, height, cuts, coarse=False):
+    """Boundary edges of [0,w]x[0,h] plus the unit edges of the guillotine
+    ``cuts``, a list of (axis, coordinate), sorted by (base, axis, extent).
+    Outer sides are unit edges, or with ``coarse`` one long edge each, so
+    cut pieces see them only in part."""
+    edges = set()
+    if coarse:
+        edges |= {((0, 0), 0, width), ((0, height), 0, width),
+                  ((0, 0), 1, height), ((width, 0), 1, height)}
+    else:
+        edges |= {((x, y), 0, 1) for x in range(width) for y in (0, height)}
+        edges |= {((x, y), 1, 1) for x in (0, width) for y in range(height)}
+    for axis, coord in cuts:
+        if axis == 0:
+            edges |= {((coord, y), 1, 1) for y in range(height)}
+        else:
+            edges |= {((x, coord), 0, 1) for x in range(width)}
+    return [Cell(base, (axis,), (extent,)) for base, axis, extent in sorted(edges)]
 
 
 def chain_measure(length, density):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from lattice_instances import chain_measure, strip_cells, strip_measure
+from lattice_instances import chain_measure, skeleton_cells, strip_cells, strip_measure
 
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, boundary_word, dimension_extend, domain_box,
@@ -243,30 +243,6 @@ def test_criterion_6_reordering():
            time.perf_counter() - start, 30, ok)
 
 
-def rectangle_skeleton(width, height, cuts):
-    """Unit edges of the boundary of [0,w]x[0,h] plus interface edges.
-
-    ``cuts`` is a list of (axis, coordinate) guillotine cuts; the returned
-    complex carries every unit edge involved, ordered deterministically.
-    """
-    edges = set()
-    for x in range(width):
-        edges.add(((x, 0), 0))
-        edges.add(((x, height), 0))
-    for y in range(height):
-        edges.add(((0, y), 1))
-        edges.add(((width, y), 1))
-    for axis, coord in cuts:
-        if axis == 0:
-            for y in range(height):
-                edges.add(((coord, y), 1))
-        else:
-            for x in range(width):
-                edges.add(((x, coord), 0))
-    cells = [edge_cell(base, axis) for base, axis in sorted(edges)]
-    return CellComplex(cells)
-
-
 def hand_rectangle_word(rect_spans, complex_):
     """Independent boundary-word oracle for an axis-aligned rectangle:
     bottom and right unit edges count +1, top and left count -1."""
@@ -333,7 +309,7 @@ def test_criterion_7_dimension_extension():
     for width, height in rects:
         whole = domain_box(((0, width), (0, height)))
         for cutspec, piece_a, piece_b in two_piece_decompositions(width, height):
-            complex_ = rectangle_skeleton(width, height, [cutspec])
+            complex_ = CellComplex(skeleton_cells(width, height, [cutspec]))
             n_cells = len(complex_)
             whole_pairs = boundary_word(whole, complex_)
             a_pairs = boundary_word(piece_a, complex_)

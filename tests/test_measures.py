@@ -827,6 +827,25 @@ def test_factorization_ordering_assumption_enforced():
                             density, domains_pasted=tuple(later) + tuple(earlier))
 
 
+def test_factorization_ordering_rule_accepts_exactly_the_earlier_prefixes():
+    """Over every order of two earlier and two later domains, a non-abelian
+    check rejects exactly the orders whose first two domains are not the
+    earlier ones."""
+    density = SemigroupDensity(S3)
+    chain = CellComplex([point_cell((x,)) for x in range(5)])
+    result = cut(CobordismBox(((0, 4),)), chain, 2)
+    later = [domain_box(((2, 3),)), domain_box(((3, 4),))]
+    earlier = [domain_box(((0, 1),)), domain_box(((1, 2),))]
+    earlier_keys = {dom.key() for dom in earlier}
+    args = (result.k, result.k_prime, chain, later, earlier, density)
+    for pasted in itertools.permutations(earlier + later):
+        if {dom.key() for dom in pasted[:2]} == earlier_keys:
+            factorization_check(*args, domains_pasted=pasted)
+        else:
+            with pytest.raises(ValueError, match="earlier-piece domains at the beginning"):
+                factorization_check(*args, domains_pasted=pasted)
+
+
 def test_factorization_neutral_piece():
     density = SemigroupDensity(Z2)
     chain = CellComplex([point_cell((0,)), point_cell((1,))])

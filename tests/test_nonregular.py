@@ -279,6 +279,15 @@ def test_membership_reads_an_exact_time_and_step_as_floats():
     assert {**exact, "t": 0.5} == nr.check_membership(0.5, 1000, fd_step=0.001)
 
 
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(-1, 3), 0])
+@pytest.mark.parametrize("f", [nr.c, nr.dc_dt], ids=["c", "dc_dt"])
+def test_path_reads_an_exact_time_as_a_float(f, t):
+    x = np.array([1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9])
+    exact = f(t, x)
+    assert exact.dtype == np.float64
+    assert np.array_equal(exact, f(float(t), x))
+
+
 def test_membership_evaluates_p_once_per_point(monkeypatch):
     # P is computed once per grid point and once per shifted point x +/- h;
     # slices that overlap or miss part of the grid change the count.

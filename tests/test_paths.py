@@ -215,19 +215,23 @@ def test_left_log_derivative_recovers_direction_exactly():
         assert left_log_derivative(u) == v
 
 
-def test_solution_unique_under_decomposition_reorder(monkeypatch):
-    v = AlgebraPath(NAT, 4, {1: CoeffPoly((ONE, Fraction(1, 2))),
-                             2: CoeffPoly.constant(Fraction(1, 3))})
-    u_first = solve_left_ode(v)
-    original = NAT.__class__.decompositions
+@pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
+def test_ode_solvers_never_enumerate_the_window(spec, monkeypatch):
+    """Both solvers read only the supports: they run with the groupoid's
+    window enumeration and its decompositions patched to raise."""
+    gpd = from_spec(spec)
+    elems = [e for e in gpd.elements_up_to(4) if gpd.ord(e) >= 1]
+    v = AlgebraPath(gpd, 4, {e: CoeffPoly((ONE, Fraction(n, 2))) for n, e in enumerate(elems)})
 
-    def reversed_decs(self, k):
-        return list(reversed(original(self, k)))
+    def refuse(*args):
+        raise AssertionError("the window was enumerated")
 
-    monkeypatch.setattr(NAT.__class__, "decompositions", reversed_decs)
-    u_second = solve_left_ode(v)
-    monkeypatch.undo()
-    assert u_first == u_second
+    for name in ("elements_up_to", "decompositions"):
+        monkeypatch.setattr(type(gpd), name, refuse)
+    u = solve_left_ode(v)
+    assert left_log_derivative(u) == v
+    for m in range(v.order + 1):
+        assert iterated_integrals(v, m) == grade_component(u(1), m)
 
 
 # -- iterated integrals -----------------------------------------------------------

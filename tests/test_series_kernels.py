@@ -6,7 +6,9 @@ public, validating ``compose`` and grades each composite with ``ord``; the
 inverse runs the Horner form of 1 - a + a^2 - ... with N such products.
 The library's kernels group coefficients by grade and compose validated
 supports with ``_compose``; they must give the same coefficient dicts, with
-no zero coefficient, over every groupoid and coefficient algebra below.
+no zero coefficient, over every groupoid and coefficient algebra below.  The
+left-ODE solvers of ``paths`` run on the same kernel, and each composes every
+support pair it needs once.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from cobordseries.groupoids import BoxGroupoid, from_spec
 from cobordseries.matrices import RationalMatrix
-from cobordseries.paths import CoeffPoly
+from cobordseries.paths import AlgebraPath, CoeffPoly, left_log_derivative, solve_left_ode
 from cobordseries.series import FormalSeries
 
 
@@ -173,3 +175,34 @@ def test_inverse_composes_each_pair_at_most_once(spec, values, monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) == expected
     assert len(calls) <= len(a.coeffs) * len(ui.coeffs)
+
+
+@pytest.mark.parametrize("spec,values", [
+    ("nat", None),
+    ("interval:0..5", None),
+    ("box:2:0..2,0..3", None),
+    # v = 1 - s·q^2 solves to u with zero grade-2 part: u_2 = integral(s - s)
+    ("nat", {1: CoeffPoly((Fraction(1),)), 2: CoeffPoly((0, Fraction(-1)))}),
+], ids=["nat", "interval", "box", "nat-cancelling"])
+def test_ode_solvers_compose_each_pair_at_most_once(spec, values, monkeypatch):
+    """``solve_left_ode`` composes exactly the pairs (i, j) with i in supp(v),
+    j in supp(u) and grades summing to at most the order, each once, and
+    ``left_log_derivative`` those among them with ord(j) > 0."""
+    gpd = from_spec(spec)
+    if values is None:
+        elems = [e for e in gpd.elements_up_to(5) if gpd.ord(e) >= 1]
+        values = {e: CoeffPoly((Fraction(n + 1, 2), Fraction(-1, n + 2)))
+                  for n, e in enumerate(elems)}
+    v = AlgebraPath(gpd, 5, values)
+    u = solve_left_ode(v)
+    calls = count_compose_calls(gpd, monkeypatch)
+    assert solve_left_ode(v) == u
+    solve_calls = list(calls)
+    calls.clear()
+    assert left_log_derivative(u) == v
+    expected = {(i, j) for i in v.coeffs for j in u.coeffs
+                if gpd.ord(i) + gpd.ord(j) <= 5}
+    for got, pairs in ((solve_calls, expected),
+                       (calls, {(i, j) for i, j in expected if gpd.ord(j) > 0})):
+        assert len(got) == len(set(got))
+        assert set(got) == pairs

@@ -6,11 +6,12 @@ to suggest a patch, and that import emits a DeprecationWarning; unfiltered,
 it would stop the whole session with an INTERNALERROR.  The meta-test runs
 one failing property and one passing test under the repository's own
 ``filterwarnings`` list, in a fresh pytest process; every other
-DeprecationWarning and RuntimeWarning is still an error.  A second
-meta-test runs the suite's ``conftest.py`` on two files and reads the
-per-file times it prints, slowest first, and the raw and calibrated totals
-after them; a third counts the calibration kernel's readings, one at each
-end of the session and one after each test file.
+DeprecationWarning and RuntimeWarning is still an error (it needs its own
+process: libcst is imported, and warns, only once per interpreter).  A
+second meta-test runs the suite's ``conftest.py`` on two files, in-process,
+and reads the per-file times it prints, slowest first, and the raw and
+calibrated totals after them; a third counts the calibration kernel's
+readings, one at each end of the session and one after each test file.
 """
 
 import tomllib
@@ -54,7 +55,7 @@ def test_summary_lists_time_per_file_slowest_first(pytester):
         test_slow="import time\n\n"
                   "def test_sleeps():\n    time.sleep(0.2)\n\n"
                   "def test_sleeps_again():\n    time.sleep(0.2)\n")
-    result = pytester.runpytest_subprocess("-q", "-p", "no:cacheprovider")
+    result = pytester.runpytest_inprocess("-q", "-p", "no:cacheprovider")
     result.assert_outcomes(passed=3)
     result.stdout.re_match_lines([r".*setup \+ call time per test file.*",
                                   r" +\d+\.\d\ds test_slow\.py$",
@@ -69,7 +70,7 @@ def test_summary_counts_a_kernel_reading_after_each_file(pytester):
     pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
     pytester.makepyfile(test_one="def test_a():\n    pass\n\ndef test_b():\n    pass\n",
                         test_two="def test_c():\n    pass\n")
-    result = pytester.runpytest_subprocess("-q", "-p", "no:cacheprovider")
+    result = pytester.runpytest_inprocess("-q", "-p", "no:cacheprovider")
     result.assert_outcomes(passed=3)
     result.stdout.re_match_lines([r" +4 kernel readings, median taken: session start, end of "
                                   r"each test file, session end$"])

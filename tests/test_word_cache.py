@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from lattice_instances import skeleton_cells
 
 from cobordseries import cells as cells_mod
 from cobordseries.cells import (
@@ -67,24 +68,6 @@ def outcome(fn, *args):
 
 
 # -- instances -----------------------------------------------------------------
-
-def skeleton_cells(width, height, cuts, coarse):
-    """Boundary edges of [0,w]x[0,h] plus guillotine cuts.  With ``coarse``
-    each outer side is one long edge, so cut pieces see it only in part."""
-    edges = set()
-    if coarse:
-        edges |= {((0, 0), 0, width), ((0, height), 0, width),
-                  ((0, 0), 1, height), ((width, 0), 1, height)}
-    else:
-        edges |= {((x, y), 0, 1) for x in range(width) for y in (0, height)}
-        edges |= {((x, y), 1, 1) for x in (0, width) for y in range(height)}
-    for axis, coord in cuts:
-        if axis == 0:
-            edges |= {((coord, y), 1, 1) for y in range(height)}
-        else:
-            edges |= {((x, coord), 0, 1) for x in range(width)}
-    return [Cell(base, (axis,), (extent,)) for base, axis, extent in sorted(edges)]
-
 
 @st.composite
 def skeletons(draw):
