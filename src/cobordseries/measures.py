@@ -24,7 +24,9 @@ reduces each side on its own: once L splits the region, every word reads
 one side only, so each conditional sum is a product of two one-sided sums.
 Reordering and pasting only relabel the words (sigma re-sorts each by its
 cells' positions in sigma K; a piece's words keep their order on the pasted
-positions) before the factor products are compared as arrays over G^K.
+positions); the factor products are built and compared as arrays over G^K
+only when ``_same_factor`` fails to certify a relabelled word against its
+partner (equal letters over an abelian group, a rotation over any group).
 Enumeration stays as the oracle: ``configurations()`` is the single
 enumerator of G^K, and ``density_of`` and ``conditional_mass`` evaluate one
 configuration at a time against it.
@@ -217,6 +219,8 @@ def _word_product(group: FiniteGroup, positions: range, words, q_tables, out=Non
     ``out`` it starts from ones (length 1 where no word reads the position)."""
     if out is None:
         read = {pos for word in words for pos, _ in word}
+        if group.order ** len(read) > 2 ** 24:
+            raise ValueError(f"n**k = {group.order}**{len(read)} configurations, more than 2**24")
         out = np.ones([group.order if a in read else 1 for a in positions])
     for word, q in zip(words, q_tables):
         factor, axes = word_factor(group, word, q)
@@ -375,12 +379,23 @@ def sigma_action(perm, complex_: CellComplex) -> CellComplex:
     return CellComplex(tuple(complex_.cells[p] for p in _permutation(perm, complex_)))
 
 
+def _same_factor(group: FiniteGroup, word: list, other: list) -> bool:
+    """Whether two signed position words give the same q-value on every configuration:
+    over an abelian group when they hold the same letters, over any group when ``other``
+    is a cyclic rotation of ``word``: ba = a^-1 (ab) a is conjugate to ab, and q_t is a
+    class function (Diaconis 1988) whose float table is equal across each class."""
+    return (group.is_abelian and sorted(word) == sorted(other)) or any(
+        word[i:] + word[:i] == other for i in range(len(word) or 1))
+
+
 def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
     """max over configurations of |mu_{sigma K}(C) - mu_K(C)| (C is attached
-    to cells, not to positions, so the configuration is permuted along); on
-    K's positions, a word on sigma K is re-sorted by its cells' new positions."""
+    to cells, so the configuration is permuted along); on K's positions, a word
+    on sigma K is re-sorted by its cells' new positions (0.0 if all certify)."""
     moved_to = np.argsort(_permutation(perm, measure.complex)).tolist()
     words = [sorted(word, key=lambda e: moved_to[e[0]]) for word in measure.words]
+    if all(_same_factor(measure.group, w, v) for w, v in zip(measure.words, words)):
+        return 0.0
     difference = measure.density_array()
     difference -= _word_product(measure.group, range(len(moved_to)), words,
                                 measure.q_tables)
@@ -646,7 +661,8 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
                         domains_later, domains_earlier, density: SemigroupDensity,
                         tol=1e-12, domains_pasted=None):
     """Verify mu_K(C) * mu_K'(C') = mu_K''(C'') on G^{K''}, each piece's words
-    kept in their order on their cells' positions in K'' (missing cells raise).
+    kept in their order on their cells' positions in K'' (missing cells raise);
+    0.0 when ``_same_factor`` pairs each (domain, word) off with a pasted one.
 
     ``domains_later`` cover the later piece (whose complex is k) and
     ``domains_earlier`` the earlier one.  The pasted measure must list the
@@ -665,13 +681,21 @@ def factorization_check(k: CellComplex, k_prime: CellComplex, k_pp: CellComplex,
                              "at the beginning of the list")
     measure_pp = ComplexMeasure(k_pp, tuple(domains_pasted), density)
     pasted_at = {cell.key(): pos for pos, cell in enumerate(k_pp.cells)}
-    difference = 1.0  # the later piece's product times the earlier one's
+    pieces = []  # each piece's words on K''s positions, with its measure
     for piece, doms in ((k, domains_later), (k_prime, domains_earlier)):
         measure = ComplexMeasure(piece, doms, density)
         moved_to = [pasted_at.get(cell.key()) for cell in piece.cells]
         if None in moved_to:
             raise ValueError(f"{piece.cells[moved_to.index(None)]!r} is not in the pasted complex")
-        words = [[(moved_to[pos], exp) for pos, exp in word] for word in measure.words]
+        pieces.append(([[(moved_to[pos], exp) for pos, exp in word] for word in measure.words],
+                       measure))
+    keyed = sorted((d.key(), w) for words, m in pieces for d, w in zip(m.domains, words))
+    pasted = sorted((d.key(), w) for d, w in zip(measure_pp.domains, measure_pp.words))
+    if len(keyed) == len(pasted) and all(
+            a == b and _same_factor(group, u, v) for (a, u), (b, v) in zip(keyed, pasted)):
+        return 0.0 <= tol, 0.0
+    difference = 1.0  # the later piece's product times the earlier one's
+    for words, measure in pieces:
         difference = difference * _word_product(group, range(len(k_pp)), words,
                                                  measure.q_tables)
     difference -= measure_pp.density_array()

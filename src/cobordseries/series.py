@@ -108,7 +108,7 @@ class FormalSeries:
         out = dict(self.coeffs)
         for elem, value in other.coeffs.items():
             out[elem] = out[elem] + value if elem in out else value
-        return FormalSeries._trusted(self.groupoid, self.order, out, self.unit)
+        return type(self)._trusted(self.groupoid, self.order, out, self.unit)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSeries):
@@ -116,15 +116,14 @@ class FormalSeries:
         return self + (-other)
 
     def __neg__(self):
-        return FormalSeries._trusted(self.groupoid, self.order,
-                                     {e: -v for e, v in self.coeffs.items()}, self.unit)
+        return type(self)._trusted(self.groupoid, self.order,
+                                   {e: -v for e, v in self.coeffs.items()}, self.unit)
 
     def scale(self, scalar):
         if not _is_exact_scalar(scalar):
             raise ValueError(f"a series scales by an int or a Fraction, not {scalar!r}")
-        return FormalSeries._trusted(self.groupoid, self.order,
-                                     {e: v * scalar for e, v in self.coeffs.items()},
-                                     self.unit)
+        return type(self)._trusted(self.groupoid, self.order,
+                                   {e: v * scalar for e, v in self.coeffs.items()}, self.unit)
 
     # -- graded convolution --------------------------------------------------
 
@@ -143,7 +142,7 @@ class FormalSeries:
                 for grade, level in right.items():
                     if grade <= room:
                         _convolve(gpd._compose, out, i, a, level)
-            return FormalSeries._trusted(gpd, order, out, self.unit)
+            return type(self)._trusted(gpd, order, out, self.unit)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -162,7 +161,8 @@ class FormalSeries:
 
     def inverse(self) -> "FormalSeries":
         """Inverse of a unital series: w = 1 - a·w for a = self - 1, the level
-        solve on -self; the unique solution is the geometric sum's."""
+        solve on -self (of ``type(self)``, as negation keeps the type); the unique
+        solution is the geometric sum's."""
         if not self.is_unital():
             raise ValueError("inverse requires leading coefficient equal to the unit")
         return (-self)._level_solve(lambda c: c)

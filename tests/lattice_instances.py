@@ -9,7 +9,8 @@ distinct unit facets of the domains in shuffled order with random (or all
 built-in group whose non-identity elements are renumbered by a random
 permutation.  The chain and the two-plaquette strip are the CLI's own
 ``chain_instance`` and ``strip_instance``.  The rectangle skeleton is the
-boundary of a rectangle plus the edges of guillotine cuts.  Test modules
+boundary of a rectangle plus the edges of guillotine cuts; the row strip is
+the skeleton of a 1 x n rectangle cut into unit squares.  Test modules
 import these by module name (``from lattice_instances import ...``).
 """
 
@@ -41,6 +42,13 @@ def skeleton_cells(width, height, cuts, coarse=False):
         else:
             edges |= {((x, coord), 0, 1) for x in range(width)}
     return [Cell(base, (axis,), (extent,)) for base, axis, extent in sorted(edges)]
+
+
+def row_strip(n):
+    """The 1 x n strip of unit squares: ``skeleton_cells`` cut at every
+    interior x (3n + 1 edges), and its n unit squares as domains."""
+    cells = skeleton_cells(n, 1, [(0, x) for x in range(1, n)])
+    return cells, [domain_box(((x, x + 1), (0, 1))) for x in range(n)]
 
 
 def chain_measure(length, density):

@@ -6,16 +6,22 @@ positions in sigma K, and ``factorization_check`` maps each piece's words
 onto the pasted complex's positions.  The oracles here build sigma K, the
 pieces and the pasted complex as complexes, let ``ComplexMeasure`` compile
 their words from the geometry, and enumerate every configuration with
-``density_of``; the relabelled checks must give the same floats exactly.
+``density_of``; where the checks build arrays they must give the same
+floats exactly, and where the words certify them they read 0.0, the oracle
+differing by its own rounding.
 """
 
 import itertools
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from lattice_instances import chain_instance, strip_cells, strip_instance
+from lattice_instances import chain_instance, row_strip, strip_cells, strip_instance
 
 import cobordseries.cells as cells_mod
+import cobordseries.measures as measures_mod
 from cobordseries.cells import CellComplex, domain_box, point_cell
 from cobordseries.groups import builtin_group
 from cobordseries.measures import (
@@ -69,7 +75,8 @@ def reorder_oracle(measure, perm):
 
 def factorization_oracle(k, k_prime, k_pp, later, earlier, density):
     """Each piece and the pasted complex measured on their own cells, the
-    piece densities looked up by cell key: later product times earlier."""
+    piece densities looked up by cell key: later product times earlier.
+    Returns the worst residual and the largest pasted density."""
     pasted = ComplexMeasure(k_pp, tuple(earlier) + tuple(later), density)
     where = {c.key(): pos for pos, c in enumerate(k_pp.cells)}
     pieces = []
@@ -77,13 +84,32 @@ def factorization_oracle(k, k_prime, k_pp, later, earlier, density):
         m = ComplexMeasure(piece, doms, density)
         pieces.append(([where[c.key()] for c in piece.cells],
                        {c: m.density_of(c) for c in m.configurations()}))
-    worst = 0.0
+    worst = largest = 0.0
     for config in pasted.configurations():
         product = 1.0
         for positions, dens in pieces:
             product *= dens[tuple(config[p] for p in positions)]
-        worst = max(worst, abs(product - pasted.density_of(config)))
-    return worst
+        value = pasted.density_of(config)
+        worst, largest = max(worst, abs(product - value)), max(largest, value)
+    return worst, largest
+
+
+def checked_factorization(k, k_prime, k_pp, later, earlier, density):
+    """``factorization_check`` against the oracle: with the word certificate
+    refused, the arrays give the oracle's float exactly; where the words
+    certify, the check reads 0.0 and the oracle differs by its own rounding."""
+    args = (k, k_prime, k_pp, later, earlier, density)
+    expected, largest = factorization_oracle(*args)
+    with mock.patch.object(measures_mod, "_same_factor", return_value=False):
+        assert factorization_check(*args)[1] == expected
+    with mock.patch.object(measures_mod, "_word_product",
+                           wraps=measures_mod._word_product) as products:
+        ok, worst = factorization_check(*args)
+    if products.called:
+        assert worst == expected
+    else:
+        assert worst == 0.0 and expected <= 1e-15 * largest
+    return ok, expected
 
 
 def keys_for(size):
@@ -119,16 +145,15 @@ def test_factorization_relabelled_words_match_the_recompiled_measures(case, data
     k_prime = CellComplex(shuffled(result.k_prime.cells,
                                    data.draw(keys_for(len(result.k_prime)))))
     density = SemigroupDensity(builtin_group(gname))
-    ok, worst = factorization_check(k, k_prime, complex_, later, earlier, density)
-    expected = factorization_oracle(k, k_prime, complex_, later, earlier, density)
-    assert worst == expected
+    ok, expected = checked_factorization(k, k_prime, complex_, later, earlier, density)
     assert ok == (expected <= 1e-12)
 
 
 @pytest.mark.parametrize("gname,name", [(g, "chain4") for g in GROUPS] + [("Z3", "strip")])
 def test_factorization_pieces_ordered_against_the_pasted_complex(gname, name):
     """Pieces whose cell orders reverse the one K'' induces: each word keeps
-    its own order on K''s positions, so the check equals the oracle."""
+    its own order on K''s positions, so the arrays equal the oracle; a reversed
+    two-letter word is a rotation, and over Z3 any order certifies."""
     density = SemigroupDensity(builtin_group(gname))
     cells, domains, spans = INSTANCES[name]
     complex_ = CellComplex(cells)
@@ -139,8 +164,7 @@ def test_factorization_pieces_ordered_against_the_pasted_complex(gname, name):
     k_prime = CellComplex(result.k_prime.cells[::-1])
     positions = [complex_.cells.index(c) for c in k.cells]
     assert positions == sorted(positions, reverse=True)
-    ok, worst = factorization_check(k, k_prime, complex_, later, earlier, density)
-    assert worst == factorization_oracle(k, k_prime, complex_, later, earlier, density)
+    ok, _ = checked_factorization(k, k_prime, complex_, later, earlier, density)
     assert ok
 
 
@@ -155,6 +179,60 @@ def test_factorization_rejects_a_piece_cell_missing_from_the_pasted_complex():
         factorization_check(k, k_prime, k_pp, [domain_box(((2, 3),))],
                             [domain_box(((0, 1),))], density,
                             domains_pasted=pasted_domains)
+
+
+def plaquette_measure(gname):
+    cells, domains, _ = plaquette()
+    return ComplexMeasure(CellComplex(cells), domains, SemigroupDensity(builtin_group(gname)))
+
+
+def test_reorder_certifies_the_rotations_of_a_non_abelian_word():
+    """The plaquette's word runs around the square, so over S3 exactly the 4
+    rotations are certified (0.0, no array built) and the other 20 orders
+    equal the oracle; over Z3 every order holds the same letters."""
+    rotations = {tuple((i + j) % 4 for j in range(4)) for i in range(4)}
+    for gname, expected in (("S3", rotations), ("Z3", set(itertools.permutations(range(4))))):
+        measure, certified = plaquette_measure(gname), set()
+        for perm in itertools.permutations(range(4)):
+            with mock.patch.object(measures_mod, "_word_product",
+                                   wraps=measures_mod._word_product) as products:
+                difference = reorder_max_difference(measure, perm)
+            if products.called:
+                assert difference == reorder_oracle(measure, perm)
+            else:
+                certified.add(perm)
+                assert difference == 0.0
+        assert certified == expected
+
+
+def test_an_unsound_reorder_certificate_disagrees_with_the_oracle():
+    """A certificate that accepted any order of the letters would pass the
+    S3 counterexample off as invariant; the oracle tests would catch it."""
+    measure = plaquette_measure("S3")
+    with mock.patch.object(measures_mod, "_same_factor",
+                           lambda group, word, other: sorted(word) == sorted(other)):
+        assert any(reorder_max_difference(measure, perm) != reorder_oracle(measure, perm)
+                   for perm in itertools.permutations(range(4)))
+
+
+def test_reorder_of_a_16_square_strip():
+    """Over Z2 every re-sorted word holds the same letters, so 49 cells reorder
+    without an array; over S3 the uncertified words would need one over 6**49
+    configurations, which raises before allocating."""
+    cells, domains = row_strip(16)
+    assert len(cells) == 49
+    perm = random.Random(5).sample(range(len(cells)), len(cells))
+    z2 = ComplexMeasure(CellComplex(cells), domains, SemigroupDensity(builtin_group("Z2")))
+    tracemalloc.start()
+    try:
+        assert reorder_max_difference(z2, perm) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    s3 = ComplexMeasure(CellComplex(cells), domains, SemigroupDensity(builtin_group("S3")))
+    with pytest.raises(ValueError, match=r"n\*\*k = 6\*\*49 configurations, more than 2\*\*24"):
+        reorder_max_difference(s3, perm)
 
 
 def test_reorder_compiles_no_boundary_word(monkeypatch):

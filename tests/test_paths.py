@@ -215,6 +215,20 @@ def test_left_log_derivative_recovers_direction_exactly():
         assert left_log_derivative(u) == v
 
 
+def test_path_arithmetic_keeps_evaluable_paths():
+    """Sums, differences, negations, scalings, products and inverses of paths
+    are paths, and evaluating them commutes with the arithmetic."""
+    rng = random.Random(43)
+    for v in random_paths(rng, 4):
+        u = solve_left_ode(v)
+        assert (u + u)(1) == u(1) + u(1)
+        assert (u * u)(1) == u(1) * u(1)
+        assert (u - v)(1) == u(1) - v(1)
+        for path in (-u, u.scale(2), 2 * u, u.inverse()):
+            assert type(path) is AlgebraPath
+        assert (u * u.inverse())(Fraction(1, 3)) == FormalSeries.one(v.groupoid, v.order)
+
+
 @pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
 def test_ode_solvers_never_enumerate_the_window(spec, monkeypatch):
     """Both solvers read only the supports: they run with the groupoid's
