@@ -14,8 +14,8 @@ Three concrete instances are provided:
 
 Every instance satisfies: grade 0 only at the neutral element, grade
 additivity, associativity (if either nested composite is defined, both are
-and they agree), absence of inverses, and finitely many decompositions of
-each element.
+and they agree), and absence of inverses.  Each k is i o j in finitely many
+ways, since both factors lie in the finite window of grades up to ord(k).
 
 All three test integer coordinates with the same check, ``type(x) is int``:
 ``bool`` is an ``int`` subclass but never an element, and the inline test
@@ -85,11 +85,6 @@ class GradedGroupoid:
         max_grade must be an int (not a bool) >= 0."""
         raise NotImplementedError
 
-    def decompositions(self, k):
-        """All ordered pairs (i, j) with compose(i, j) == k, including the
-        trivial ones (neutral, k) and (k, neutral)."""
-        raise NotImplementedError
-
     def element_id(self, element) -> str:
         """Stable string id used in serialized series."""
         raise NotImplementedError
@@ -120,10 +115,6 @@ class NatMonoid(GradedGroupoid):
 
     def elements_up_to(self, max_grade):
         return list(range(_grade_bound(max_grade) + 1))
-
-    def decompositions(self, k):
-        self._require(k)
-        return [(i, k - i) for i in range(k + 1)]
 
     def element_id(self, element):
         return f"n:{element}"
@@ -187,15 +178,6 @@ class IntervalGroupoid(GradedGroupoid):
             for hi in range(lo + 1, min(b, lo + max_grade) + 1):
                 out.append((lo, hi))
         out.sort(key=lambda x: (self.ord(x), (0, 0) if x is NEUTRAL else x))
-        return out
-
-    def decompositions(self, k):
-        self._require(k)
-        if k is NEUTRAL:
-            return [(NEUTRAL, NEUTRAL)]
-        lo, hi = k
-        out = [(NEUTRAL, k), (k, NEUTRAL)]
-        out.extend(((cut, hi), (lo, cut)) for cut in range(lo + 1, hi))
         return out
 
     def element_id(self, element):
@@ -287,21 +269,6 @@ class BoxGroupoid(GradedGroupoid):
         out.sort(key=lambda x: (self.ord(x), () if x is NEUTRAL else x))
         return out
 
-    def decompositions(self, k):
-        self._require(k)
-        if k is NEUTRAL:
-            return [(NEUTRAL, NEUTRAL)]
-        out = [(NEUTRAL, k), (k, NEUTRAL)]
-        t = self.axis
-        lo, hi = k[t]
-        for cut in range(lo + 1, hi):
-            upper = list(k)
-            upper[t] = (cut, hi)
-            lower = list(k)
-            lower[t] = (lo, cut)
-            out.append((tuple(upper), tuple(lower)))
-        return out
-
     def element_id(self, element):
         if element is NEUTRAL:
             return "e"
@@ -356,9 +323,9 @@ def axiom_violations(groupoid: GradedGroupoid, max_grade: int) -> list[str]:
     """Exhaustively check the groupoid laws up to a grade bound.
 
     Returns human-readable violation strings (empty means all laws hold):
-    neutral laws, grade additivity, strong associativity, absence of
-    inverses, and correctness/exhaustiveness of decompositions.  The laws
-    read one table of the public ``compose`` on all pairs of window elements.
+    neutral laws, grade additivity, strong associativity and absence of
+    inverses.  The laws read one table of the public ``compose`` on all
+    pairs of window elements.
     """
     bad = []
     e = groupoid.neutral
@@ -372,12 +339,10 @@ def axiom_violations(groupoid: GradedGroupoid, max_grade: int) -> list[str]:
             bad.append(f"grade-0 element {i!r} differs from the neutral element")
         if compose(e, i) != i or compose(i, e) != i:
             bad.append(f"neutral law fails at {i!r}")
-    found = {}
     for i in elems:
         for j, k in table[i].items():
             if k is None:
                 continue
-            found.setdefault(k, set()).add(_dec_key((i, j)))
             if groupoid.ord(k) != groupoid.ord(i) + groupoid.ord(j):
                 bad.append(f"grade not additive on ({i!r}, {j!r})")
             if k == e and not (i == e and j == e):
@@ -393,17 +358,4 @@ def axiom_violations(groupoid: GradedGroupoid, max_grade: int) -> list[str]:
                 right = None if jk is None else row_i[jk] if jk in row_i else compose(i, jk)
                 if (left is None) != (right is None) or left != right:
                     bad.append(f"associativity fails on ({i!r}, {j!r}, {k!r})")
-    for k in elems:
-        decs = groupoid.decompositions(k)
-        if len(set(map(_dec_key, decs))) != len(decs):
-            bad.append(f"duplicate decompositions of {k!r}")
-        for (i, j) in decs:
-            if compose(i, j) != k:
-                bad.append(f"decomposition ({i!r}, {j!r}) of {k!r} does not compose back")
-        if found.get(k, set()) != set(map(_dec_key, decs)):
-            bad.append(f"decompositions of {k!r} are not exhaustive within the window")
     return bad
-
-
-def _dec_key(pair):
-    return (repr(pair[0]), repr(pair[1]))

@@ -225,8 +225,3 @@ class RationalMatrix:
 
 _set_n, _set_num, _set_den = (RationalMatrix.n.__set__, RationalMatrix.num.__set__,
                               RationalMatrix.den.__set__)
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

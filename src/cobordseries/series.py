@@ -152,10 +152,15 @@ class FormalSeries:
     def __pow__(self, k: int):
         if type(k) is not int or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = FormalSeries.one(self.groupoid, self.order, self.unit)
+        out = self._unit_series()
         for _ in range(k):
             out = out * self
         return out
+
+    def _unit_series(self):
+        """The unit of self's algebra, as ``type(self)`` (so a path's power is a path)."""
+        return type(self)._trusted(self.groupoid, self.order,
+                                   {self.groupoid.neutral: self.unit}, self.unit)
 
     # -- group structure on 1 + positive-grade part ---------------------------
 
@@ -186,8 +191,7 @@ class FormalSeries:
         """exp of a series with zero neutral part: finite sum of a^k / k!."""
         if not self.has_zero_e_part():
             raise ValueError("exp requires a zero coefficient at the neutral element")
-        result = FormalSeries.one(self.groupoid, self.order, self.unit)
-        term = result
+        result = term = self._unit_series()
         for k in range(1, self.order + 1):
             term = (term * self).scale(Fraction(1, k))
             result = result + term
@@ -197,9 +201,8 @@ class FormalSeries:
         """log of a unital series: finite alternating sum of a^k / k."""
         if not self.is_unital():
             raise ValueError("log requires leading coefficient equal to the unit")
-        a = self - FormalSeries.one(self.groupoid, self.order, self.unit)
-        result = FormalSeries.zero(self.groupoid, self.order, self.unit)
-        power = FormalSeries.one(self.groupoid, self.order, self.unit)
+        power = self._unit_series()
+        a, result = self - power, type(self)._trusted(self.groupoid, self.order, {}, self.unit)
         for k in range(1, self.order + 1):
             power = power * a
             result = result + power.scale(Fraction((-1) ** (k + 1), k))

@@ -76,23 +76,6 @@ def test_box_full_face_composition():
     assert gpd.compose(((1, 2), (0, 1)), tall_left) is None
 
 
-def test_decompositions_neutral():
-    gpd = make_nat_monoid()
-    assert gpd.decompositions(0) == [(0, 0)]
-
-
-def test_decompositions_interval():
-    gpd = make_interval_groupoid(0, 3)
-    decs = set(map(tuple, gpd.decompositions((0, 3))))
-    assert decs == {(NEUTRAL, (0, 3)), ((0, 3), NEUTRAL),
-                    ((1, 3), (0, 1)), ((2, 3), (0, 2))}
-
-
-def test_decompositions_nat_grade_two():
-    gpd = make_nat_monoid()
-    assert set(gpd.decompositions(2)) == {(0, 2), (1, 1), (2, 0)}
-
-
 def test_interval_element_count():
     gpd = make_interval_groupoid(0, 3)
     elems = gpd.elements_up_to(3)
@@ -128,14 +111,6 @@ def test_grade_bound_must_be_a_non_negative_int(gpd, bad):
     with pytest.raises(ValueError, match="grade bound"):
         axiom_violations(gpd, bad)
     assert gpd.elements_up_to(0) == [gpd.neutral]
-
-
-def test_decomposition_grade_additivity():
-    gpd = make_interval_groupoid(0, 4)
-    for k in gpd.elements_up_to(4):
-        for i, j in gpd.decompositions(k):
-            assert gpd.compose(i, j) == k
-            assert gpd.ord(i) + gpd.ord(j) == gpd.ord(k)
 
 
 def test_window_bounds_are_enforced():
@@ -182,20 +157,6 @@ class AnyFaceBoxes(BoxGroupoid):
                 return tuple(merged)
         return None
 
-    def decompositions(self, k):
-        if k is NEUTRAL:
-            return [(NEUTRAL, NEUTRAL)]
-        out = [(NEUTRAL, k), (k, NEUTRAL)]
-        for axis in range(self.dim):
-            lo, hi = k[axis]
-            for cutpoint in range(lo + 1, hi):
-                upper = list(k)
-                upper[axis] = (cutpoint, hi)
-                lower = list(k)
-                lower[axis] = (lo, cutpoint)
-                out.append((tuple(upper), tuple(lower)))
-        return out
-
 
 def test_axiom_checker_rejects_any_face_box_gluing():
     """Gluing boxes along an arbitrary shared full face is not strongly
@@ -219,7 +180,7 @@ def test_axiom_checker_rejects_any_face_box_gluing():
 
 def all_compose_axiom_violations(groupoid, max_grade):
     """Oracle: the axiom checker that calls ``compose`` afresh for every
-    pair, every triple and every decomposition target."""
+    pair and every triple."""
     bad = []
     e = groupoid.neutral
     elems = groupoid.elements_up_to(max_grade)
@@ -248,24 +209,11 @@ def all_compose_axiom_violations(groupoid, max_grade):
                 right = groupoid.compose(i, jk) if jk is not None else None
                 if (left is None) != (right is None) or left != right:
                     bad.append(f"associativity fails on ({i!r}, {j!r}, {k!r})")
-    for k in elems:
-        decs = groupoid.decompositions(k)
-        keys = {(repr(i), repr(j)) for i, j in decs}
-        if len(keys) != len(decs):
-            bad.append(f"duplicate decompositions of {k!r}")
-        for (i, j) in decs:
-            if groupoid.compose(i, j) != k:
-                bad.append(f"decomposition ({i!r}, {j!r}) of {k!r} does not compose back")
-        found = {(repr(i), repr(j)) for i in elems for j in elems
-                 if groupoid.compose(i, j) == k}
-        if found != keys:
-            bad.append(f"decompositions of {k!r} are not exhaustive within the window")
     return bad
 
 
 class SkewGrades(IntervalGroupoid):
-    """Intervals whose grade is off by one above length 2: additivity,
-    and with it exhaustiveness at the top grade, fail."""
+    """Intervals whose grade is off by one above length 2: additivity fails."""
 
     def ord(self, element):
         grade = super().ord(element)
@@ -293,8 +241,7 @@ def test_axiom_violations_match_the_all_compose_oracle(gpd, max_grade):
 ], ids=["interval", "box-axis1"])
 def test_axiom_violations_composes_each_window_pair_once(gpd, monkeypatch):
     """Besides the table, a window pair reaches ``compose`` again only
-    from the two neutral laws and the decomposition check: (e, e) meets
-    all three, so four calls at most."""
+    from the two neutral laws: (e, e) meets both, so three calls at most."""
     calls = Counter()
     compose = gpd.compose
 
@@ -306,7 +253,7 @@ def test_axiom_violations_composes_each_window_pair_once(gpd, monkeypatch):
     elems = gpd.elements_up_to(4)
     assert axiom_violations(gpd, 4) == []
     assert all(calls[(i, j)] >= 1 for i in elems for j in elems)
-    assert max(n for (i, j), n in calls.items() if i in elems and j in elems) <= 4
+    assert max(n for (i, j), n in calls.items() if i in elems and j in elems) <= 3
 
 
 def test_oracle_flags_the_broken_groupoids():

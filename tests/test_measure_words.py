@@ -16,6 +16,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import chain_instance, row_strip, strip_cells, strip_instance
@@ -257,3 +258,51 @@ def test_reorder_compiles_no_boundary_word(monkeypatch):
     ComplexMeasure(CellComplex(plaquette()[0]), plaquette()[1],
                    SemigroupDensity(builtin_group("Z2")))
     assert len(compiled) == 1
+
+
+def enumerated_density(group, configs, words, q_tables):
+    """A measure's density on every column of ``configs`` (one row per cell of
+    K''), read off the Cayley table word by word, in word-list order."""
+    table, inverse = np.array(group.table), np.array(group.inv_table)
+    out = np.ones(configs.shape[1])
+    for word, q in zip(words, q_tables):
+        phi = np.full(configs.shape[1], group.identity)
+        for pos, exp in word:
+            phi = table[phi, configs[pos] if exp > 0 else inverse[configs[pos]]]
+        out *= np.asarray(q)[phi]
+    return out
+
+
+@pytest.mark.parametrize("order", [(0, 2, 1, 3, 4, 5, 6), tuple(range(6, -1, -1))],
+                         ids=["cells-1-2-swapped", "reversed"])
+def test_factorization_of_the_s3_strip_against_a_reordered_paste(order):
+    """The S3 strip cut at x = 1, checked against a K'' whose order the pieces
+    do not induce: the words fail the certificate, so the arrays are built, and
+    the worst residual matches a vectorised enumeration of all 6**7
+    configurations that reads the words itself."""
+    density = SemigroupDensity(builtin_group("S3"))
+    cells, domains, spans = strip()
+    complex_ = CellComplex(cells)
+    result = cut(CobordismBox(spans), complex_, 1)
+    later = [d for d in domains if d.box()[0][0] >= 1]
+    earlier = [d for d in domains if d.box()[0][1] <= 1]
+    k_pp = CellComplex([cells[i] for i in order])
+    with mock.patch.object(measures_mod, "_word_product",
+                           wraps=measures_mod._word_product) as products:
+        ok, worst = factorization_check(result.k, result.k_prime, k_pp, later, earlier,
+                                        density)
+    assert products.called
+    group = density.group
+    configs = np.indices((group.order,) * len(k_pp)).reshape(len(k_pp), -1)
+    where = {c.key(): pos for pos, c in enumerate(k_pp.cells)}
+    product = np.ones(configs.shape[1])
+    for piece, doms in ((result.k, later), (result.k_prime, earlier)):
+        m = ComplexMeasure(piece, doms, density)
+        moved_to = [where[c.key()] for c in piece.cells]
+        words = [[(moved_to[pos], exp) for pos, exp in word] for word in m.words]
+        product *= enumerated_density(group, configs, words, m.q_tables)
+    pasted = ComplexMeasure(k_pp, tuple(earlier) + tuple(later), density)
+    expected = np.max(np.abs(product - enumerated_density(group, configs, pasted.words,
+                                                          pasted.q_tables)))
+    assert not ok and expected > 0.1
+    assert abs(worst - expected) <= 1e-15 * expected
