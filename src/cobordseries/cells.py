@@ -418,38 +418,29 @@ class Composite:
 
 
 def glue(s1, s2, mode="*"):
-    """Glue two cells; returns a Cell (box union), a Composite, or None.
+    """Glue two cells along the facet boxes they share; returns a Cell (box
+    union), a Composite, or None.
 
-    Mode "v": the cells must share a full facet with opposite induced
-    orientations.  Mode "*": gluing happens along a = alpha(s1) ∩ beta(s2);
-    the new initial part is alpha(s2) ∪ (alpha(s1) − a) and the new final
-    part beta(s1) ∪ (beta(s2) − a).
+    Mode "v" shares the facets of opposite induced orientation, mode "*" those
+    of alpha(s1) ∩ beta(s2).  Without the shared boxes, the new initial part is
+    alpha(s2) then alpha(s1) in mode "*" (alpha(s1) then alpha(s2) in mode
+    "v"), and the new final part beta(s1) then beta(s2).
     """
     if mode not in ("*", "v"):
         raise ValueError("mode must be '*' or 'v'")
     if s1.dim != s2.dim:
         return None
     if mode == "v":
-        shared = _matching_facets(s1, s2, lambda f1, l1, f2, l2: f1.sign == -f2.sign)
-        if not shared:
-            return None
-        alpha = [f for f, lbl in s1.facets() + s2.facets() if lbl == INITIAL
-                 and f.key() not in {f1.key() for f1, _ in shared}]
-        beta = [f for f, lbl in s1.facets() + s2.facets() if lbl == FINAL
-                and f.key() not in {f1.key() for f1, _ in shared}]
+        initial_first, accept = (s1, s2), lambda f1, l1, f2, l2: f1.sign == -f2.sign
     else:
-        shared = _matching_facets(
-            s1, s2,
-            lambda f1, l1, f2, l2: l1 == INITIAL and l2 == FINAL)
-        if not shared:
-            return None
-        shared_keys = {f1.key() for f1, _ in shared}
-        alpha = ([f for f, lbl in s2.facets() if lbl == INITIAL]
-                 + [f for f, lbl in s1.facets()
-                    if lbl == INITIAL and f.key() not in shared_keys])
-        beta = ([f for f, lbl in s1.facets() if lbl == FINAL]
-                + [f for f, lbl in s2.facets()
-                   if lbl == FINAL and f.key() not in shared_keys])
+        initial_first, accept = (s2, s1), lambda f1, l1, f2, l2: l1 == INITIAL and l2 == FINAL
+    shared = _matching_facets(s1, s2, accept)
+    if not shared:
+        return None
+    alpha = [f for s in initial_first for f, lbl in s.facets()
+             if lbl == INITIAL and f.key() not in shared]
+    beta = [f for s in (s1, s2) for f, lbl in s.facets()
+            if lbl == FINAL and f.key() not in shared]
     union = box_union(s1.box(), s2.box())
     if union is not None and s1.sign == s2.sign:
         boxed = _labelled_box(union, s1.sign, alpha, beta)
@@ -462,10 +453,10 @@ def glue(s1, s2, mode="*"):
 
 
 def _matching_facets(s1: Cell, s2: Cell, accept):
-    """Pairs of facets of s1 and s2 with identical boxes passing ``accept``."""
+    """Keys of the facet boxes of s1 and s2 that coincide and pass ``accept``."""
     f2map = {f2.key(): (f2, l2) for f2, l2 in s2.facets()}
-    hits = [(f1, l1, *f2map[f1.key()]) for f1, l1 in s1.facets() if f1.key() in f2map]
-    return [(f1, f2) for f1, l1, f2, l2 in hits if accept(f1, l1, f2, l2)]
+    return {f1.key() for f1, l1 in s1.facets()
+            if f1.key() in f2map and accept(f1, l1, *f2map[f1.key()])}
 
 
 def _labelled_box(union_box, sign, alpha, beta):

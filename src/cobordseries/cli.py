@@ -68,13 +68,12 @@ def run_series(args):
 
 def run_expmap(args):
     ns = args.n
+    suite = convergence_suite_paths(args.grade)
     rows = []
     ratio_rows = []
-    for name, path in convergence_suite_paths(args.grade).items():
+    for name, path in suite.items():
         table = convergence_table(path, ns)
-        for row in table:
-            rows.append({"n": row["n"], "grade": row["grade"],
-                         "error": row["error"]})
+        rows.extend(table)
         for row in error_ratios(table):
             ratio_rows.append({"path": name, **row})
     lo, hi = args.ratio_band
@@ -83,8 +82,7 @@ def run_expmap(args):
               "ratio": r["ratio"],
               "pass": lo <= r["ratio"] <= hi}
              for r in ratio_rows]
-    params = {"grade": args.grade, "n": ns, "ratio_band": [lo, hi],
-              "paths": list(convergence_suite_paths(args.grade))}
+    params = {"grade": args.grade, "n": ns, "ratio_band": [lo, hi], "paths": list(suite)}
     return params, cases, rows
 
 
@@ -279,6 +277,7 @@ def build_parser():
     p = sub.add_parser("series", help="exp/log round trips on random series")
     add_options(p, "groupoid", "trunc", "seed")
     p.add_argument("--count", type=positive_int, default=20)
+    p.set_defaults(run=run_series, command="series")
 
     p = sub.add_parser("expmap", help="product-integral convergence table")
     add_options(p)
@@ -286,53 +285,39 @@ def build_parser():
     p.add_argument("--n", type=doubling_ns, default="8,16,32,64")
     p.add_argument("--ratio-band", type=float, nargs=2, default=(1.7, 2.3),
                    action=RatioBand)
+    p.set_defaults(run=run_expmap, command="expmap")
 
     p = sub.add_parser("cosurface", help="measure suites")
     cos_sub = p.add_subparsers(dest="cosurface_command", required=True)
-    for name in ("markov-check", "cut-paste"):
-        add_options(cos_sub.add_parser(name), "group", "table-file", "tol")
+    for name, run in (("markov-check", run_markov), ("cut-paste", run_cut_paste)):
+        q = cos_sub.add_parser(name)
+        add_options(q, "group", "table-file", "tol")
+        q.set_defaults(run=run, command=f"cosurface {name}")
     q = cos_sub.add_parser("series")
     add_options(q, "group", "table-file", "groupoid", "trunc", "tol")
-    q.set_defaults(groupoid="interval:0..5", trunc=5)
+    q.set_defaults(groupoid="interval:0..5", trunc=5, run=run_cosurface_series,
+                   command="cosurface series")
 
     p = sub.add_parser("nonregular", help="interval diffeomorphism checks")
     add_options(p)
     p.add_argument("--t", type=open_unit_times, default="0.1,-0.1,0.5,-0.5,0.9,-0.9")
     p.add_argument("--grid", type=positive_int, default=1_000_000)
+    p.set_defaults(run=run_nonregular, command="nonregular")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    csv_rows = None
-    if args.command == "series":
-        params, cases = run_series(args)
-    elif args.command == "expmap":
-        params, cases, csv_rows = run_expmap(args)
-    elif args.command == "cosurface":
-        if args.cosurface_command == "markov-check":
-            params, cases = run_markov(args)
-        elif args.cosurface_command == "cut-paste":
-            params, cases = run_cut_paste(args)
-        else:
-            params, cases = run_cosurface_series(args)
-    elif args.command == "nonregular":
-        params, cases = run_nonregular(args)
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command!r}")
-    command = args.command
-    if getattr(args, "cosurface_command", None):
-        command = f"{args.command} {args.cosurface_command}"
+    args = build_parser().parse_args(argv)
+    params, cases, *csv_rows = args.run(args)
     report = {
         "schema_version": REPORT_SCHEMA,
-        "command": command,
+        "command": args.command,
         "params": params,
         "cases": cases,
         "max_residual": max((c.get("residual", 0.0) for c in cases), default=0.0),
         "pass": bool(cases) and all(c["pass"] for c in cases),
     }
-    write_report(report, args, csv_rows)
+    write_report(report, args, *csv_rows)
     return 0 if report["pass"] else 1
 
 

@@ -135,33 +135,19 @@ def symmetric3() -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    """Q_8 = {1, -1, i, -i, j, -j, k, -k} in that element order."""
-    # encode x as (sign, axis) with axis 0 = scalar, 1 = i, 2 = j, 3 = k
-    def decode(a):
-        return (1 if a % 2 == 0 else -1), a // 2
+    """Q_8 = {1, -1, i, -i, j, -j, k, -k} in that element order: the signed
+    unit quaternions, as (w, x, y, z) coordinate tuples, under the Hamilton
+    product."""
+    units = [tuple(sign * (a == axis) for a in range(4))
+             for axis in range(4) for sign in (1, -1)]
 
-    def encode(sign, axis):
-        return 2 * axis + (0 if sign == 1 else 1)
+    def hamilton(p, q):
+        (a, b, c, d), (e, f, g, h) = p, q
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    mul_axis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (2, 0): (1, 2), (3, 0): (1, 3),
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    }
-    n = 8
-    table = []
-    for a in range(n):
-        sa, xa = decode(a)
-        row = []
-        for b in range(n):
-            sb, xb = decode(b)
-            s, x = mul_axis[(xa, xb)]
-            row.append(encode(sa * sb * s, x))
-        table.append(row)
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup("Q8", table, labels=labels)
+    table = [[units.index(hamilton(p, q)) for q in units] for p in units]
+    return FiniteGroup("Q8", table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 _BUILTIN_CACHE: dict[str, FiniteGroup] = {}

@@ -406,6 +406,11 @@ def reorder_max_difference(measure: ComplexMeasure, perm) -> float:
 # adapted complexes, cutting and pasting
 # ---------------------------------------------------------------------------
 
+def _with_span(spans, axis, span):
+    """The spans with the one on ``axis`` replaced by ``span``."""
+    return spans[:axis] + (span,) + spans[axis + 1:]
+
+
 class CobordismBox:
     """An axis-aligned box read as a cobordism along a time axis: the lower
     face in that axis is the initial part, the upper face the final part."""
@@ -427,22 +432,11 @@ class CobordismBox:
 
     def alpha_box(self):
         lo = self.spans[self.axis][0]
-        return tuple((lo, lo) if a == self.axis else span
-                     for a, span in enumerate(self.spans))
+        return _with_span(self.spans, self.axis, (lo, lo))
 
     def beta_box(self):
         hi = self.spans[self.axis][1]
-        return tuple((hi, hi) if a == self.axis else span
-                     for a, span in enumerate(self.spans))
-
-    def compose(self, earlier: "CobordismBox") -> "CobordismBox":
-        if self.axis != earlier.axis:
-            raise ValueError("time axes differ")
-        if self.alpha_box() != earlier.beta_box():
-            raise ValueError("initial part does not match the earlier final part")
-        spans = list(self.spans)
-        spans[self.axis] = (earlier.spans[self.axis][0], self.spans[self.axis][1])
-        return CobordismBox(spans, self.axis)
+        return _with_span(self.spans, self.axis, (hi, hi))
 
     def __repr__(self):
         return f"CobordismBox({self.spans}, axis={self.axis})"
@@ -570,23 +564,18 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
     lo, hi = cob.spans[cob.axis]
     if type(interface) is not int or not lo < interface < hi:
         raise ValueError(f"interface must be an int inside {(lo, hi)}, got {interface!r}")
-    spans_later = list(cob.spans)
-    spans_later[cob.axis] = (interface, hi)
-    spans_earlier = list(cob.spans)
-    spans_earlier[cob.axis] = (lo, interface)
-    y = CobordismBox(spans_later, cob.axis)
-    y_prime = CobordismBox(spans_earlier, cob.axis)
-    plane = tuple((interface, interface) if a == cob.axis else span
-                  for a, span in enumerate(cob.spans))
+    y = CobordismBox(_with_span(cob.spans, cob.axis, (interface, hi)), cob.axis)
+    y_prime = CobordismBox(_with_span(cob.spans, cob.axis, (lo, interface)), cob.axis)
+    plane = y.alpha_box()
     in_later, in_earlier, shared = [], [], []
     for cell in complex_.cells:
         if box_contains(plane, cell.box()):
             shared.append(cell)
             in_later.append(cell)
             in_earlier.append(cell)
-        elif box_contains(tuple(spans_later), cell.box()):
+        elif box_contains(y.spans, cell.box()):
             in_later.append(cell)
-        elif box_contains(tuple(spans_earlier), cell.box()):
+        elif box_contains(y_prime.spans, cell.box()):
             in_earlier.append(cell)
         else:
             raise ValueError(f"cell {cell!r} crosses the cutting interface")

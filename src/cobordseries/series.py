@@ -72,7 +72,7 @@ class FormalSeries:
 
     @classmethod
     def one(cls, groupoid, order, unit=Fraction(1)):
-        return cls(groupoid, order, {groupoid.neutral: unit}, unit)
+        return cls.zero(groupoid, order, unit)._unit_series()
 
     # -- basics ------------------------------------------------------------
 

@@ -10,10 +10,13 @@ built-in group whose non-identity elements are renumbered by a random
 permutation.  The chain and the two-plaquette strip are the CLI's own
 ``chain_instance`` and ``strip_instance``.  The rectangle skeleton is the
 boundary of a rectangle plus the edges of guillotine cuts; the row strip is
-the skeleton of a 1 x n rectangle cut into unit squares.  Test modules
+the skeleton of a 1 x n rectangle cut into unit squares.
+``enumerated_density`` is the vectorised density oracle: it reads words
+off the Cayley table for every configuration at once.  Test modules
 import these by module name (``from lattice_instances import ...``).
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cobordseries.cells import Cell, CellComplex, domain_box
@@ -65,6 +68,19 @@ def strip_cells():
 def strip_measure(density):
     """The two unit squares of ``strip_cells`` as domains."""
     return ComplexMeasure(*strip_instance(), density)
+
+
+def enumerated_density(group, configs, words, q_tables):
+    """A measure's density on every column of ``configs`` (one row per cell),
+    read off the Cayley table word by word, in word-list order."""
+    table, inverse = np.array(group.table), np.array(group.inv_table)
+    out = np.ones(configs.shape[1])
+    for word, q in zip(words, q_tables):
+        phi = np.full(configs.shape[1], group.identity)
+        for pos, exp in word:
+            phi = table[phi, configs[pos] if exp > 0 else inverse[configs[pos]]]
+        out *= np.asarray(q)[phi]
+    return out
 
 
 def relabel(group, perm, name):

@@ -113,6 +113,9 @@ def test_q8_structure():
     i, j, k = 2, 4, 6
     assert q8.mul(i, j) == k
     assert q8.mul(j, i) == q8.inv(k)
+    minus_one = 1
+    assert q8.mul(i, i) == q8.mul(j, j) == q8.mul(k, k) == minus_one
+    assert q8.mul(q8.mul(i, j), k) == minus_one
 
 
 def test_cayley_file_round_trip(tmp_path):

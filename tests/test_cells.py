@@ -164,6 +164,25 @@ def test_glue_composite_for_bent_union():
     assert len(bent.parts) == 2
 
 
+@pytest.mark.parametrize("mode", ["*", "v"])
+def test_glue_composite_alpha_beta_order(mode):
+    """The bent union shares the corner (1, 0) in both modes.  The new initial
+    part lists s2's facets before s1's in mode "*" and s1's first in mode "v";
+    the new final part lists s1's before s2's in both."""
+    first = edge_cell((0, 0), 0).reverse()   # initial (1, 0), final (0, 0)
+    second = edge_cell((1, 0), 1).reverse()  # initial (1, 1), final (1, 0)
+    s1_end, s2_end = point_cell((0, 0)), point_cell((1, 1), sign=-1)
+    bent = glue(first, second, mode)
+    assert (bent.alpha, bent.beta) == ((s2_end,), (s1_end,))
+    both_initial = glue(first.with_labels([(s1_end.key(), INITIAL)]), second, mode)
+    assert isinstance(both_initial, Composite)
+    assert both_initial.alpha == ((s2_end, s1_end) if mode == "*" else (s1_end, s2_end))
+    assert both_initial.beta == ()
+    both_final = glue(first, second.with_labels([(s2_end.key(), FINAL)]), mode)
+    assert isinstance(both_final, Composite)
+    assert (both_final.alpha, both_final.beta) == ((), (s1_end, s2_end))
+
+
 def test_composite_rejects_non_embedded_parts():
     overlapping = [Cell((0, 0), (0,), (2,)), Cell((1, 0), (0,), (2,))]
     with pytest.raises(ValueError, match="embedded"):

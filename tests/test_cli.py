@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from cobordseries.cli import main
+from cobordseries.cli import build_parser, main
 
 
 def run_json(tmp_path, args):
@@ -153,6 +154,23 @@ def test_expmap_runs_only_the_doubling_pairs(tmp_path):
     code, report = run_json(tmp_path, ["expmap", "--grade", "2", "--n", "8,12,16"])
     assert code == 0 and report["pass"]
     assert {case["name"].rsplit("-n", 1)[1] for case in report["cases"]} == {"8"}
+
+
+def leaf_parsers(parser):
+    """The parsers under ``parser`` that take no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for sub in subs for child in sub.choices.values()
+            for leaf in leaf_parsers(child)]
+
+
+def test_every_subcommand_sets_its_runner_and_report_command():
+    leaves = leaf_parsers(build_parser())
+    assert all(callable(leaf.get_default("run")) for leaf in leaves)
+    assert sorted(leaf.get_default("command") for leaf in leaves) == sorted([
+        "series", "expmap", "cosurface markov-check", "cosurface cut-paste",
+        "cosurface series", "nonregular"])
 
 
 def test_report_without_cases_fails(tmp_path, monkeypatch):

@@ -19,7 +19,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from lattice_instances import chain_instance, row_strip, strip_cells, strip_instance
+from lattice_instances import (
+    chain_instance, enumerated_density, row_strip, strip_cells, strip_instance,
+)
 
 import cobordseries.cells as cells_mod
 import cobordseries.measures as measures_mod
@@ -258,19 +260,6 @@ def test_reorder_compiles_no_boundary_word(monkeypatch):
     ComplexMeasure(CellComplex(plaquette()[0]), plaquette()[1],
                    SemigroupDensity(builtin_group("Z2")))
     assert len(compiled) == 1
-
-
-def enumerated_density(group, configs, words, q_tables):
-    """A measure's density on every column of ``configs`` (one row per cell of
-    K''), read off the Cayley table word by word, in word-list order."""
-    table, inverse = np.array(group.table), np.array(group.inv_table)
-    out = np.ones(configs.shape[1])
-    for word, q in zip(words, q_tables):
-        phi = np.full(configs.shape[1], group.identity)
-        for pos, exp in word:
-            phi = table[phi, configs[pos] if exp > 0 else inverse[configs[pos]]]
-        out *= np.asarray(q)[phi]
-    return out
 
 
 @pytest.mark.parametrize("order", [(0, 2, 1, 3, 4, 5, 6), tuple(range(6, -1, -1))],

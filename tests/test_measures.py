@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import (
-    chain_measure, facet_complex, guillotine_domains, relabel, relabelled_groups,
-    strip_cells, strip_measure,
+    chain_measure, enumerated_density, facet_complex, guillotine_domains, relabel,
+    relabelled_groups, strip_cells, strip_measure,
 )
 
 import cobordseries.measures as measures_mod
@@ -573,14 +573,9 @@ def test_sigma_action_rejects_non_integer_entries():
 def strip_density_oracle(complex_, configs, density):
     """Densities of the strip measure on ``complex_`` for every column of
     ``configs`` (one row per position), by table lookups over all columns."""
-    table, inv = np.asarray(S3.table), np.asarray(S3.inv_table)
-    out = np.ones(configs.shape[1])
-    for dom in (domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))):
-        phi = np.zeros(configs.shape[1], dtype=int)
-        for pos, exp in boundary_word(dom, complex_):
-            phi = table[phi, configs[pos] if exp > 0 else inv[configs[pos]]]
-        out *= np.asarray(density.q(dom.volume).values)[phi]
-    return out
+    domains = (domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1))))
+    return enumerated_density(S3, configs, [boundary_word(d, complex_) for d in domains],
+                              [density.q(d.volume).values for d in domains])
 
 
 @pytest.mark.parametrize("perm", [(2, 4, 3, 6, 5, 0, 1), (1, 0, 4, 2, 3, 5, 6),
@@ -1021,19 +1016,6 @@ def test_file_loaded_group_runs_the_measure_pipeline(tmp_path):
     assert residual <= 1e-12
 
 
-def test_cobordism_box_composition():
-    later = CobordismBox(((1, 3), (0, 2)))
-    earlier = CobordismBox(((0, 1), (0, 2)))
-    glued = later.compose(earlier)
-    assert glued.spans == ((0, 3), (0, 2))
-    assert glued.alpha_box() == earlier.alpha_box()
-    assert glued.beta_box() == later.beta_box()
-    with pytest.raises(ValueError):
-        earlier.compose(later)
-    with pytest.raises(ValueError):
-        later.compose(CobordismBox(((0, 1), (0, 3))))
-
-
 # -- factor-tensor contractions against the enumeration oracle ---------------------
 
 ORACLE_GROUPS = ("Z2", "Z3", "Z6", "S3", "Q8")
@@ -1058,25 +1040,9 @@ def weighted(vals):
 
 def brute_markov(measure, split, f_plus, f_minus):
     """The conditional sums as a per-configuration loop over G^K."""
-    plus, minus = side_positions(measure, split)
-    sums = {}
-    for config in measure.configurations():
-        w = measure.density_of(config)
-        fp = f_plus({i: config[i] for i in plus})
-        fm = f_minus({i: config[i] for i in minus})
-        acc = sums.setdefault((config[split],), [0.0, 0.0, 0.0, 0.0])
-        acc[0] += w
-        acc[1] += w * fp * fm
-        acc[2] += w * fp
-        acc[3] += w * fm
-    table, residual = {}, 0.0
-    for key, (mass, both, fp, fm) in sums.items():
-        if mass == 0.0:
-            table[key] = None
-            continue
-        table[key] = (both / mass, (fp / mass) * (fm / mass))
-        residual = max(residual, abs(table[key][0] - table[key][1]))
-    return table, residual
+    densities = ((config, measure.density_of(config)) for config in measure.configurations())
+    return enumerated_markov(densities, side_positions(measure, split), split, split,
+                             f_plus, f_minus)
 
 
 def oracle_splits(name):

@@ -154,6 +154,15 @@ def test_path_rejects_a_coefficient_outside_the_value_algebra(poly, unit):
         AlgebraPath(NAT, 3, {1: poly}, unit)
 
 
+@pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
+@pytest.mark.parametrize("unit", [ONE, MATRIX_UNIT], ids=["fraction", "matrix"])
+def test_path_one_is_the_constant_unit_path(spec, unit):
+    gpd = from_spec(spec)
+    one = AlgebraPath.one(gpd, 3, unit)
+    assert isinstance(one, AlgebraPath)
+    assert one(Fraction(1, 3)) == FormalSeries.one(gpd, 3, unit)
+
+
 def with_neutral_part():
     return AlgebraPath(NAT, 3, {0: CoeffPoly.constant(ONE), 1: CoeffPoly.constant(ONE)})
 
