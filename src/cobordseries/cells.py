@@ -10,7 +10,7 @@ initial/final assignment.  Base coordinates, axes, extents and the sign are
 Python ``int`` (``bool`` and floats are rejected) held in tuples, so every
 cell lies on the integer lattice.  A cell is immutable, so it compiles its
 ``key`` and ``box`` at construction and its ``facets`` on the first call;
-facets skip re-validation, since the facets of a valid cell are valid.
+facets and unit pieces skip re-validation, since those of a valid cell are.
 
 Every closed lattice box is the disjoint union of its open unit faces: the
 boxes with (c, c) or (c, c + 1) on each axis.  The geometric predicates
@@ -106,7 +106,8 @@ FINAL = "final"
 @dataclass(frozen=True)
 class Cell:
     """Oriented box cell; ``labels`` overrides the default facet assignment.
-    ``key``, ``box`` and ``facets`` are compiled once; facets skip validation."""
+    ``key``, ``box`` and ``facets`` are compiled once; facets and unit pieces skip
+    validation."""
 
     base: tuple
     axes: tuple
@@ -194,7 +195,8 @@ class Cell:
     def unit_pieces(self):
         """Decompose the box into unit cells of the same dimension and sign:
         its top-dimensional open faces, in lexicographic order."""
-        return [domain_box(face, self.sign) for face in _unit_faces(self.box())]
+        return [_trusted_cell(tuple(lo for lo, _ in face), self.axes, (1,) * self.dim, self.sign)
+                for face in _unit_faces(self.box())]
 
     def __repr__(self):
         spans = dict(zip(self.axes, self.extents))
@@ -205,7 +207,7 @@ class Cell:
 
 
 def _trusted_cell(base, axes, extents, sign) -> Cell:
-    """Unlabelled ``Cell`` from valid fields (a valid cell's facet), unchecked."""
+    """Unlabelled ``Cell`` from valid fields (a facet or unit piece), unchecked."""
     cell = object.__new__(Cell)
     for name, value in (("base", base), ("axes", axes), ("extents", extents),
                         ("sign", sign), ("labels", ())):
@@ -275,12 +277,6 @@ class CellComplex:
 
     def __getitem__(self, i):
         return self.cells[i]
-
-    def subcomplex(self, lo: int, hi: int) -> "CellComplex":
-        """Contiguous subsequence cells[lo:hi+1]."""
-        if not 0 <= lo <= hi < len(self.cells):
-            raise ValueError("subcomplex indices out of range")
-        return CellComplex(self.cells[lo:hi + 1])
 
     def __eq__(self, other):
         return isinstance(other, CellComplex) and self.cells == other.cells
@@ -377,13 +373,12 @@ def splits(complex_: CellComplex, lo: int, hi: int, region):
     Returns (M_plus, M_minus, K_plus, K_minus) or None; region is a list of
     top-dimensional unit cells (one dimension above the complex cells).
     """
-    sub = complex_.subcomplex(lo, hi)
-    blocked = [c.box() for c in sub.cells]
-    comps = region_components(region, blocked)
+    if not 0 <= lo <= hi < len(complex_):
+        raise ValueError("subcomplex indices out of range")
+    comps = region_components(region, [c.box() for c in complex_.cells[lo:hi + 1]])
     if len(comps) != 2:
         return None
-    before = complex_.cells[:lo]
-    after = complex_.cells[hi + 1:]
+    before, after = complex_.cells[:lo], complex_.cells[hi + 1:]
     closures = [{face for c in comp for face in _open_faces(c.box())} for comp in comps]
     fits_before, fits_after = ([i for i, faces in enumerate(closures) if pieces <= faces]
                                for pieces in (_unit_boxes(before), _unit_boxes(after)))

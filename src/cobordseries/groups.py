@@ -1,7 +1,8 @@
 """Finite groups given by Cayley tables, and the function algebra on them.
 
 Elements are integers 0..n-1 with 0 the identity.  The group law is
-validated on construction, so a FiniteGroup that exists is a group.
+validated on construction, so a FiniteGroup that exists is a group, and its
+inverse table is read off the validated table (where 0 sits in each row).
 Functions G -> scalar are represented densely; their product is group
 convolution with the counting measure, (f*g)(x) = sum_y f(x y^-1) g(y),
 whose unit is the indicator of e.
@@ -34,7 +35,7 @@ class FiniteGroup:
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be distinct and match the order")
         self._validate()
-        self.inv_table = self._build_inverses()
+        self.inv_table = tuple(row.index(0) for row in self.table)
         self._classes = None
         self._abelian = None
 
@@ -52,18 +53,6 @@ class FiniteGroup:
                 for c in range(n):
                     if t[tab][c] != t[a][t[b][c]]:
                         raise ValueError("Cayley table is not associative")
-
-    def _build_inverses(self):
-        n = self.order
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] is None or self.table[inv[a]][a] != 0:
-                raise ValueError(f"element {a} has no two-sided inverse")
-        return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -155,6 +144,8 @@ _BUILTIN_CACHE: dict[str, FiniteGroup] = {}
 
 def builtin_group(name: str) -> FiniteGroup:
     """Look up Z2..Z12, S3, Q8 by name (case-insensitive)."""
+    if type(name) is not str:
+        raise ValueError(f"a group name is a str, not {name!r}")
     key = name.strip().upper()
     if key not in _BUILTIN_CACHE:
         if key.startswith("Z") and key[1:].isdigit():

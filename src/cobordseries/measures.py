@@ -718,27 +718,22 @@ def measure_series(groupoid, density: SemigroupDensity, order: int) -> FormalSer
     """The series assigning to each index its heat density at the index
     volume; multiplicative under composition because the family is a
     convolution semigroup."""
-    unit = delta(density.group)
-    coeffs = {}
-    for elem in groupoid.elements_up_to(order):
-        coeffs[elem] = density.q(groupoid.ord(elem))
-    return FormalSeries(groupoid, order, coeffs, unit)
+    coeffs = {elem: density.q(groupoid.ord(elem)) for elem in groupoid.elements_up_to(order)}
+    return FormalSeries._trusted(groupoid, order, coeffs, delta(density.group))
 
 
 def measure_series_multiplicativity(series: FormalSeries, tol=1e-12):
     """Worst |coefficient(i∘j) - coefficient(i) * coefficient(j)| over all
     composable pairs inside the truncation window."""
     _finite_nonnegative("tol", tol)
-    gpd = series.groupoid
-    elems = gpd.elements_up_to(series.order)
-    worst = 0.0
+    gpd, coeffs, zero = series.groupoid, series.coeffs, series.zero_coeff
+    elems, worst = gpd.elements_up_to(series.order), 0.0
     for i in elems:
         for j in elems:
-            k = gpd.compose(i, j)
+            k = gpd._compose(i, j)
             if k is None or gpd.ord(k) > series.order:
                 continue
-            lhs = series.coefficient(k)
-            rhs = series.coefficient(i) * series.coefficient(j)
+            lhs, rhs = coeffs.get(k, zero), coeffs.get(i, zero) * coeffs.get(j, zero)
             worst = max(worst, max(abs(a - b)
                                    for a, b in zip(lhs.values, rhs.values)))
     return worst <= tol, worst

@@ -45,19 +45,26 @@ def _dc_dx(t, dp, p, out=None, work=None):
     return (np.add if t >= 0 else np.subtract)(1.0, dphi, out=out)
 
 
+def _not_bool(name, value):
+    """value, unless it is a bool (Python, numpy or an array): never read as 0 or 1."""
+    if np.asarray(value).dtype == bool:
+        raise ValueError(f"{name} must be a number, not the bool {value!r}")
+    return value
+
+
 def _domain(t, x):
     """x as a float array, once it lies in (0, 1) and t in (-1, 1)."""
     x = np.asarray(x, dtype=float)
     if np.any((x <= 0) | (x >= 1)):
         raise ValueError("x must lie in the open unit interval")
-    if not -1 < t < 1:
+    if not -1 < _not_bool("t", t) < 1:
         raise ValueError("t must lie in (-1, 1)")
     return x
 
 
 def phi(t, x):
     """Homographic bump, defined for t >= 0 and x in (0, 1)."""
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(_not_bool("t", t), dtype=float)
     if np.any(t < 0):
         raise ValueError("phi is defined for t >= 0")
     return _bump(t, p_poly(np.asarray(x, dtype=float)))
@@ -133,7 +140,7 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
 def derivative_at_zero(x, fd_step=1e-4):
     """Closed-form d/dt c_t at t = 0 (identically 1) and its forward
     finite-difference approximation (c_h - c_0)/h with O(h) error."""
-    if not fd_step > 0:   # c rejects fd_step >= 1, nan and inf
+    if not _not_bool("fd_step", fd_step) > 0:   # c rejects fd_step >= 1, nan and inf
         raise ValueError(f"fd_step must be positive, got {fd_step!r}")
     x = np.asarray(x, dtype=float)
     closed = dc_dt(0.0, x)
@@ -144,7 +151,7 @@ def derivative_at_zero(x, fd_step=1e-4):
 def ode_escape_check(t) -> bool:
     """The candidate solution of dg/dt o g^{-1} = 1 is g_t(x) = x + t; it
     escapes the group exactly when t > 0 (boundary limit 1 + t > 1)."""
-    if not (np.isfinite(t) and t >= 0):
+    if not (np.isfinite(_not_bool("t", t)) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return bool(t > 0)
 
@@ -165,10 +172,9 @@ def boundary_limits(t):
 
 def full_report(ts=(0.1, -0.1, 0.5, -0.5, 0.9, -0.9), grid_size=1_000_000):
     """Membership, derivative, seminorm, and escape checks for several t."""
-    rows = []
+    rows, (closed, fd) = [], derivative_at_zero(np.array([0.25, 0.5, 0.75]))
     for t in ts:
         row = check_membership(t, grid_size=grid_size)
-        closed, fd = derivative_at_zero(np.array([0.25, 0.5, 0.75]))
         row["dt_closed_residual"] = float(np.max(np.abs(closed - 1.0)))
         row["dt_fd_residual"] = float(np.max(np.abs(fd - 1.0)))
         near0, near1 = boundary_limits(t)

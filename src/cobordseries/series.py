@@ -83,7 +83,7 @@ class FormalSeries:
     def coefficient(self, elem):
         if elem not in self.groupoid:
             raise ValueError(f"{elem!r} is not in {self.groupoid.name}")
-        return self.coeffs.get(elem, self.zero_coeff)
+        return self.coeffs[elem] if elem in self.coeffs else self.zero_coeff
 
     def is_unital(self) -> bool:
         return self.coefficient(self.groupoid.neutral) == self.unit

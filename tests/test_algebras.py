@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from lattice_instances import relabelled_groups
 
 from cobordseries.groups import (
     FiniteGroup, GroupFunction, builtin_group, convolve, cyclic, delta, is_class_function, load_cayley_file, quaternion8, symmetric3,
@@ -116,6 +118,28 @@ def test_q8_structure():
     minus_one = 1
     assert q8.mul(i, i) == q8.mul(j, j) == q8.mul(k, k) == minus_one
     assert q8.mul(q8.mul(i, j), k) == minus_one
+
+
+@pytest.mark.parametrize("name", [3, None, b"Z2", ["S3"]])
+def test_builtin_group_rejects_a_name_that_is_not_a_str(name):
+    with pytest.raises(ValueError, match="group name is a str"):
+        builtin_group(name)
+
+
+def assert_two_sided_inverses(group):
+    inv = group.inv_table
+    assert all(group.table[a][inv[a]] == group.table[inv[a]][a] == 0
+               for a in group.elements())
+
+
+@pytest.mark.parametrize("name", [f"Z{n}" for n in range(2, 13)] + ["S3", "Q8"])
+def test_inverse_table_is_two_sided_on_builtin_groups(name):
+    assert_two_sided_inverses(builtin_group(name))
+
+
+@given(relabelled_groups())
+def test_inverse_table_is_two_sided_on_relabelled_groups(drawn):
+    assert_two_sided_inverses(drawn[2])
 
 
 def test_cayley_file_round_trip(tmp_path):

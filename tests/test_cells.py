@@ -229,6 +229,14 @@ def test_splits_chain_at_middle_point():
     assert {c.base for c in m_plus} == {(1,)}
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 3), (3, 3), (2, 1), (-1, 0)])
+def test_splits_rejects_indices_out_of_range(lo, hi):
+    chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
+    region = [Cell((0,), (0,), (1,)), Cell((1,), (0,), (1,))]
+    with pytest.raises(ValueError, match="subcomplex indices out of range"):
+        splits(chain, lo, hi, region)
+
+
 def test_splits_fails_without_separation():
     chain = CellComplex([point_cell((0,)), point_cell((3,)), point_cell((2,))])
     region = [Cell((0,), (0,), (1,)), Cell((1,), (0,), (1,)), Cell((2,), (0,), (1,))]

@@ -21,7 +21,7 @@ from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
     domain_box, edge_cell, point_cell, splits,
 )
-from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid
+from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid, make_nat_monoid
 from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
 from cobordseries.groups import FiniteGroup, GroupFunction
 from cobordseries.measures import (
@@ -31,6 +31,7 @@ from cobordseries.measures import (
     measure_series_multiplicativity, paste, reorder_max_difference,
     semigroup_axiom_residuals, sigma_action, _group_arrays, _heat_terms,
 )
+from cobordseries.series import FormalSeries
 
 Z2 = builtin_group("Z2")
 Z3 = builtin_group("Z3")
@@ -939,6 +940,40 @@ def test_measure_series_box_groupoid():
     assert ok, worst
 
 
+def multiplicativity_oracle(series, tol=1e-12):
+    """``measure_series_multiplicativity`` through the validating ``compose``
+    and ``coefficient``."""
+    gpd, worst = series.groupoid, 0.0
+    elems = gpd.elements_up_to(series.order)
+    for i in elems:
+        for j in elems:
+            k = gpd.compose(i, j)
+            if k is None or gpd.ord(k) > series.order:
+                continue
+            lhs, rhs = series.coefficient(k), series.coefficient(i) * series.coefficient(j)
+            worst = max(worst, max(abs(a - b) for a, b in zip(lhs.values, rhs.values)))
+    return worst <= tol, worst
+
+
+@pytest.mark.parametrize("gpd, order, group", [
+    (make_interval_groupoid(0, 5), 5, Z3), (make_box_groupoid(2, ((0, 2), (0, 2))), 4, Z2),
+    (make_nat_monoid(), 4, S3)], ids=["interval", "box", "nat"])
+def test_measure_series_multiplicativity_matches_the_validating_oracle(gpd, order, group):
+    series = measure_series(gpd, SemigroupDensity(group), order)
+    assert series == FormalSeries(gpd, order, series.coeffs, series.unit)   # trusted keys are valid
+    partial = FormalSeries(gpd, order, {e: v for e, v in series.coeffs.items()
+                                        if gpd.ord(e) != 2}, series.unit)
+    bumped = dict(series.coeffs)
+    last = gpd.elements_up_to(order)[-1]
+    bumped[last] = bumped[last] * 1.5
+    perturbed = FormalSeries(gpd, order, bumped, series.unit)
+    assert measure_series_multiplicativity(series) == multiplicativity_oracle(series)
+    for broken in (partial, perturbed):
+        ok, worst = measure_series_multiplicativity(broken)
+        assert (ok, worst) == multiplicativity_oracle(broken)
+        assert not ok and worst > 0
+
+
 def test_extract_preserves_original_orders():
     from cobordseries.measures import extract
 
@@ -1271,6 +1306,18 @@ def test_markov_split_indices_must_be_ints(lo, hi):
         pytest.fail("side function called")
 
     with pytest.raises(ValueError, match="split indices must be ints"):
+        markov_check(measure, lo, hi, never, never)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 4), (4, 4), (2, 1), (-1, 0)])
+def test_markov_split_indices_must_lie_in_the_complex(lo, hi):
+    measure = chain_measure(4, SemigroupDensity(Z2))
+    assert len(measure.complex) == 4
+
+    def never(vals):
+        pytest.fail("side function called")
+
+    with pytest.raises(ValueError, match="subcomplex indices out of range"):
         markov_check(measure, lo, hi, never, never)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -382,3 +383,44 @@ def test_dc_dt_checks_the_domain_like_c(t, x):
 def test_seminorm_drift_rejects_a_bad_n(n):
     with pytest.raises(ValueError, match="n must be"):
         nr.seminorm_drift(0.5, n)
+
+
+BOOL_TIME_ENTRY_POINTS = {
+    "check_membership": lambda t: nr.check_membership(t, 10),
+    "c": lambda t: nr.c(t, np.array([0.5])),
+    "dc_dt": lambda t: nr.dc_dt(t, np.array([0.5])),
+    "phi": lambda t: nr.phi(t, np.array([0.5])),
+    "seminorm_drift": lambda t: nr.seminorm_drift(t, 3),
+    "boundary_limits": nr.boundary_limits,
+    "ode_escape_check": nr.ode_escape_check,
+}
+
+
+@pytest.mark.parametrize("t", [False, True, np.True_], ids=["False", "True", "np.True_"])
+@pytest.mark.parametrize("entry", sorted(BOOL_TIME_ENTRY_POINTS))
+def test_a_bool_time_is_rejected(entry, t):
+    with pytest.raises(ValueError, match="t must be a number, not the bool"):
+        BOOL_TIME_ENTRY_POINTS[entry](t)
+
+
+def test_phi_rejects_a_bool_time_array():
+    with pytest.raises(ValueError, match="t must be a number, not the bool"):
+        nr.phi(np.array([True, False]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("fd_step", [False, True, np.True_], ids=["False", "True", "np.True_"])
+def test_derivative_at_zero_rejects_a_bool_step(fd_step):
+    with pytest.raises(ValueError, match="fd_step must be a number, not the bool"):
+        nr.derivative_at_zero(np.array([0.5]), fd_step=fd_step)
+
+
+def test_full_report_takes_the_time_zero_derivative_once(monkeypatch):
+    """The rows on the default times equal the rows of one-time reports (each
+    takes the time-zero derivative for its own t, as every row used to)."""
+    times = inspect.signature(nr.full_report).parameters["ts"].default
+    one_by_one = [row for t in times for row in nr.full_report(ts=(t,), grid_size=1000)]
+    calls, derivative_at_zero = [], nr.derivative_at_zero
+    monkeypatch.setattr(nr, "derivative_at_zero",
+                        lambda *args: calls.append(args) or derivative_at_zero(*args))
+    assert nr.full_report(grid_size=1000) == one_by_one
+    assert len(calls) == 1

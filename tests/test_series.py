@@ -69,6 +69,21 @@ def test_coefficients_of_the_unit_type_or_exact_scalars_accepted():
         FormalSeries(nat, 2, {1: Fraction(1)}, RationalMatrix.identity(2))
 
 
+def test_a_present_coefficient_never_builds_the_zero_coefficient(monkeypatch):
+    series = FormalSeries(make_nat_monoid(), 3, {0: Fraction(1), 1: Fraction(2)})
+
+    def no_zero(self):
+        raise AssertionError("zero coefficient built")
+
+    monkeypatch.setattr(FormalSeries, "zero_coeff", property(no_zero))
+    assert series.coefficient(0) == 1 and series.coefficient(1) == 2
+    assert series.is_unital()
+    assert series.inverse() * series == FormalSeries.one(make_nat_monoid(), 3)
+    assert series.log().exp() == series
+    with pytest.raises(AssertionError, match="zero coefficient built"):
+        series.coefficient(2)
+
+
 def test_scale_rejects_a_float():
     with pytest.raises(ValueError, match="int or a Fraction"):
         q_series().scale(0.5)
