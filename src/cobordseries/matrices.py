@@ -6,7 +6,8 @@ by a single ``gcd(den, *num)``, so the form is canonical (``den > 0`` and
 ``gcd(den, *num) == 1``), equal matrices have equal storage and ``==`` is
 a tuple comparison.  The ``Fraction`` view (``rows``, ``m[i, j]``,
 ``repr``) is built only at the boundary.  The arithmetic runs through per-size
-kernels: one unrolled expression each, compiled once from index literals.
+kernels: one unrolled expression each, compiled once from index literals; a sum
+of products (``_dot``) adds unreduced numerators and reduces once, at the end.
 """
 
 from __future__ import annotations
@@ -177,6 +178,22 @@ class RationalMatrix:
             base = base * base
             k >>= 1
         return out
+
+    @classmethod
+    def _dot(cls, pairs, start=None):
+        """start + Σ a·b over the non-empty ``pairs``: products summed as numerators
+        over a common denominator, reduced once by ``_make``."""
+        product, combine = _kernels(n := pairs[0][0].n)[:2]
+        num, den = ((0,) * (n * n), 1) if start is None else (start.num, start.den)
+        if len(num) != n * n:
+            raise ValueError(f"matrix size mismatch: {start.n} vs {n}")
+        for a, b in pairs:
+            if a.n != n or b.n != n:
+                raise ValueError(f"matrix size mismatch: {n} vs {b.n if a.n == n else a.n}")
+            d = a.den * b.den
+            g = gcd(den, d)
+            num, den = combine(num, product(a.num, b.num), den // g, d // g), den // g * d
+        return cls._make(n, num, den)
 
     def _check_shape(self, other):
         if self.n != other.n:

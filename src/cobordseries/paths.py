@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
-from .series import FormalSeries, _convolve, _is_exact_scalar
+from .series import FormalSeries, _convolve, _dot, _is_exact_scalar
 
 
 def _exact_time(t) -> Fraction:
@@ -55,10 +55,6 @@ class CoeffPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("CoeffPoly is immutable")
-
-    @classmethod
-    def zero(cls, unit=Fraction(1)):
-        return cls((), unit)
 
     @classmethod
     def constant(cls, value, unit=Fraction(1)):
@@ -102,19 +98,26 @@ class CoeffPoly:
             return NotImplemented
         return self + (-other)
 
+    @staticmethod
+    def _dot(pairs, start=None):
+        """start + Σ p·q over the non-empty ``pairs``: the nonzero coefficient
+        pairs grouped by degree, each degree one coefficient ``_dot``."""
+        groups = {}
+        for p, q in pairs:
+            for i, a in enumerate(p.coeffs):
+                if a:
+                    for j, b in enumerate(q.coeffs):
+                        if b:
+                            groups.setdefault(i + j, []).append((a, b))
+        out = dict(enumerate(start.coeffs if start else ()))
+        for k, group in groups.items():
+            out[k] = _dot(group, out.get(k))
+        zero, unit = pairs[0][0].zero_coeff, pairs[0][0].unit
+        return CoeffPoly([out.get(k, zero) for k in range(max(out, default=-1) + 1)], unit)
+
     def __mul__(self, other):
         if isinstance(other, CoeffPoly):
-            if not self.coeffs or not other.coeffs:
-                return CoeffPoly.zero(self.unit)
-            out = [self.zero_coeff] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return CoeffPoly(out, self.unit)
+            return CoeffPoly._dot([(self, other)])
         if type(other) is bool:
             raise ValueError("cannot scale a polynomial by a bool")
         if isinstance(other, (int, Fraction)):
@@ -203,11 +206,12 @@ def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
             minus_u.setdefault(g, []).append((k, -p))
     levels = {}
     for grade in range(1, u.order + 1):
-        out = du.get(grade, {})
+        out, pairs = du.get(grade, {}), {}
         for h, level in levels.items():
             right = minus_u.get(grade - h, ())
             for i, vi in level:
-                _convolve(gpd._compose, out, i, vi, right)
+                _convolve(gpd._compose, pairs, i, vi, right)
+        out.update((k, _dot(p, out.get(k))) for k, p in pairs.items())
         levels[grade] = [(k, p) for k, p in out.items() if p]
     return AlgebraPath._trusted(gpd, u.order, {k: p for level in levels.values()
                                                for k, p in level}, u.unit)
@@ -244,11 +248,8 @@ def grade_component(series: FormalSeries, grade: int):
     if type(grade) is not int or not 0 <= grade <= series.order:
         raise ValueError(f"grade must be an int in 0..{series.order}, not {grade!r}")
     gpd = series.groupoid
-    acc = None
-    for elem, value in series.coeffs.items():
-        if gpd.ord(elem) == grade:
-            acc = value if acc is None else acc + value
-    return series.zero_coeff if acc is None else acc
+    values = [v for e, v in series.coeffs.items() if gpd.ord(e) == grade] or [series.zero_coeff]
+    return sum(values[1:], values[0])
 
 
 def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:

@@ -18,11 +18,13 @@ The kernels work grade by grade on validated supports, through the unchecked
 ``_compose``: a product pairs each left element with the right operand's grade
 levels within the order, and one level solve, x = 1 + post(a·x), gives the
 inverse (post the identity) and the left ODE of ``paths`` (the time integral).
+Each output coefficient is one ``_dot``: a sum of products normalized once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .matrices import RationalMatrix
 
@@ -142,7 +144,8 @@ class FormalSeries:
                 for grade, level in right.items():
                     if grade <= room:
                         _convolve(gpd._compose, out, i, a, level)
-            return type(self)._trusted(gpd, order, out, self.unit)
+            return type(self)._trusted(gpd, order, {k: _dot(p) for k, p in out.items()},
+                                       self.unit)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -183,7 +186,7 @@ class FormalSeries:
             out = {}
             for i, v, g in terms:
                 _convolve(gpd._compose, out, i, v, levels.get(grade - g, ()))
-            levels[grade] = [(k, x) for k, v in out.items() if (x := post(v))]
+            levels[grade] = [(k, x) for k, p in out.items() if (x := post(_dot(p)))]
         return type(self)._trusted(gpd, order, {k: v for level in levels.values()
                                                 for k, v in level}, self.unit)
 
@@ -240,13 +243,31 @@ def _is_exact_scalar(value) -> bool:
 
 
 def _convolve(compose, out, i, a, level):
-    """Add a·b at compose(i, j) to ``out`` for each composable (j, b) in ``level``;
+    """Append (a, b) to ``out[compose(i, j)]`` for each composable (j, b) in ``level``;
     ``compose`` is the unchecked ``_compose``, as both supports are validated."""
     for j, b in level:
         k = compose(i, j)
         if k is not None:
-            term = a * b
-            out[k] = out[k] + term if k in out else term
+            out.setdefault(k, []).append((a, b))
+
+
+def _dot(pairs, start=None):
+    """start + Σ a·b over the non-empty ``pairs``, normalized once: exact scalars as
+    numerators over a common denominator, a class with ``_dot`` (matrices, time
+    polynomials) by its own; anything else (floats) adds a·b left to right."""
+    a = pairs[0][0]
+    if type(a) is int or isinstance(a, Fraction):
+        n, d = (0, 1) if start is None else (start.numerator, start.denominator)
+        for a, b in pairs:
+            pd = a.denominator * b.denominator
+            g = gcd(d, pd)
+            n, d = n * (pd // g) + a.numerator * b.numerator * (d // g), d // g * pd
+        return Fraction(n, d)
+    if hasattr(a, "_dot"):
+        return a._dot(pairs, start)
+    for a, b in pairs:
+        start = a * b if start is None else start + a * b
+    return start
 
 
 def coeff_to_payload(value):
@@ -274,9 +295,14 @@ class SemidirectElement:
         if not (isinstance(g, RationalMatrix) and isinstance(a.unit, RationalMatrix)
                 and g.n == a.unit.n):
             raise ValueError(f"{g!r} must be a matrix of the size of the series unit {a.unit!r}")
-        self.g_inv = g.inverse()  # raises on singular g
-        self.g = g
-        self.a = a
+        self.g, self.a, self.g_inv = g, a, g.inverse()  # raises on singular g
+
+    @classmethod
+    def _trusted(cls, g, a, g_inv):
+        """Element from a checked pair and the inverse of g, computed no more."""
+        out = object.__new__(cls)
+        out.g, out.a, out.g_inv = g, a, g_inv
+        return out
 
     @classmethod
     def identity(cls, n, groupoid, order):
@@ -296,13 +322,13 @@ class SemidirectElement:
         self.a._check_compatible(other.a)
         twisted = self._conjugate(self.a, other.g_inv, other.g)
         b = twisted + other.a + twisted * other.a
-        return SemidirectElement(self.g * other.g, b)
+        return SemidirectElement._trusted(self.g * other.g, b, other.g_inv * self.g_inv)
 
     def inverse(self) -> "SemidirectElement":
         twisted = self._conjugate(self.a, self.g, self.g_inv)
         one = FormalSeries.one(self.a.groupoid, self.a.order, self.a.unit)
         b = (one + twisted).inverse() - one
-        return SemidirectElement(self.g_inv, b)
+        return SemidirectElement._trusted(self.g_inv, b, self.g)
 
     def __eq__(self, other):
         if not isinstance(other, SemidirectElement):

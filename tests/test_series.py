@@ -297,6 +297,22 @@ def test_semidirect_associativity():
         assert (x * y) * z == x * (y * z)
 
 
+def test_semidirect_products_and_inverses_reuse_the_stored_inverse(monkeypatch):
+    """Only a caller-built element inverts its matrix: a product carries
+    (g g')^-1 = g'^-1 g^-1 and an inverse swaps the pair (g, g^-1)."""
+    rng = random.Random(37)
+    x, y = rand_semidirect(rng), rand_semidirect(rng)
+    calls = []
+    inverse = RationalMatrix.inverse
+    monkeypatch.setattr(RationalMatrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    results = [x * y, y * x, x.inverse(), (x * y).inverse(), x.inverse() * x]
+    assert calls == []
+    for w in results:
+        assert w.g_inv == inverse(w.g)
+        assert SemidirectElement(w.g, w.a) == w
+    assert len(calls) == len(results)
+
+
 def test_semidirect_rejects_singular():
     nat = make_nat_monoid()
     unit = RationalMatrix.identity(2)

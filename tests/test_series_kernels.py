@@ -11,16 +11,23 @@ left-ODE solvers of ``paths`` run on the same kernel, and each composes every
 support pair it needs once.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cobordseries import paths, series
 from cobordseries.groupoids import BoxGroupoid, from_spec
+from cobordseries.groups import GroupFunction, cyclic
 from cobordseries.matrices import RationalMatrix
-from cobordseries.paths import AlgebraPath, CoeffPoly, left_log_derivative, solve_left_ode
-from cobordseries.series import FormalSeries
+from cobordseries.paths import (
+    AlgebraPath, CoeffPoly, euler_product, iterated_integrals, left_log_derivative,
+    solve_left_ode,
+)
+from cobordseries.series import FormalSeries, _dot, coeff_to_payload
 
 
 def all_pairs_product(a, b):
@@ -206,3 +213,201 @@ def test_ode_solvers_compose_each_pair_at_most_once(spec, values, monkeypatch):
                        (calls, {(i, j) for i, j in expected if gpd.ord(j) > 0})):
         assert len(got) == len(set(got))
         assert set(got) == pairs
+
+
+# -- fused sums of products -------------------------------------------------------
+#
+# ``series._dot`` finishes every output coefficient of the kernels above with one
+# normalization.  ``pairwise_dot`` is the earlier per-pair accumulate, kept here as
+# its oracle: each a·b formed and added left to right, a time-polynomial pair by
+# the earlier double loop over coefficient pairs.
+
+def pairwise_mul(a, b):
+    """Oracle product: a time-polynomial pair by the double loop, else ``*``."""
+    if not isinstance(a, CoeffPoly):
+        return a * b
+    if not a.coeffs or not b.coeffs:
+        return CoeffPoly((), a.unit)
+    out = [a.zero_coeff] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if not y:
+                continue
+            out[i + j] = out[i + j] + x * y
+    return CoeffPoly(out, a.unit)
+
+
+def pairwise_dot(pairs, start=None):
+    """Oracle: start + a·b + ... added left to right, one product at a time."""
+    for a, b in pairs:
+        term = pairwise_mul(a, b)
+        start = term if start is None else start + term
+    return start
+
+
+def payload(value):
+    if isinstance(value, CoeffPoly):
+        return [coeff_to_payload(c) for c in value.coeffs]
+    return coeff_to_payload(value)
+
+
+I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
+scalars = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def square(n):
+    return st.lists(scalars, min_size=n * n, max_size=n * n).map(
+        lambda v: RationalMatrix([v[i * n:(i + 1) * n] for i in range(n)]))
+
+
+# each entry draws the strategy of one coefficient algebra
+DOT_ALGEBRAS = {
+    "scalar": st.just(scalars),
+    "matrix": st.sampled_from([square(1), square(2), square(3)]),
+    "scalar-poly": st.just(st.lists(scalars, max_size=3).map(CoeffPoly)),
+    "matrix-poly": st.just(st.lists(square(2), max_size=3).map(lambda c: CoeffPoly(c, I2))),
+}
+
+
+@given(st.data())
+def test_dot_matches_the_pairwise_accumulate(data):
+    values = data.draw(st.sampled_from(sorted(DOT_ALGEBRAS)).flatmap(DOT_ALGEBRAS.get))
+    pairs = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=4))
+    cancel = data.draw(st.booleans())
+    if cancel:  # every product met by its negative: the sum is exactly start
+        pairs += [(-a, b) for a, b in pairs]
+    start = data.draw(st.one_of(st.none(), values))
+    out, oracle = _dot(pairs, start), pairwise_dot(pairs, start)
+    assert out == oracle
+    assert payload(out) == payload(oracle)
+    if cancel:
+        assert out == (pairs[0][0] * 0 if start is None else start)
+
+
+def test_dot_sums_float_group_functions_left_to_right():
+    """Floats keep the earlier order of additions, bit for bit."""
+    rng = random.Random(3)
+    group = cyclic(3)
+    fs = [GroupFunction(group, tuple(rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)
+                                     for _ in range(3))) for _ in range(8)]
+    for start in (None, fs[0]):
+        out = _dot(list(zip(fs[:4], fs[4:])), start)
+        oracle = pairwise_dot(list(zip(fs[:4], fs[4:])), start)
+        assert [x.hex() for x in out.values] == [x.hex() for x in oracle.values]
+
+
+@pytest.mark.parametrize("pairs,start", [
+    ([(I2, I3)], None),
+    ([(I2, I2), (I3, I2)], None),
+    ([(I2, I2), (I3, I3)], None),
+    ([(I2, I2)], I3),
+], ids=["pair", "mixed-pair", "two-sizes", "start"])
+def test_dot_rejects_matrices_of_two_sizes(pairs, start):
+    with pytest.raises(ValueError, match="matrix size mismatch"):
+        _dot(pairs, start)
+
+
+def forbid(monkeypatch, cls, names, operands=object):
+    """Make the named operators of ``cls`` fail on an operand of type ``operands``."""
+    for name in names:
+        def guarded(self, other, method=getattr(cls, name), name=name):
+            if isinstance(other, operands):
+                raise AssertionError(f"per-pair {cls.__name__}.{name}")
+            return method(self, other)
+        monkeypatch.setattr(cls, name, guarded)
+
+
+def test_dot_forms_no_per_pair_product_or_sum(monkeypatch):
+    """Over several pairs no a·b or running sum is normalized on its own."""
+    m = [RationalMatrix([[Fraction(k, 3), 1], [k, Fraction(-1, k + 1)]]) for k in range(4)]
+    p = [CoeffPoly((m[k], m[3 - k]), I2) for k in range(4)]
+    cases = [
+        ([(Fraction(1, 2), Fraction(2, 3)), (Fraction(-3, 4), Fraction(5, 7))], Fraction(1, 5)),
+        (list(zip(m[:2], m[2:])), m[0]),
+        (list(zip(p[:2], p[2:])), p[0]),
+    ]
+    expected = [pairwise_dot(pairs, start) for pairs, start in cases]
+    ops = ("__add__", "__radd__", "__mul__", "__rmul__")
+    forbid(monkeypatch, Fraction, ops)
+    forbid(monkeypatch, CoeffPoly, ("__add__", "__mul__"))
+    forbid(monkeypatch, RationalMatrix, ("__add__",))
+    forbid(monkeypatch, RationalMatrix, ("__mul__",), RationalMatrix)
+    assert [_dot(pairs, start) for pairs, start in cases] == expected
+
+
+# -- the kernels on the fused sum against the pairwise reference --------------------
+
+def kernel_inputs(spec, matrix_valued, seed):
+    """Two zero-neutral series and a path direction over ``spec`` at order 4."""
+    rng = random.Random(seed)
+    gpd = from_spec(spec)
+    elems = [e for e in gpd.elements_up_to(4) if gpd.ord(e) >= 1]
+    unit = I2 if matrix_valued else Fraction(1)
+
+    def coeff():
+        if matrix_valued:
+            return RationalMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(2)] for _ in range(2)])
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4)) or unit
+
+    def support(k):
+        return rng.sample(elems, min(k, len(elems)))
+
+    def draw_series():
+        return FormalSeries(gpd, 4, {e: coeff() for e in support(8)}, unit)
+
+    v = AlgebraPath(gpd, 4, {e: CoeffPoly([coeff() for _ in range(rng.randint(1, 3))], unit)
+                             for e in support(6)}, unit)
+    return draw_series(), draw_series(), v
+
+
+def kernel_outputs(a, b, v):
+    one = FormalSeries.one(a.groupoid, a.order, a.unit)
+    u = solve_left_ode(v)
+    return [a * b, b * a, (one + a).inverse(), a.exp(), (one + b).log(), u,
+            left_log_derivative(u), [iterated_integrals(v, m) for m in range(5)],
+            euler_product(v, 4, Fraction(3, 4))]
+
+
+def counted(calls, name, fn):
+    """``fn``, counting its calls on more than one pair or with a start: a
+    kernel that fell back to one product at a time would make none."""
+    def wrapper(pairs, start=None):
+        calls[name] += len(pairs) > 1 or start is not None
+        return fn(pairs, start)
+    return wrapper
+
+
+@pytest.mark.parametrize("matrix_valued", [False, True], ids=["fraction", "matrix"])
+@pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
+def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
+    """Products, inverse, exp/log, both ODE directions, the simplex integrals and
+    the Euler product give the same exact values on the fused sum as with every
+    coefficient built pair by pair; the fused kernels must be reached."""
+    a, b, v = kernel_inputs(spec, matrix_valued, seed=len(spec) + matrix_valued)
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for module in (series, paths):
+            patch.setattr(module, "_dot", counted(calls, "dot", series._dot))
+        patch.setattr(RationalMatrix, "_dot", staticmethod(
+            counted(calls, "matrix", RationalMatrix._dot)))
+        patch.setattr(CoeffPoly, "_dot", staticmethod(counted(calls, "poly", CoeffPoly._dot)))
+        fused = kernel_outputs(a, b, v)
+    assert calls["dot"] and calls["poly"] and bool(calls["matrix"]) == matrix_valued
+
+    def unreachable(*args):
+        raise AssertionError("the reference reached a fused kernel")
+
+    poly_mul = CoeffPoly.__mul__
+    with monkeypatch.context() as patch:
+        for module in (series, paths):
+            patch.setattr(module, "_dot", pairwise_dot)
+        patch.setattr(RationalMatrix, "_dot", unreachable)
+        patch.setattr(CoeffPoly, "_dot", unreachable)
+        patch.setattr(CoeffPoly, "__mul__", lambda p, q: pairwise_mul(p, q)
+                      if isinstance(q, CoeffPoly) else poly_mul(p, q))
+        reference = kernel_outputs(a, b, v)
+    assert fused == reference
+    assert repr(fused) == repr(reference)
