@@ -38,8 +38,7 @@ REPORT_SCHEMA = 1
 
 def random_series(groupoid, order, rng):
     """A 2x2 rational-matrix series on at most 5 random positive-grade elements."""
-    elems = [e for e in groupoid.elements_up_to(order)
-             if groupoid.ord(e) >= 1]
+    elems = [e for e in groupoid.elements_up_to(order) if groupoid._ord(e) >= 1]
     support = rng.sample(elems, min(5, len(elems)))
     coeffs = {}
     for elem in support:

@@ -21,8 +21,9 @@ All three test integer coordinates with the same check, ``type(x) is int``:
 ``bool`` is an ``int`` subclass but never an element, and the inline test
 costs no extra call on the membership check every ``ord``/``compose`` makes.
 
-``compose`` validates both arguments and delegates to ``_compose``, the same
-map unchecked, for callers whose elements are known members (series supports).
+``compose`` and ``ord`` validate their arguments and delegate to ``_compose``
+and ``_ord``, the same maps unchecked, which an instance implements; callers
+whose elements are known members (series supports, window elements) call those.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class GradedGroupoid:
 
     def ord(self, element) -> int:
         """Grade of an element; raises ValueError on elements outside the groupoid."""
+        self._require(element)
+        return self._ord(element)
+
+    def _ord(self, element) -> int:
+        """``ord`` of a member, without checking that it is one."""
         raise NotImplementedError
 
     def compose(self, i, j):
@@ -106,8 +112,7 @@ class NatMonoid(GradedGroupoid):
     def __contains__(self, element):
         return type(element) is int and element >= 0
 
-    def ord(self, element):
-        self._require(element)
+    def _ord(self, element):
         return element
 
     def _compose(self, i, j):
@@ -156,8 +161,7 @@ class IntervalGroupoid(GradedGroupoid):
         lo, hi = element
         return type(lo) is int and type(hi) is int and a <= lo < hi <= b
 
-    def ord(self, element):
-        self._require(element)
+    def _ord(self, element):
         if element is NEUTRAL:
             return 0
         return element[1] - element[0]
@@ -177,7 +181,7 @@ class IntervalGroupoid(GradedGroupoid):
         for lo in range(a, b):
             for hi in range(lo + 1, min(b, lo + max_grade) + 1):
                 out.append((lo, hi))
-        out.sort(key=lambda x: (self.ord(x), (0, 0) if x is NEUTRAL else x))
+        out.sort(key=lambda x: (self._ord(x), (0, 0) if x is NEUTRAL else x))
         return out
 
     def element_id(self, element):
@@ -235,8 +239,7 @@ class BoxGroupoid(GradedGroupoid):
                 return False
         return True
 
-    def ord(self, element):
-        self._require(element)
+    def _ord(self, element):
         if element is NEUTRAL:
             return 0
         vol = 1
@@ -264,9 +267,9 @@ class BoxGroupoid(GradedGroupoid):
         ranges = [[(lo2, hi2) for lo2 in range(lo, hi) for hi2 in range(lo2 + 1, hi + 1)]
                   for lo, hi in self.window]
         for combo in iter_product(*ranges):
-            if self.ord(combo) <= max_grade:
+            if self._ord(combo) <= max_grade:
                 out.append(combo)
-        out.sort(key=lambda x: (self.ord(x), () if x is NEUTRAL else x))
+        out.sort(key=lambda x: (self._ord(x), () if x is NEUTRAL else x))
         return out
 
     def element_id(self, element):
@@ -301,21 +304,24 @@ def make_box_groupoid(dim: int, window, axis: int = 0) -> BoxGroupoid:
 
 
 def from_spec(text: str) -> GradedGroupoid:
-    """Parse 'nat', 'interval:a..b', or 'box:d:a..bxc..d,...' (axes comma- or x-separated)."""
-    text = text.strip()
-    if text == "nat":
+    """Parse 'nat', 'interval:a..b', or 'box:d:a..bxc..d,...' (axes comma- or x-separated);
+    a spec that is not a str, or does not parse, raises ValueError naming it."""
+    if not isinstance(text, str):
+        raise ValueError(f"groupoid spec must be a str, not {text!r}")
+    spec = text.strip()
+    if spec == "nat":
         return NatMonoid()
-    if text.startswith("interval:"):
-        span = text[len("interval:"):]
-        a, b = span.split("..")
-        return IntervalGroupoid(int(a), int(b))
-    if text.startswith("box:"):
-        rest = text[len("box:"):]
-        dim_str, _, spans = rest.partition(":")
-        dim = int(dim_str)
-        parts = spans.replace(",", "x").split("x")
-        window = tuple(tuple(int(v) for v in part.split("..")) for part in parts)
-        return make_box_groupoid(dim, window)
+    try:
+        if spec.startswith("interval:"):
+            a, b = spec[len("interval:"):].split("..")
+            return IntervalGroupoid(int(a), int(b))
+        if spec.startswith("box:"):
+            dim_str, _, spans = spec[len("box:"):].partition(":")
+            parts = spans.replace(",", "x").split("x")
+            window = tuple(tuple(int(v) for v in part.split("..")) for part in parts)
+            return make_box_groupoid(int(dim_str), window)
+    except ValueError as exc:  # a bad count of fields, a non-integer bound, a bad window
+        raise ValueError(f"malformed groupoid spec {text!r}: {exc}") from None
     raise ValueError(f"unknown groupoid spec {text!r}")
 
 

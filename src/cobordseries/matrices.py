@@ -7,7 +7,7 @@ by a single ``gcd(den, *num)``, so the form is canonical (``den > 0`` and
 a tuple comparison.  The ``Fraction`` view (``rows``, ``m[i, j]``,
 ``repr``) is built only at the boundary.  The arithmetic runs through per-size
 kernels: one unrolled expression each, compiled once from index literals; a sum
-of products (``_dot``) adds unreduced numerators and reduces once, at the end.
+of products (``_dot``) adds unreduced numerators, scales them by a ratio and reduces once.
 """
 
 from __future__ import annotations
@@ -180,10 +180,10 @@ class RationalMatrix:
         return out
 
     @classmethod
-    def _dot(cls, pairs, start=None):
-        """start + Σ a·b over the non-empty ``pairs``: products summed as numerators
-        over a common denominator, reduced once by ``_make``."""
-        product, combine = _kernels(n := pairs[0][0].n)[:2]
+    def _dot(cls, pairs, start=None, ratio=1):
+        """ratio·(start + Σ a·b) over the non-empty ``pairs``: products summed as
+        numerators over a common denominator, scaled, reduced once by ``_make``."""
+        product, combine, scale = _kernels(n := pairs[0][0].n)[:3]
         num, den = ((0,) * (n * n), 1) if start is None else (start.num, start.den)
         if len(num) != n * n:
             raise ValueError(f"matrix size mismatch: {start.n} vs {n}")
@@ -193,7 +193,8 @@ class RationalMatrix:
             d = a.den * b.den
             g = gcd(den, d)
             num, den = combine(num, product(a.num, b.num), den // g, d // g), den // g * d
-        return cls._make(n, num, den)
+        return cls._make(n, num if ratio == 1 else scale(num, ratio.numerator),
+                         den * ratio.denominator)
 
     def _check_shape(self, other):
         if self.n != other.n:

@@ -718,7 +718,7 @@ def measure_series(groupoid, density: SemigroupDensity, order: int) -> FormalSer
     """The series assigning to each index its heat density at the index
     volume; multiplicative under composition because the family is a
     convolution semigroup."""
-    coeffs = {elem: density.q(groupoid.ord(elem)) for elem in groupoid.elements_up_to(order)}
+    coeffs = {elem: density.q(groupoid._ord(elem)) for elem in groupoid.elements_up_to(order)}
     return FormalSeries._trusted(groupoid, order, coeffs, delta(density.group))
 
 
@@ -731,7 +731,7 @@ def measure_series_multiplicativity(series: FormalSeries, tol=1e-12):
     for i in elems:
         for j in elems:
             k = gpd._compose(i, j)
-            if k is None or gpd.ord(k) > series.order:
+            if k is None or gpd._ord(k) > series.order:
                 continue
             lhs, rhs = coeffs.get(k, zero), coeffs.get(i, zero) * coeffs.get(j, zero)
             worst = max(worst, max(abs(a - b)

@@ -99,8 +99,8 @@ class CoeffPoly:
         return self + (-other)
 
     @staticmethod
-    def _dot(pairs, start=None):
-        """start + Σ p·q over the non-empty ``pairs``: the nonzero coefficient
+    def _dot(pairs, start=None, ratio=1):
+        """ratio·(start + Σ p·q) over the non-empty ``pairs``: the nonzero coefficient
         pairs grouped by degree, each degree one coefficient ``_dot``."""
         groups = {}
         for p, q in pairs:
@@ -109,11 +109,12 @@ class CoeffPoly:
                     for j, b in enumerate(q.coeffs):
                         if b:
                             groups.setdefault(i + j, []).append((a, b))
-        out = dict(enumerate(start.coeffs if start else ()))
+        out = {k: c if ratio == 1 or k in groups else c * ratio
+               for k, c in enumerate(start.coeffs if start else ())}
         for k, group in groups.items():
-            out[k] = _dot(group, out.get(k))
-        zero, unit = pairs[0][0].zero_coeff, pairs[0][0].unit
-        return CoeffPoly([out.get(k, zero) for k in range(max(out, default=-1) + 1)], unit)
+            out[k] = _dot(group, out.get(k), ratio)
+        top, p = max(out, default=-1) + 1, pairs[0][0]
+        return CoeffPoly([out[k] if k in out else p.zero_coeff for k in range(top)], p.unit)
 
     def __mul__(self, other):
         if isinstance(other, CoeffPoly):
@@ -201,7 +202,7 @@ def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
         raise ValueError("left logarithmic derivative needs a unital path")
     gpd, du, minus_u = u.groupoid, {}, {}
     for k, p in u.coeffs.items():
-        if (g := gpd.ord(k)) > 0:
+        if (g := gpd._ord(k)) > 0:
             du.setdefault(g, {})[k] = p.derivative()
             minus_u.setdefault(g, []).append((k, -p))
     levels = {}
@@ -231,7 +232,7 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     gpd = v.groupoid
     # grades add under products, so layers truncated at ``grade`` are exact there
     v_series = FormalSeries._trusted(
-        gpd, grade, {e: p for e, p in v.coeffs.items() if gpd.ord(e) <= grade}, v.unit)
+        gpd, grade, {e: p for e, p in v.coeffs.items() if gpd._ord(e) <= grade}, v.unit)
     total = FormalSeries.one(gpd, grade, v.unit)
     layer = total
     for _ in range(1, grade + 1):
@@ -248,7 +249,7 @@ def grade_component(series: FormalSeries, grade: int):
     if type(grade) is not int or not 0 <= grade <= series.order:
         raise ValueError(f"grade must be an int in 0..{series.order}, not {grade!r}")
     gpd = series.groupoid
-    values = [v for e, v in series.coeffs.items() if gpd.ord(e) == grade] or [series.zero_coeff]
+    values = [v for e, v in series.coeffs.items() if gpd._ord(e) == grade] or [series.zero_coeff]
     return sum(values[1:], values[0])
 
 

@@ -15,15 +15,17 @@ exponential and logarithm are finite sums and are exact mutual inverses
 over exact coefficient arithmetic.
 
 The kernels work grade by grade on validated supports, through the unchecked
-``_compose``: a product pairs each left element with the right operand's grade
-levels within the order, and one level solve, x = 1 + post(a·x), gives the
-inverse (post the identity) and the left ODE of ``paths`` (the time integral).
-Each output coefficient is one ``_dot``: a sum of products normalized once.
+``_compose`` and ``_ord``.  A product pairs each left element with the right
+operand's grade levels; a level solve x = 1 + post(a·x) gives the inverse (post
+the identity) and the left ODE of ``paths`` (the time integral); exp and log are
+one power sum, term k the last one times a and r_k (1/k, or -(k-1)/k for log).
+Each output coefficient is one ``_dot``: a sum of products (times r_k) normalized once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .matrices import RationalMatrix
@@ -45,7 +47,7 @@ class FormalSeries:
         for elem, value in (coeffs or {}).items():
             if elem not in groupoid:
                 raise ValueError(f"{elem!r} is not in {groupoid.name}")
-            if groupoid.ord(elem) > self.order:
+            if groupoid._ord(elem) > self.order:
                 raise ValueError(f"{elem!r} exceeds truncation order {self.order}")
             if type(value) is not type(unit) and not (scalar_unit and _is_exact_scalar(value)):
                 raise ValueError(f"coefficient {value!r} is not in the algebra of "
@@ -134,18 +136,9 @@ class FormalSeries:
         ``axiom_violations`` checks."""
         if isinstance(other, FormalSeries):
             self._check_compatible(other)
-            gpd, order = self.groupoid, self.order
-            right = {}
-            for j, b in other.coeffs.items():
-                right.setdefault(gpd.ord(j), []).append((j, b))
-            out = {}
-            for i, a in self.coeffs.items():
-                room = order - gpd.ord(i)
-                for grade, level in right.items():
-                    if grade <= room:
-                        _convolve(gpd._compose, out, i, a, level)
-            return type(self)._trusted(gpd, order, {k: _dot(p) for k, p in out.items()},
-                                       self.unit)
+            out = _pairs(self.groupoid, self.order, self.coeffs, other._levels())
+            return type(self)._trusted(self.groupoid, self.order,
+                                       {k: _dot(p) for k, p in out.items()}, self.unit)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -159,6 +152,13 @@ class FormalSeries:
         for _ in range(k):
             out = out * self
         return out
+
+    def _levels(self):
+        """The coefficients as (element, value) lists by grade, read unchecked."""
+        levels, ord_ = {}, self.groupoid._ord
+        for j, b in self.coeffs.items():
+            levels.setdefault(ord_(j), []).append((j, b))
+        return levels
 
     def _unit_series(self):
         """The unit of self's algebra, as ``type(self)`` (so a path's power is a path)."""
@@ -180,7 +180,7 @@ class FormalSeries:
         is post(sum of a_i·x_j over j in level g - ord(i)), each pair composed once
         (grade additivity is checked by ``axiom_violations``); post(0) must be 0."""
         gpd, order = self.groupoid, self.order
-        terms = [(i, v, g) for i, v in self.coeffs.items() if (g := gpd.ord(i)) > 0]
+        terms = [(i, v, g) for i, v in self.coeffs.items() if (g := gpd._ord(i)) > 0]
         levels = {0: [(gpd.neutral, self.unit)]}
         for grade in range(1, order + 1):
             out = {}
@@ -191,25 +191,29 @@ class FormalSeries:
                                                 for k, v in level}, self.unit)
 
     def exp(self) -> "FormalSeries":
-        """exp of a series with zero neutral part: finite sum of a^k / k!."""
+        """exp of a series with zero neutral part: the power sum of a^k / k!."""
         if not self.has_zero_e_part():
             raise ValueError("exp requires a zero coefficient at the neutral element")
-        result = term = self._unit_series()
-        for k in range(1, self.order + 1):
-            term = (term * self).scale(Fraction(1, k))
-            result = result + term
-        return result
+        return self._power_sum(self._unit_series(), (Fraction(1, k) for k in count(1)))
 
     def log(self) -> "FormalSeries":
-        """log of a unital series: finite alternating sum of a^k / k."""
+        """log of a unital series: the power sum of (-1)^(k+1) a^k / k, a = self - 1."""
         if not self.is_unital():
             raise ValueError("log requires leading coefficient equal to the unit")
-        power = self._unit_series()
-        a, result = self - power, type(self)._trusted(self.groupoid, self.order, {}, self.unit)
-        for k in range(1, self.order + 1):
-            power = power * a
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        a = self - self._unit_series()
+        return a._power_sum(a, (Fraction(1 - k, k) for k in count(2)))
+
+    def _power_sum(self, term, ratios):
+        """Σ T_k for T_0 = term, T_k = r_k·T_(k-1)·self, r_k the k-th of ``ratios`` and
+        self without neutral part (its levels built once); stops at the first empty T_k."""
+        gpd, order, levels = self.groupoid, self.order, self._levels()
+        total, term = dict(term.coeffs), term.coeffs
+        while term:
+            out, r = _pairs(gpd, order, term, levels), next(ratios)
+            term = {e: x for e, p in out.items() if (x := _dot(p, None, r))}
+            for e, x in term.items():
+                total[e] = total[e] + x if e in total else x
+        return type(self)._trusted(gpd, order, total, self.unit)
 
     # -- comparison ----------------------------------------------------------
 
@@ -226,7 +230,7 @@ class FormalSeries:
         gpd = self.groupoid
         parts = [f"{gpd.element_id(e)}: {v!r}"
                  for e, v in sorted(self.coeffs.items(),
-                                    key=lambda kv: (gpd.ord(kv[0]), gpd.element_id(kv[0])))]
+                                    key=lambda kv: (gpd._ord(kv[0]), gpd.element_id(kv[0])))]
         return f"{type(self).__name__}<{gpd.name}, N={self.order}>({', '.join(parts) or 0})"
 
     # -- serialization ---------------------------------------------------------
@@ -242,6 +246,18 @@ def _is_exact_scalar(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
+def _pairs(gpd, order, left, levels):
+    """The coefficient pairs of left · right by output element, for ``left`` a
+    validated coefficient dict and ``levels`` the right operand's ``_levels``."""
+    out = {}
+    for i, a in left.items():
+        room = order - gpd._ord(i)
+        for grade, level in levels.items():
+            if grade <= room:
+                _convolve(gpd._compose, out, i, a, level)
+    return out
+
+
 def _convolve(compose, out, i, a, level):
     """Append (a, b) to ``out[compose(i, j)]`` for each composable (j, b) in ``level``;
     ``compose`` is the unchecked ``_compose``, as both supports are validated."""
@@ -251,10 +267,11 @@ def _convolve(compose, out, i, a, level):
             out.setdefault(k, []).append((a, b))
 
 
-def _dot(pairs, start=None):
-    """start + Σ a·b over the non-empty ``pairs``, normalized once: exact scalars as
-    numerators over a common denominator, a class with ``_dot`` (matrices, time
-    polynomials) by its own; anything else (floats) adds a·b left to right."""
+def _dot(pairs, start=None, ratio=1):
+    """ratio·(start + Σ a·b) over the non-empty ``pairs``, normalized once: exact
+    scalars as numerators over a common denominator, a class with ``_dot``
+    (matrices, time polynomials) by its own; anything else (floats) adds a·b left
+    to right and then scales by an exact ``ratio`` other than 1."""
     a = pairs[0][0]
     if type(a) is int or isinstance(a, Fraction):
         n, d = (0, 1) if start is None else (start.numerator, start.denominator)
@@ -262,12 +279,12 @@ def _dot(pairs, start=None):
             pd = a.denominator * b.denominator
             g = gcd(d, pd)
             n, d = n * (pd // g) + a.numerator * b.numerator * (d // g), d // g * pd
-        return Fraction(n, d)
+        return Fraction(n * ratio.numerator, d * ratio.denominator)
     if hasattr(a, "_dot"):
-        return a._dot(pairs, start)
+        return a._dot(pairs, start, ratio)
     for a, b in pairs:
         start = a * b if start is None else start + a * b
-    return start
+    return start if ratio == 1 else start * ratio
 
 
 def coeff_to_payload(value):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -129,6 +130,50 @@ def test_from_spec_strings():
     assert from_spec("box:2:0..2,0..2") == make_box_groupoid(2, ((0, 2), (0, 2)))
     with pytest.raises(ValueError):
         from_spec("circle:1")
+
+
+@pytest.mark.parametrize("spec", [5, None, b"nat", "interval:0..2..3", "interval:3",
+                                  "interval:0..x", "box:2:0..2x", "box:two:0..2x0..2",
+                                  "box:2:0..2", "box:2:0..1..2x0..2"],
+                         ids=["int", "none", "bytes", "three-bounds", "one-bound",
+                              "non-int-bound", "empty-span", "non-int-dim", "dim-mismatch",
+                              "three-bound-span"])
+def test_from_spec_rejects_a_malformed_spec_naming_it(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        from_spec(spec)
+
+
+WINDOW_GROUPOIDS = [make_nat_monoid(), make_interval_groupoid(-1, 4),
+                    make_box_groupoid(2, ((0, 2), (0, 3))),
+                    make_box_groupoid(3, ((0, 2), (0, 1), (0, 2)), axis=2)]
+WINDOW_IDS = ["nat", "interval", "box2", "box3"]
+
+
+@pytest.mark.parametrize("gpd", WINDOW_GROUPOIDS, ids=WINDOW_IDS)
+def test_unchecked_ord_agrees_on_every_window_element(gpd):
+    elems = gpd.elements_up_to(12)
+    assert len(elems) > 1
+    assert all(gpd._ord(x) == gpd.ord(x) for x in elems)
+
+
+@pytest.mark.parametrize("gpd,bad", [
+    (make_nat_monoid(), True), (make_nat_monoid(), False), (make_nat_monoid(), -1),
+    (make_nat_monoid(), 2.0),
+    (make_interval_groupoid(0, 3), (True, 2)), (make_interval_groupoid(0, 3), (0, True)),
+    (make_interval_groupoid(0, 3), (-1, 2)), (make_interval_groupoid(0, 3), (1, 4)),
+    (make_interval_groupoid(0, 3), (0, 1, 2)), (make_interval_groupoid(0, 3), 0),
+    (make_box_groupoid(2, ((0, 2), (0, 2))), ((False, 1), (0, 2))),
+    (make_box_groupoid(2, ((0, 2), (0, 2))), ((-1, 1), (0, 2))),
+    (make_box_groupoid(2, ((0, 2), (0, 2))), ((0, 1), (0, 3))),
+    (make_box_groupoid(2, ((0, 2), (0, 2))), ((0, 1),)),
+    (make_box_groupoid(2, ((0, 2), (0, 2))), ((0, 1), (0, 1), (0, 1))),
+], ids=["nat-true", "nat-false", "nat-negative", "nat-float", "interval-bool-lo",
+        "interval-bool-hi", "interval-negative", "interval-out-of-window",
+        "interval-triple", "interval-int", "box-bool", "box-negative", "box-out-of-window",
+        "box-one-axis", "box-three-axes"])
+def test_ord_still_validates(gpd, bad):
+    with pytest.raises(ValueError, match="is not an element of"):
+        gpd.ord(bad)
 
 
 def test_element_id_round_trip():

@@ -239,12 +239,13 @@ def pairwise_mul(a, b):
     return CoeffPoly(out, a.unit)
 
 
-def pairwise_dot(pairs, start=None):
-    """Oracle: start + a·b + ... added left to right, one product at a time."""
+def pairwise_dot(pairs, start=None, ratio=1):
+    """Oracle: start + a·b + ... added left to right, one product at a time, then
+    times ``ratio`` as one separate scalar product."""
     for a, b in pairs:
         term = pairwise_mul(a, b)
         start = term if start is None else start + term
-    return start
+    return start if ratio == 1 else start * ratio
 
 
 def payload(value):
@@ -255,6 +256,9 @@ def payload(value):
 
 I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
 scalars = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+# the ratios of exp/log terms and others: nonzero ints and Fractions of either sign
+RATIOS = st.one_of(st.integers(-3, 3).filter(bool),
+                   st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)))
 
 
 def square(n):
@@ -276,25 +280,27 @@ def test_dot_matches_the_pairwise_accumulate(data):
     values = data.draw(st.sampled_from(sorted(DOT_ALGEBRAS)).flatmap(DOT_ALGEBRAS.get))
     pairs = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=4))
     cancel = data.draw(st.booleans())
-    if cancel:  # every product met by its negative: the sum is exactly start
+    if cancel:  # every product met by its negative: the result is exactly ratio·start
         pairs += [(-a, b) for a, b in pairs]
     start = data.draw(st.one_of(st.none(), values))
-    out, oracle = _dot(pairs, start), pairwise_dot(pairs, start)
+    ratio = data.draw(st.one_of(st.just(1), RATIOS))
+    out, oracle = _dot(pairs, start, ratio), pairwise_dot(pairs, start, ratio)
     assert out == oracle
     assert payload(out) == payload(oracle)
     if cancel:
-        assert out == (pairs[0][0] * 0 if start is None else start)
+        assert out == (pairs[0][0] * 0 if start is None else start * ratio)
 
 
 def test_dot_sums_float_group_functions_left_to_right():
-    """Floats keep the earlier order of additions, bit for bit."""
+    """Floats keep the earlier order of additions, then one product by a ratio,
+    bit for bit."""
     rng = random.Random(3)
     group = cyclic(3)
     fs = [GroupFunction(group, tuple(rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)
                                      for _ in range(3))) for _ in range(8)]
-    for start in (None, fs[0]):
-        out = _dot(list(zip(fs[:4], fs[4:])), start)
-        oracle = pairwise_dot(list(zip(fs[:4], fs[4:])), start)
+    for start, ratio in ((None, 1), (fs[0], 1), (None, Fraction(1, 3)), (fs[0], -2)):
+        out = _dot(list(zip(fs[:4], fs[4:])), start, ratio)
+        oracle = pairwise_dot(list(zip(fs[:4], fs[4:])), start, ratio)
         assert [x.hex() for x in out.values] == [x.hex() for x in oracle.values]
 
 
@@ -337,6 +343,95 @@ def test_dot_forms_no_per_pair_product_or_sum(monkeypatch):
     assert [_dot(pairs, start) for pairs, start in cases] == expected
 
 
+# -- exp and log: one power sum, each term's coefficients normalized once ------------
+#
+# ``power_series_exp`` and ``power_series_log`` are the earlier exp and log, kept
+# here as oracles: each term a product of series, then scaled by 1/k or ±1/k.
+
+def power_series_exp(a):
+    """Oracle: Σ a^k / k!, each term (term * a).scale(1/k)."""
+    result = term = a._unit_series()
+    for k in range(1, a.order + 1):
+        term = (term * a).scale(Fraction(1, k))
+        result = result + term
+    return result
+
+
+def power_series_log(u):
+    """Oracle: Σ (-1)^(k+1) a^k / k for a = u - 1, each term power.scale(±1/k)."""
+    power = u._unit_series()
+    a, result = u - power, type(u)._trusted(u.groupoid, u.order, {}, u.unit)
+    for k in range(1, u.order + 1):
+        power = power * a
+        result = result + power.scale(Fraction((-1) ** (k + 1), k))
+    return result
+
+
+matrices3 = st.lists(small, min_size=9, max_size=9).map(
+    lambda v: RationalMatrix([v[:3], v[3:6], v[6:]]))
+
+
+def path_polys(values, unit):
+    return st.lists(values, max_size=3).map(lambda c: CoeffPoly(c, unit))
+
+
+# coefficient strategy, unit and series class of each algebra exp and log run over
+EXP_ALGEBRAS = {
+    "fraction": (small, Fraction(1), FormalSeries),
+    "matrix2": (matrices, I2, FormalSeries),
+    "matrix3": (matrices3, I3, FormalSeries),
+    "path": (path_polys(small, Fraction(1)), Fraction(1), AlgebraPath),
+    "matrix-path": (path_polys(matrices, I2), I2, AlgebraPath),
+}
+
+
+@st.composite
+def exp_inputs(draw):
+    """A zero-neutral series over nat, an interval or a box, in one algebra."""
+    order = draw(st.integers(0, 4))
+    gpd = GROUPOIDS[draw(st.sampled_from(sorted(GROUPOIDS)))](max(order, 1))
+    values, unit, cls = EXP_ALGEBRAS[draw(st.sampled_from(sorted(EXP_ALGEBRAS)))]
+    elems = [e for e in gpd.elements_up_to(order) if gpd.ord(e) >= 1]
+    picked = draw(st.lists(st.sampled_from(elems), max_size=6, unique=True)) if elems else []
+    return cls(gpd, order, {e: draw(values) for e in picked}, unit)
+
+
+@given(exp_inputs())
+def test_exp_and_log_match_the_scaled_power_sums(a):
+    one = a._unit_series()
+    assert_same(a.exp(), power_series_exp(a))
+    assert_same((one + a).log(), power_series_log(one + a))
+    assert type(a.exp()) is type((one + a).log()) is type(a)
+
+
+@pytest.mark.parametrize("algebra", sorted(EXP_ALGEBRAS))
+@pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
+def test_exp_and_log_scale_no_term(spec, algebra, monkeypatch):
+    """No term is a series product or ``scale``d, and no coefficient is
+    multiplied on its own: every product and ratio sits in a ``_dot``."""
+    gpd = from_spec(spec)
+    rng = random.Random(len(spec) + len(algebra))
+    _, unit, cls = EXP_ALGEBRAS[algebra]
+
+    def value():
+        if isinstance(unit, Fraction):
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4)) or unit
+        return RationalMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(unit.n)] for _ in range(unit.n)])
+
+    def coeff():
+        return CoeffPoly([value() for _ in range(3)], unit) if cls is AlgebraPath else value()
+
+    elems = [e for e in gpd.elements_up_to(4) if gpd.ord(e) >= 1]
+    a = cls(gpd, 4, {e: coeff() for e in rng.sample(elems, min(6, len(elems)))}, unit)
+    u = a._unit_series() + a
+    expected = power_series_exp(a), power_series_log(u)
+    forbid(monkeypatch, FormalSeries, ("scale", "__mul__"))
+    for cls_ in (Fraction, RationalMatrix, CoeffPoly):
+        forbid(monkeypatch, cls_, ("__mul__", "__rmul__"))
+    assert (a.exp(), u.log()) == expected
+
+
 # -- the kernels on the fused sum against the pairwise reference --------------------
 
 def kernel_inputs(spec, matrix_valued, seed):
@@ -368,24 +463,27 @@ def kernel_outputs(a, b, v):
     u = solve_left_ode(v)
     return [a * b, b * a, (one + a).inverse(), a.exp(), (one + b).log(), u,
             left_log_derivative(u), [iterated_integrals(v, m) for m in range(5)],
-            euler_product(v, 4, Fraction(3, 4))]
+            euler_product(v, 4, Fraction(3, 4)), v.exp(), u.log()]
 
 
 def counted(calls, name, fn):
-    """``fn``, counting its calls on more than one pair or with a start: a
-    kernel that fell back to one product at a time would make none."""
-    def wrapper(pairs, start=None):
+    """``fn``, counting its calls on more than one pair or with a start (a kernel
+    that fell back to one product at a time would make none) and, apart, its
+    calls with a ratio other than 1."""
+    def wrapper(pairs, start=None, ratio=1):
         calls[name] += len(pairs) > 1 or start is not None
-        return fn(pairs, start)
+        calls[name, "ratio"] += ratio != 1
+        return fn(pairs, start, ratio)
     return wrapper
 
 
 @pytest.mark.parametrize("matrix_valued", [False, True], ids=["fraction", "matrix"])
 @pytest.mark.parametrize("spec", ["nat", "interval:0..4", "box:2:0..2,0..2"])
 def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
-    """Products, inverse, exp/log, both ODE directions, the simplex integrals and
-    the Euler product give the same exact values on the fused sum as with every
-    coefficient built pair by pair; the fused kernels must be reached."""
+    """Products, inverse, exp/log of series and of paths, both ODE directions, the
+    simplex integrals and the Euler product give the same exact values on the fused
+    sum as with every coefficient built pair by pair; the fused kernels must be
+    reached."""
     a, b, v = kernel_inputs(spec, matrix_valued, seed=len(spec) + matrix_valued)
     calls = Counter()
     with monkeypatch.context() as patch:
@@ -396,6 +494,8 @@ def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
         patch.setattr(CoeffPoly, "_dot", staticmethod(counted(calls, "poly", CoeffPoly._dot)))
         fused = kernel_outputs(a, b, v)
     assert calls["dot"] and calls["poly"] and bool(calls["matrix"]) == matrix_valued
+    assert calls["dot", "ratio"] and calls["poly", "ratio"]
+    assert bool(calls["matrix", "ratio"]) == matrix_valued
 
     def unreachable(*args):
         raise AssertionError("the reference reached a fused kernel")
