@@ -66,15 +66,11 @@ def run_series(args):
 
 
 def run_expmap(args):
-    ns = args.n
-    suite = convergence_suite_paths(args.grade)
-    rows = []
-    ratio_rows = []
-    for name, path in suite.items():
-        table = convergence_table(path, ns)
-        rows.extend(table)
-        for row in error_ratios(table):
-            ratio_rows.append({"path": name, **row})
+    ns, suite = args.n, convergence_suite_paths(args.grade)
+    tables = {name: convergence_table(path, ns) for name, path in suite.items()}
+    rows = [row for table in tables.values() for row in table]
+    ratio_rows = [{"path": name, **row} for name, table in tables.items()
+                  for row in error_ratios(table)]
     lo, hi = args.ratio_band
     cases = [{"name": f"{r['path']}-grade{r['grade']}-n{r['n']}",
               "residual": abs(r["ratio"] - 2.0),

@@ -8,9 +8,11 @@ algebra.  Three routes are implemented and cross-checked:
 * ``iterated_integrals``  — the time-ordered simplex integrals, summed per grade;
 * ``euler_product``       — the ordered finite product
       u_n(s) = (1 + (s - j/n) v(j/n)) * prod_{i=1..j} (1 + (1/n) v((j-i)/n)),
-  j = floor(n s), factors multiplied left to right as i increases so that the
-  leftmost factor carries the latest time (the coefficients need not commute,
-  which makes this order observable).
+  j = floor(n s), the latest time leftmost (the coefficients need not commute).
+  With h = 1/n, U_k = u_n(kh) solves U_(k+1) = (1 + h v(kh))·U_k, U_0 = 1: it is the
+  level solve U = 1 + L_h(v·U), with the left Riemann sum L_h p(kh) = Σ_{i<k} h·p(ih)
+  in place of the integral (its h -> 0 limit), exact on polynomials by Faulhaber's
+  h·Σ_{i<k} (ih)^d = Σ_{j<=d} C(d+1, j)·B_j·h^j·(kh)^(d+1-j)/(d+1), with B_1 = -1/2.
 
 A path is itself a formal series over the groupoid, with coefficients in
 the time polynomials A[s] over the value algebra A: products, inverses and
@@ -23,6 +25,8 @@ Time polynomials carry exact Fraction time-coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
@@ -135,9 +139,20 @@ class CoeffPoly:
                          self.unit)
 
     def integral(self) -> "CoeffPoly":
-        """Antiderivative vanishing at 0, with exact rational division."""
-        out = [self.zero_coeff]
-        out.extend(c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs))
+        """Antiderivative vanishing at 0: the left sum's h -> 0 limit."""
+        return self._left_sum(0)
+
+    def _left_sum(self, h, powers=None) -> "CoeffPoly":
+        """P with P(kh) = Σ_{i<k} h·p(ih) for all integers k >= 0: Faulhaber's identity (module
+        docstring) term by term.  Its j = 0 terms are the integral, all of it at h = 0;
+        ``powers`` may list h^0, h^1, ... past the degree, formed once for many p."""
+        out = [self.zero_coeff, *(c * Fraction(1, d + 1) for d, c in enumerate(self.coeffs))]
+        if h:
+            powers = powers or [h ** j for j in range(len(self.coeffs))]
+            for d, c in enumerate(self.coeffs):
+                for j, (r, hj) in enumerate(zip(_faulhaber_row(d), powers)):
+                    if j and r:
+                        out[d + 1 - j] += c * (r * hj)
         return CoeffPoly(out, self.unit)
 
     def __call__(self, t):
@@ -151,6 +166,19 @@ class CoeffPoly:
         if not self.coeffs:
             return "CoeffPoly(0)"
         return "CoeffPoly(" + " + ".join(f"({c!r})*s^{k}" for k, c in enumerate(self.coeffs)) + ")"
+
+
+@cache
+def _faulhaber_row(d: int) -> tuple:
+    """C(d+1, j)·B_j/(d+1) for j = 0..d, the left sum's row for degree d; the last entry
+    is B_d, minus the sum of the others by the recursion Σ_{j<=d} C(d+1, j)·B_j = 0."""
+    row = [comb(d + 1, j) * _bernoulli(j) / (d + 1) for j in range(d)]
+    return (*row, -sum(row) if d else Fraction(1))
+
+
+def _bernoulli(m: int) -> Fraction:
+    """B_m, with B_1 = -1/2, read off the cached row of degree m."""
+    return _faulhaber_row(m)[m]
 
 
 class AlgebraPath(FormalSeries):
@@ -233,13 +261,10 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     # grades add under products, so layers truncated at ``grade`` are exact there
     v_series = FormalSeries._trusted(
         gpd, grade, {e: p for e, p in v.coeffs.items() if gpd._ord(e) <= grade}, v.unit)
-    total = FormalSeries.one(gpd, grade, v.unit)
-    layer = total
+    total = layer = FormalSeries.one(gpd, grade, v.unit)
     for _ in range(1, grade + 1):
-        layer = v_series * layer
-        layer = FormalSeries._trusted(gpd, grade,
-                                      {e: p.integral() for e, p in layer.coeffs.items()},
-                                      v.unit)
+        layer = FormalSeries._trusted(
+            gpd, grade, {e: p.integral() for e, p in (v_series * layer).coeffs.items()}, v.unit)
         total = total + layer
     return grade_component(total, grade)(1)
 
@@ -254,7 +279,9 @@ def grade_component(series: FormalSeries, grade: int):
 
 
 def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
-    """The ordered product approximation u_n(s) of the left ODE solution."""
+    """The ordered product approximation u_n(s) of the left ODE solution: at j/n, the
+    level solve with the left Riemann sum ``CoeffPoly._left_sum`` at h = 1/n (exact by
+    Faulhaber, B_1 = -1/2) in place of the integral; off the grid, one leading factor."""
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an int >= 1, not {n!r}")
     s = _exact_time(s)
@@ -262,19 +289,20 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
         raise ValueError("time must lie in [0, 1]")
     if not v.has_zero_e_part():
         raise ValueError("the direction must have no neutral component")
-    gpd = v.groupoid
     j = int(n * s)  # floor: s is a non-negative Fraction
-    one = FormalSeries.one(gpd, v.order, v.unit.unit)
-    out = one + v(Fraction(j, n)).scale(s - Fraction(j, n))
-    step = Fraction(1, n)
-    for i in range(1, j + 1):
-        out = out * (one + v(Fraction(j - i, n)).scale(step))
-    return out
+    t, h, one = Fraction(j, n), Fraction(1, n), FormalSeries.one(v.groupoid, v.order, v.unit.unit)
+    longest = max((len(p.coeffs) for p in v.polys.values()), default=0)
+    powers = [h ** k for k in range(v.order * longest)]  # a grade-g level's degree < g·longest
+    u = v._level_solve(lambda p: p._left_sum(h, powers))(t) if j else one
+    if s == t:
+        return u
+    lead = one + v(t).scale(s - t)
+    return lead * u if j else lead
 
 
 def coeff_norm(value) -> float:
     """Float magnitude used for convergence tables: |.| or max-abs entry."""
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, (int, float, Fraction)) and type(value) is not bool:
         return abs(float(value))
     if isinstance(value, RationalMatrix):
         return float(value.max_abs())
@@ -287,14 +315,12 @@ def convergence_table(v: AlgebraPath, ns):
     Returns a list of rows {n, grade, error}; the exact reference is the
     grade recursion, so all errors are exact rationals before the float cast.
     """
-    u = solve_left_ode(v)
-    exact = u(1)
-    rows = []
-    for n in ns:
-        diff = euler_product(v, n, 1) - exact
-        for m in range(1, v.order + 1):
-            rows.append({"n": n, "grade": m, "error": coeff_norm(grade_component(diff, m))})
-    return rows
+    if not hasattr(ns, "__iter__"):
+        raise ValueError(f"ns must be an iterable of step counts, not {ns!r}")
+    exact = solve_left_ode(v)(1)
+    diffs = ((n, euler_product(v, n, 1) - exact) for n in ns)
+    return [{"n": n, "grade": m, "error": coeff_norm(grade_component(diff, m))}
+            for n, diff in diffs for m in range(1, v.order + 1)]
 
 
 def error_ratios(rows):
@@ -302,14 +328,9 @@ def error_ratios(rows):
     by_grade = {}
     for row in rows:
         by_grade.setdefault(row["grade"], {})[row["n"]] = row["error"]
-    out = []
-    for grade, errs in sorted(by_grade.items()):
-        ns = sorted(errs)
-        for n in ns:
-            if 2 * n in errs and errs[2 * n] != 0:
-                out.append({"grade": grade, "n": n,
-                            "ratio": errs[n] / errs[2 * n]})
-    return out
+    return [{"grade": grade, "n": n, "ratio": errs[n] / errs[2 * n]}
+            for grade, errs in sorted(by_grade.items()) for n in sorted(errs)
+            if 2 * n in errs and errs[2 * n] != 0]
 
 
 def convergence_suite_paths(order=4):
@@ -317,11 +338,8 @@ def convergence_suite_paths(order=4):
     grade above ``order``: every grade shows clean first-order behaviour
     already at n = 8 (the purely linear direction is capped at order 3; its
     grade-4 error still carries a visible second-order term at small n)."""
-    gpd = NatMonoid()
-    one = Fraction(1)
-    e12 = RationalMatrix.unit(2, 0, 1)
-    e21 = RationalMatrix.unit(2, 1, 0)
-    unit = RationalMatrix.identity(2)
+    gpd, one, unit = NatMonoid(), Fraction(1), RationalMatrix.identity(2)
+    e12, e21 = RationalMatrix.unit(2, 0, 1), RationalMatrix.unit(2, 1, 0)
 
     def path(top, polys, unit=Fraction(1)):
         return AlgebraPath(gpd, top, {g: p for g, p in polys.items() if g <= top}, unit)

@@ -17,8 +17,9 @@ over exact coefficient arithmetic.
 The kernels work grade by grade on validated supports, through the unchecked
 ``_compose`` and ``_ord``.  A product pairs each left element with the right
 operand's grade levels; a level solve x = 1 + post(a·x) gives the inverse (post
-the identity) and the left ODE of ``paths`` (the time integral); exp and log are
-one power sum, term k the last one times a and r_k (1/k, or -(k-1)/k for log).
+the identity), the left ODE of ``paths`` (the time integral) and its Euler product
+(the left Riemann sum); exp and log are one power sum, term k the last one times a
+and r_k (1/k, or -(k-1)/k for log).
 Each output coefficient is one ``_dot``: a sum of products (times r_k) normalized once.
 """
 

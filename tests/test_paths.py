@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cobordseries import paths
 from cobordseries.groupoids import from_spec, make_interval_groupoid, make_nat_monoid
 from cobordseries.matrices import RationalMatrix
 from cobordseries.paths import (
-    AlgebraPath, CoeffPoly, convergence_table, error_ratios,
-    euler_product, grade_component, iterated_integrals,
-    left_log_derivative, solve_left_ode,
+    AlgebraPath, CoeffPoly, _bernoulli, coeff_norm, convergence_suite_paths,
+    convergence_table, error_ratios, euler_product, grade_component,
+    iterated_integrals, left_log_derivative, solve_left_ode,
 )
 from cobordseries.series import FormalSeries
 
@@ -311,9 +313,10 @@ def full_order_iterated_integrals(v, grade):
 
 
 @st.composite
-def polynomial_paths(draw, groupoids=(NAT, make_interval_groupoid(0, 4))):
+def polynomial_paths(draw, groupoids=(NAT, make_interval_groupoid(0, 4)), max_length=3):
     """Direction paths over the naturals or an interval window (or the given
-    groupoids), with rational or 2x2 rational-matrix polynomial coefficients."""
+    groupoids), with rational or 2x2 rational-matrix polynomial coefficients
+    of up to ``max_length`` time coefficients."""
     order = draw(st.integers(0, 4))
     gpd = draw(st.sampled_from(groupoids))
     matrix = draw(st.booleans())
@@ -328,7 +331,7 @@ def polynomial_paths(draw, groupoids=(NAT, make_interval_groupoid(0, 4))):
     polys = {}
     for elem in gpd.elements_up_to(order):
         if gpd.ord(elem) >= 1 and draw(st.booleans()):
-            polys[elem] = CoeffPoly([coeff() for _ in range(draw(st.integers(1, 3)))],
+            polys[elem] = CoeffPoly([coeff() for _ in range(draw(st.integers(1, max_length)))],
                                     unit)
     return AlgebraPath(gpd, order, polys, unit)
 
@@ -416,3 +419,157 @@ def test_convergence_error_is_first_order():
     by_n = {r["n"]: r["error"] for r in rows if r["grade"] == 2}
     for n, err in by_n.items():
         assert err == pytest.approx(1 / (2 * n), abs=0, rel=1e-12)
+    n = 2 ** 20
+    error = solve_left_ode(const_q_path(2))(1) - euler_product(const_q_path(2), n, 1)
+    assert grade_component(error, 2) == Fraction(1, 2 * n)
+
+
+@pytest.mark.parametrize("ns", [8, None, 2.5], ids=["int", "none", "float"])
+def test_convergence_table_rejects_a_step_count_for_the_list(ns):
+    with pytest.raises(ValueError, match="ns must be an iterable of step counts"):
+        convergence_table(const_q_path(), ns)
+
+
+@pytest.mark.parametrize("bad", [0, True, 2.5, "8"])
+def test_convergence_table_checks_each_step_count_as_euler_product_does(bad):
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        convergence_table(const_q_path(), [8, bad])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_coeff_norm_rejects_a_bool(flag):
+    with pytest.raises(ValueError, match="no norm for coefficient type bool"):
+        coeff_norm(flag)
+
+
+# -- the Euler product as the level solve with the left Riemann sum ---------------
+
+def sequential_euler(v, n, s):
+    """Oracle: the ordered product of the j = floor(ns) step factors and the
+    leading remainder factor, multiplied one series product at a time."""
+    gpd = v.groupoid
+    j = int(n * s)
+    one = FormalSeries.one(gpd, v.order, v.unit.unit)
+    out = one + v(Fraction(j, n)).scale(s - Fraction(j, n))
+    step = Fraction(1, n)
+    for i in range(1, j + 1):
+        out = out * (one + v(Fraction(j - i, n)).scale(step))
+    return out
+
+
+@st.composite
+def step_counts_and_times(draw):
+    """n in 1..40 and a time in [0, 1]: 0, 1, a grid point j/n or a point off it."""
+    n = draw(st.integers(1, 40))
+    s = draw(st.one_of(st.sampled_from([0, 1, Fraction(1)]),
+                       st.integers(0, n).map(lambda j: Fraction(j, n)),
+                       st.fractions(0, 1, max_denominator=97)))
+    return n, s
+
+
+EULER_GROUPOIDS = (NAT, from_spec("interval:0..4"), from_spec("box:2:0..2,0..2"))
+
+
+def assert_matches_sequential(v, n, s):
+    fast, slow = euler_product(v, n, s), sequential_euler(v, n, Fraction(s))
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+
+
+@given(polynomial_paths(groupoids=EULER_GROUPOIDS, max_length=4), step_counts_and_times())
+def test_euler_product_matches_the_sequential_product(v, n_and_s):
+    """Over the naturals, an interval and a box window, with rational and 2x2
+    matrix coefficients of degree 0..3, on and off the step grid."""
+    assert_matches_sequential(v, *n_and_s)
+
+
+SUITE_PATHS = convergence_suite_paths(4)
+EULER_CASES = [(name, n, s) for name in SUITE_PATHS for n in (1, 2, 3, 7)
+               for s in (0, Fraction(1, 3), Fraction(5, 7), 1)]
+
+
+@pytest.mark.parametrize("name, n, s", EULER_CASES)
+def test_euler_product_matches_the_sequential_product_on_the_suite_paths(name, n, s):
+    assert_matches_sequential(SUITE_PATHS[name], n, s)
+
+
+@pytest.mark.parametrize("name", list(SUITE_PATHS))
+def test_convergence_table_matches_the_sequential_table(name, monkeypatch):
+    ns = [8, 16, 32, 64, 128]
+    table = convergence_table(SUITE_PATHS[name], ns)
+    monkeypatch.setattr(paths, "euler_product", sequential_euler)
+    assert table == convergence_table(SUITE_PATHS[name], ns)
+
+
+def test_flipping_b1_breaks_the_euler_product(monkeypatch):
+    """With B_1 = +1/2 the left sum becomes the sum over 1..k, and the Euler
+    product stops matching the sequential oracle."""
+    row = paths._faulhaber_row
+    row(40)  # every row the cases reach, built unflipped before the patch
+    monkeypatch.setattr(paths, "_faulhaber_row",
+                        lambda d: tuple(-r if j == 1 else r for j, r in enumerate(row(d))))
+    try:
+        for name, n, s in EULER_CASES:
+            if n > 1 and s == 1:
+                with pytest.raises(AssertionError):
+                    assert_matches_sequential(SUITE_PATHS[name], n, s)
+    finally:
+        monkeypatch.undo()
+        row.cache_clear()  # rows built under the flip must not outlive it
+
+
+def test_bernoulli_numbers():
+    expected = [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42),
+                0, Fraction(-1, 30), 0, Fraction(5, 66), 0, Fraction(-691, 2730)]
+    assert [_bernoulli(m) for m in range(13)] == expected
+
+
+def left_sum_polys(matrix):
+    """One polynomial of each degree 0..12, every coefficient nonzero."""
+    rng = random.Random(53 + matrix)
+    unit = MATRIX_UNIT if matrix else ONE
+
+    def coeff():
+        value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+        if matrix:
+            return RationalMatrix([[value, rng.randint(-2, 2)], [Fraction(1, 3), -value]])
+        return value
+
+    return [CoeffPoly([coeff() for _ in range(d + 1)], unit) for d in range(13)]
+
+
+@pytest.mark.parametrize("h", [1, Fraction(1, 2), Fraction(1, 7), Fraction(1, 128)])
+@pytest.mark.parametrize("matrix", [False, True], ids=["fraction", "matrix"])
+def test_left_sum_is_the_exact_left_riemann_sum(h, matrix):
+    for p in left_sum_polys(matrix):
+        left = p._left_sum(h)
+        for k in range(7):
+            direct = p.zero_coeff
+            for i in range(k):
+                direct = direct + p(i * h) * h
+            assert left(k * h) == direct
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["fraction", "matrix"])
+def test_left_sum_at_step_zero_is_the_integral(matrix):
+    for p in left_sum_polys(matrix):
+        antiderivative = CoeffPoly([p.zero_coeff] + [c * Fraction(1, d + 1)
+                                                     for d, c in enumerate(p.coeffs)], p.unit)
+        assert p._left_sum(0) == p.integral() == antiderivative
+
+
+def test_euler_product_of_a_million_steps_is_the_binomial_expansion():
+    """(1 + q/n)^n at n = 10**6: grade m is C(n, m)/n^m exactly, which the
+    sequential product would reach only after a million series products."""
+    n = 10 ** 6
+    u = euler_product(SUITE_PATHS["constant"], n, 1)
+    for m in range(5):
+        assert u.coefficient(m) == Fraction(comb(n, m), n ** m)
+
+
+def test_euler_product_checks_its_inputs_in_order():
+    v = with_neutral_part()
+    for n, s, message in [(0, 2, "n must be"), (4, 0.5, "time must be an int"),
+                          (4, 2, "time must lie"), (4, 1, "neutral")]:
+        with pytest.raises(ValueError, match=message):
+            euler_product(v, n, s)
