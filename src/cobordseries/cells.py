@@ -19,7 +19,9 @@ exactly when a face of one is an interior face of the other
 (``is_regular``); a complex saturates its domains when the cells and the
 domain facets have the same top-dimensional faces (``is_saturated``); and
 cells of one dimension are adjacent when they share a facet box from
-opposite sides (``region_components``).  ``measures.is_adapted`` and
+opposite sides (``region_components``); ``splits`` returns the two
+components (M_plus, M_minus) of a region that a contiguous run of a
+complex separates.  ``measures.is_adapted`` and
 ``measures.border_reduce`` ask the cobordism-border questions the same
 way.  Coverage and boundary words are questions about
 unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
@@ -224,7 +226,7 @@ def edge_cell(base, axis, sign=1) -> Cell:
     return Cell(tuple(base), (axis,), (1,), sign)
 
 
-def domain_box(spans, sign=1, labels=()) -> Cell:
+def domain_box(spans, sign=1) -> Cell:
     """Full box on the given per-axis spans; degenerate axes stay unspanned."""
     spans = tuple(spans)
     if any(hi < lo for lo, hi in spans):
@@ -232,7 +234,7 @@ def domain_box(spans, sign=1, labels=()) -> Cell:
     base = tuple(lo for lo, hi in spans)
     axes = tuple(a for a, (lo, hi) in enumerate(spans) if hi > lo)
     extents = tuple(hi - lo for lo, hi in spans if hi > lo)
-    return Cell(base, axes, extents, sign, tuple(sorted(labels)))
+    return Cell(base, axes, extents, sign)
 
 
 class CellComplex:
@@ -367,13 +369,12 @@ def region_components(region_cells, blocked_boxes):
 
 
 def splits(complex_: CellComplex, lo: int, hi: int, region):
-    """Check that the contiguous subcomplex cells[lo:hi+1] separates the
-    region into two components with the before/after cells on either side.
-
-    Returns (M_plus, M_minus, K_plus, K_minus) or None; region is a list of
-    top-dimensional unit cells (one dimension above the complex cells).
-    """
-    if not 0 <= lo <= hi < len(complex_):
+    """The two components (M_plus, M_minus) into which the contiguous
+    subcomplex cells[lo:hi+1] separates the region, with the after cells on
+    the plus side and the before cells on the minus side, or None.  The
+    region is a list of top-dimensional unit cells (one dimension above the
+    complex cells); lo and hi are ints, never bools."""
+    if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi < len(complex_):
         raise ValueError("subcomplex indices out of range")
     comps = region_components(region, [c.box() for c in complex_.cells[lo:hi + 1]])
     if len(comps) != 2:
@@ -385,8 +386,7 @@ def splits(complex_: CellComplex, lo: int, hi: int, region):
     for minus_idx in (fits_before if before else (0, 1)):
         for plus_idx in (fits_after if after else (0, 1)):
             if minus_idx != plus_idx:
-                return (tuple(comps[plus_idx]), tuple(comps[minus_idx]),
-                        CellComplex(after), CellComplex(before))
+                return tuple(comps[plus_idx]), tuple(comps[minus_idx])
     return None
 
 
@@ -404,9 +404,6 @@ class Composite:
         self.parts = parts
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
-
-    def boxes(self):
-        return [p.box() for p in self.parts]
 
     def __repr__(self):
         return f"Composite({list(self.parts)!r})"
@@ -432,10 +429,8 @@ def glue(s1, s2, mode="*"):
     shared = _matching_facets(s1, s2, accept)
     if not shared:
         return None
-    alpha = [f for s in initial_first for f, lbl in s.facets()
-             if lbl == INITIAL and f.key() not in shared]
-    beta = [f for s in (s1, s2) for f, lbl in s.facets()
-            if lbl == FINAL and f.key() not in shared]
+    alpha = [f for s in initial_first for f in s.alpha() if f.key() not in shared]
+    beta = [f for s in (s1, s2) for f in s.beta() if f.key() not in shared]
     union = box_union(s1.box(), s2.box())
     if union is not None and s1.sign == s2.sign:
         boxed = _labelled_box(union, s1.sign, alpha, beta)
@@ -582,11 +577,10 @@ def dimension_extend(cosurface: Cosurface, complex_: CellComplex, domain: Cell) 
 
 
 def extend_abelian(cosurface: Cosurface, complex_: CellComplex, domains) -> Cosurface:
-    """Dimension extension for abelian groups: one value per domain cell."""
+    """Dimension extension for abelian groups: ``extend_nonabelian`` with no extra cells."""
     if not cosurface.group.is_abelian:
         raise ValueError("extend_abelian requires an abelian group")
-    pairs = [(dom, dimension_extend(cosurface, complex_, dom)) for dom in domains]
-    return Cosurface(cosurface.group, pairs)
+    return extend_nonabelian(cosurface, complex_, domains)
 
 
 def extend_nonabelian(cosurface: Cosurface, complex_: CellComplex, domains,
@@ -597,19 +591,14 @@ def extend_nonabelian(cosurface: Cosurface, complex_: CellComplex, domains,
     group elements; the default assigns the identity.  Domains whose
     boundary needs an unassigned, uncovered cell raise.
     """
-    group = cosurface.group
-    center = set(group.center())
-    extra = []
-    for cell, value in (center_assignment or {}).items():
-        if value not in center:
-            raise ValueError(f"value {value} for {cell!r} is not central")
-        extra.append((cell, value))
-    if extra:
-        extended = Cosurface(group, extra)
+    group, extended, full = cosurface.group, cosurface, complex_
+    if center_assignment:
+        center = set(group.center())
+        for cell, value in center_assignment.items():
+            if value not in center:
+                raise ValueError(f"value {value} for {cell!r} is not central")
+        extended = Cosurface(group, center_assignment.items())
         extended.values.update(cosurface.values)
-        full = CellComplex(tuple(complex_.cells) + tuple(c for c, _ in extra))
-    else:
-        extended = cosurface
-        full = complex_
+        full = CellComplex(complex_.cells + tuple(center_assignment))
     pairs = [(dom, dimension_extend(extended, full, dom)) for dom in domains]
     return Cosurface(group, pairs)

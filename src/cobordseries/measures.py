@@ -528,11 +528,9 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
     return pieces
 
 
-def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
-                             domains=None) -> bool:
+def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox, domains) -> bool:
     """The complex partitions into an alpha-face covering, a beta-face
-    covering, and an adapted saturating part (saturation checked when the
-    domains are supplied)."""
+    covering, and an adapted part, and it saturates the domains."""
     alpha = cob.alpha_box()
     beta = cob.beta_box()
     k_alpha, k_beta, k_a = [], [], []
@@ -545,7 +543,7 @@ def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox,
             k_a.append(cell)
     return (covers(alpha, _unit_boxes(k_alpha)) and covers(beta, _unit_boxes(k_beta))
             and is_adapted(k_a, cob)
-            and (domains is None or is_saturated(complex_, domains)))
+            and is_saturated(complex_, domains))
 
 
 class CutResult:

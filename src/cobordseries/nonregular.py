@@ -53,11 +53,15 @@ def _not_bool(name, value):
 
 
 def _domain(t, x):
-    """x as a float array, once it lies in (0, 1) and t in (-1, 1)."""
+    """x as a float array, once it lies in (0, 1) and t in (-1, 1); nan lies in neither."""
     x = np.asarray(x, dtype=float)
-    if np.any((x <= 0) | (x >= 1)):
+    if np.any(~((x > 0) & (x < 1))):
         raise ValueError("x must lie in the open unit interval")
-    if not -1 < _not_bool("t", t) < 1:
+    try:
+        inside = -1 < _not_bool("t", t) < 1
+    except TypeError:
+        inside = False
+    if not inside:
         raise ValueError("t must lie in (-1, 1)")
     return x
 

@@ -473,7 +473,7 @@ def side_positions(measure, split):
     """Positions each side function reads: the closure of its component of
     the region minus the splitting cell, plus that cell."""
     complex_ = measure.complex
-    m_plus, m_minus, _, _ = splits(complex_, split, split, measure.region_cells())
+    m_plus, m_minus = splits(complex_, split, split, measure.region_cells())
     return [[i for i, cell in enumerate(complex_.cells)
              if i == split or inside_closure_oracle(cell, component)]
             for component in (m_plus, m_minus)]
@@ -695,7 +695,7 @@ def test_complex_for_cobordism_partition():
     domains = [domain_box(((0, 1),)), domain_box(((1, 2),))]
     assert is_complex_for_cobordism(chain, cob, domains)
     missing_beta = CellComplex([point_cell((0,)), point_cell((1,))])
-    assert not is_complex_for_cobordism(missing_beta, cob)
+    assert not is_complex_for_cobordism(missing_beta, cob, domains)
     cob2 = CobordismBox(((0, 2), (0, 1)))
     strip_domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))]
     assert is_complex_for_cobordism(CellComplex(strip_cells()), cob2,
@@ -714,9 +714,12 @@ def test_complex_for_cobordism_builds_no_complex(monkeypatch):
         original(self, cells)
 
     monkeypatch.setattr(CellComplex, "__init__", counting)
-    assert is_complex_for_cobordism(chain, CobordismBox(((0, 2),)))
-    assert is_complex_for_cobordism(strip, CobordismBox(((0, 2), (0, 1))))
-    assert not is_complex_for_cobordism(crossing, CobordismBox(((0, 2), (0, 1))))
+    assert is_complex_for_cobordism(chain, CobordismBox(((0, 2),)),
+                                    [domain_box(((0, 1),)), domain_box(((1, 2),))])
+    assert is_complex_for_cobordism(strip, CobordismBox(((0, 2), (0, 1))), [
+        domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))])
+    assert not is_complex_for_cobordism(crossing, CobordismBox(((0, 2), (0, 1))), [
+        domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1)))])
     assert built == []
 
 

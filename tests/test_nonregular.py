@@ -403,6 +403,20 @@ def test_a_bool_time_is_rejected(entry, t):
         BOOL_TIME_ENTRY_POINTS[entry](t)
 
 
+@pytest.mark.parametrize("t", [None, "0.1"])
+@pytest.mark.parametrize("entry", ["c", "dc_dt", "check_membership"])
+def test_a_time_that_is_not_a_number_is_rejected(entry, t):
+    with pytest.raises(ValueError, match="t must lie"):
+        BOOL_TIME_ENTRY_POINTS[entry](t)
+
+
+@pytest.mark.parametrize("f, x", [(nr.c, math.nan), (nr.c, None), (nr.dc_dt, math.nan),
+                                  (nr.c, [0.5, math.nan])], ids=["c", "c-None", "dc_dt", "c-array"])
+def test_a_nan_point_is_outside_the_open_interval(f, x):
+    with pytest.raises(ValueError, match="open unit interval"):
+        f(0.5, x)
+
+
 def test_phi_rejects_a_bool_time_array():
     with pytest.raises(ValueError, match="t must be a number, not the bool"):
         nr.phi(np.array([True, False]), np.array([0.5]))

@@ -12,15 +12,22 @@ second meta-test runs the suite's ``conftest.py`` on two files, in-process,
 and reads the per-file times it prints, slowest first, and the raw and
 calibrated totals after them; a third counts the calibration kernel's
 readings, one at each end of the session and one after each test file.
+The kernel and its reference time are copies of the benchmark's; a fourth
+test reads both files with ``ast`` (the benchmark is never imported) and
+holds the copies to their originals.
 """
 
+import ast
 import tomllib
 import warnings
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+CONFTEST = ROOT / "tests" / "conftest.py"
+HARNESS = ROOT / "perfbench" / "harness.py"
 
 
 def test_a_failing_property_does_not_stop_the_session(pytester):
@@ -74,3 +81,24 @@ def test_summary_counts_a_kernel_reading_after_each_file(pytester):
     result.assert_outcomes(passed=3)
     result.stdout.re_match_lines([r" +4 kernel readings, median taken: session start, end of "
                                   r"each test file, session end$"])
+
+
+def top_level(path, name):
+    """The top-level def of that name in a file, or the value assigned to it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name
+                                                for t in node.targets):
+            return node.value
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_the_calibration_kernel_is_the_benchmarks():
+    bodies = [[ast.dump(stmt) for stmt in kernel.body[ast.get_docstring(kernel) is not None:]]
+              for kernel in (top_level(path, "interpreter_kernel") for path in (CONFTEST, HARNESS))]
+    assert bodies[0] == bodies[1]
+    calibration = top_level(HARNESS, "CALIBRATION")
+    _, reference_s = next(entry.elts for key, entry in zip(calibration.keys, calibration.values)
+                          if ast.literal_eval(key) == "interpreter")
+    assert ast.literal_eval(top_level(CONFTEST, "REFERENCE_S")) == ast.literal_eval(reference_s)
