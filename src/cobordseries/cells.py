@@ -33,9 +33,9 @@ A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
 it.  The bridge between complexes and measures is ``boundary_word``: the
 ordered, signed list of complex positions a domain boundary reads off.
-``word_value`` is the single evaluator of such a word: every ordered
-boundary product (cosurface extension, holonomy, configuration densities)
-goes through it.
+``word_value`` evaluates such a word on one assignment of values (cosurface
+extension, holonomy); ``measures.word_factor`` evaluates it on every
+assignment at once, which gives the configuration densities.
 """
 
 from __future__ import annotations

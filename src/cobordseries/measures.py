@@ -15,7 +15,7 @@ The density of a configuration C on a saturated complex K with domains
 ordered boundary product phi_{A_i}(C): each domain reads its boundary word
 off the complex (in complex order, with orientation exponents) and feeds
 the resulting group element to the heat density at time |A_i| = the cell
-count of the domain; the word is evaluated by ``cells.word_value``.
+count of the domain.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
 and ``_word_product``, the one product kernel, multiplies words' factors
@@ -27,9 +27,8 @@ cells' positions in sigma K; a piece's words keep their order on the pasted
 positions); the factor products are built and compared as arrays over G^K
 only when ``_same_factor`` fails to certify a relabelled word against its
 partner (equal letters over an abelian group, a rotation over any group).
-Enumeration stays as the oracle: ``configurations()`` is the single
-enumerator of G^K, and ``density_of`` and ``conditional_mass`` evaluate one
-configuration at a time against it.
+The module evaluates densities and never enumerates G^K one configuration
+at a time; the tests do, as the oracle these checks are compared with.
 
 The cobordism border is a set of open-face questions too: ``is_adapted``
 asks whether an interior open unit face of a cell lies in the initial or
@@ -49,7 +48,7 @@ import numpy as np
 
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
-    covers, domain_box, is_saturated, region_components, splits, word_value,
+    covers, domain_box, is_saturated, region_components, splits,
     INITIAL, FINAL, _open_faces, _unit_boxes,
 )
 from .groups import FiniteGroup, GroupFunction, convolve, delta, is_class_function
@@ -202,8 +201,8 @@ def _group_arrays(group: FiniteGroup):
 
 
 def word_factor(group: FiniteGroup, word, q):
-    """(q[phi], axes): phi = ``word_value`` of the word (same products, same order) on
-    every assignment of its distinct positions ``axes`` (sorted), one axis each."""
+    """(q[phi], axes): phi = ``cells.word_value`` of the word (same products, same
+    order) on every assignment of its distinct positions ``axes`` (sorted), one axis each."""
     (table, inverse), n = _group_arrays(group), group.order
     axes = sorted({pos for pos, _ in word})
     phi = np.asarray(group.identity)
@@ -246,36 +245,10 @@ class ComplexMeasure:
         return tuple(self.density.q(dom.volume).values for dom in self.domains)
 
     def density_array(self):
-        """density_of on every configuration, one axis per cell, same products."""
+        """The density on every configuration of G^K, one axis per cell: each
+        domain's factor multiplied in, in domain order."""
         return _word_product(self.group, range(len(self.complex)), self.words,
                              self.q_tables)
-
-    def density_of(self, config) -> float:
-        """Product over domains of q_{|A_i|}(phi_{A_i}(C)); config is a
-        tuple of group elements aligned with the complex order."""
-        if len(config) != len(self.complex) or any(
-                type(v) is not int or not 0 <= v < self.group.order for v in config):
-            raise ValueError(f"a configuration is one element of {self.group.name} "
-                             f"per cell ({len(self.complex)} cells), got {config!r}")
-        out = 1.0
-        for word, q in zip(self.words, self.q_tables):
-            out *= q[word_value(self.group, word, config)]
-        return out
-
-    def configurations(self):
-        """Every configuration in G^K, in lexicographic order."""
-        return iter_product(self.group.elements(), repeat=len(self.complex))
-
-    def conditional_mass(self, fixed: dict) -> float:
-        """Sum of densities over configurations extending the fixed cell
-        values (positions -> elements); the alpha-conditioned kernel."""
-        for pos, val in fixed.items():
-            if type(pos) is not int or not 0 <= pos < len(self.complex):
-                raise ValueError(f"a fixed position is in 0..{len(self.complex) - 1}, got {pos!r}")
-            if type(val) is not int or not 0 <= val < self.group.order:
-                raise ValueError(f"a fixed value is an element of {self.group.name}, got {val!r}")
-        return sum(self.density_of(c) for c in self.configurations()
-                   if all(c[pos] == val for pos, val in fixed.items()))
 
     def region_cells(self):
         """Unit top-cells of the union of the domains (the ambient region)."""

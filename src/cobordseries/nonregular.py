@@ -53,12 +53,13 @@ def _not_bool(name, value):
 
 
 def _domain(t, x):
-    """x as a float array, once it lies in (0, 1) and t in (-1, 1); nan lies in neither."""
+    """x as a float array, once it lies in (0, 1) and t, a scalar, in (-1, 1); nan
+    lies in neither."""
     x = np.asarray(x, dtype=float)
     if np.any(~((x > 0) & (x < 1))):
         raise ValueError("x must lie in the open unit interval")
     try:
-        inside = -1 < _not_bool("t", t) < 1
+        inside = np.ndim(_not_bool("t", t)) == 0 and -1 < t < 1
     except TypeError:
         inside = False
     if not inside:
@@ -155,7 +156,7 @@ def derivative_at_zero(x, fd_step=1e-4):
 def ode_escape_check(t) -> bool:
     """The candidate solution of dg/dt o g^{-1} = 1 is g_t(x) = x + t; it
     escapes the group exactly when t > 0 (boundary limit 1 + t > 1)."""
-    if not (np.isfinite(_not_bool("t", t)) and t >= 0):
+    if not (np.ndim(_not_bool("t", t)) == 0 and np.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return bool(t > 0)
 
@@ -176,6 +177,8 @@ def boundary_limits(t):
 
 def full_report(ts=(0.1, -0.1, 0.5, -0.5, 0.9, -0.9), grid_size=1_000_000):
     """Membership, derivative, seminorm, and escape checks for several t."""
+    if not hasattr(ts, "__iter__"):
+        raise ValueError(f"ts must be an iterable of times, not {ts!r}")
     rows, (closed, fd) = [], derivative_at_zero(np.array([0.25, 0.5, 0.75]))
     for t in ts:
         row = check_membership(t, grid_size=grid_size)

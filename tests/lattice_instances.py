@@ -11,9 +11,13 @@ permutation.  The chain and the two-plaquette strip are the CLI's own
 ``chain_instance`` and ``strip_instance``.  The rectangle skeleton is the
 boundary of a rectangle plus the edges of guillotine cuts; the row strip is
 the skeleton of a 1 x n rectangle cut into unit squares.
-``enumerated_density`` is the vectorised density oracle: it reads words
-off the Cayley table for every configuration at once.  Test modules
-import these by module name (``from lattice_instances import ...``).
+The library evaluates a measure's densities through its word-factor
+engine; the tests enumerate them.  ``enumerated_density`` is the one
+enumerator of G^K: it reads the words off the Cayley table for every
+configuration at once, and ``measure_densities`` applies it to every
+configuration of a measure.  The Markov, reordering and factorization
+oracles are built on it, never on the engine.  Test modules import these
+by module name (``from lattice_instances import ...``).
 """
 
 import numpy as np
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 from cobordseries.cells import Cell, CellComplex, domain_box
 from cobordseries.cli import chain_instance, strip_instance
 from cobordseries.groups import FiniteGroup, builtin_group
-from cobordseries.measures import ComplexMeasure
+from cobordseries.measures import ComplexMeasure, sigma_action
 
 RELABEL_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "Q8")
 
@@ -81,6 +85,67 @@ def enumerated_density(group, configs, words, q_tables):
             phi = table[phi, configs[pos] if exp > 0 else inverse[configs[pos]]]
         out *= np.asarray(q)[phi]
     return out
+
+
+def measure_densities(measure):
+    """(configs, densities): every configuration of G^K as a column of
+    ``configs`` (one row per cell, in lexicographic order) and the measure's
+    density on each, its domains' factors multiplied in domain order."""
+    size = len(measure.complex)
+    configs = np.indices((measure.group.order,) * size).reshape(size, -1)
+    return configs, enumerated_density(measure.group, configs, measure.words,
+                                       measure.q_tables)
+
+
+def markov_oracle(measure, sides, lo, hi, f_plus, f_minus):
+    """``markov_check``'s table and residual from one pass over the
+    (configuration, density) pairs of ``measure_densities``, in order;
+    ``sides`` are the plus and minus side positions, cells[lo:hi+1] the
+    conditioning cells."""
+    configs, densities = measure_densities(measure)
+    sums = {}
+    for config, w in zip(map(tuple, configs.T.tolist()), densities.tolist()):
+        fp = f_plus({i: config[i] for i in sides[0]})
+        fm = f_minus({i: config[i] for i in sides[1]})
+        acc = sums.setdefault(config[lo:hi + 1], [0.0, 0.0, 0.0, 0.0])
+        acc[0] += w
+        acc[1] += w * fp * fm
+        acc[2] += w * fp
+        acc[3] += w * fm
+    table, residual = {}, 0.0
+    for key, (mass, both, fp, fm) in sums.items():
+        table[key] = None if mass == 0.0 else (both / mass, (fp / mass) * (fm / mass))
+        if table[key] is not None:
+            residual = max(residual, abs(table[key][0] - table[key][1]))
+    return table, residual
+
+
+def reorder_oracle(measure, perm):
+    """|mu_K(C) - mu_{sigma K}(sigma C)| for every configuration C, in the
+    order of ``measure_densities``: sigma K built as a complex, its words
+    compiled from the geometry, and C moved along with the cells."""
+    other = ComplexMeasure(sigma_action(perm, measure.complex), measure.domains,
+                           measure.density)
+    configs, densities = measure_densities(measure)
+    moved = enumerated_density(measure.group, configs[list(perm)], other.words,
+                               other.q_tables)
+    return np.abs(densities - moved)
+
+
+def factorization_oracle(k, k_prime, k_pp, later, earlier, density):
+    """Each piece and the pasted complex measured on their own cells, the
+    piece densities read at the pasted configuration's values on the piece's
+    cells (found by key): 1.0 times the later piece's times the earlier's.
+    Returns the worst residual and the largest pasted density."""
+    pasted = ComplexMeasure(k_pp, tuple(earlier) + tuple(later), density)
+    where = {c.key(): pos for pos, c in enumerate(k_pp.cells)}
+    configs, densities = measure_densities(pasted)
+    product = np.ones(configs.shape[1])
+    for piece, doms in ((k, later), (k_prime, earlier)):
+        rows = configs[[where[c.key()] for c in piece.cells]]
+        at = np.ravel_multi_index(rows, (density.group.order,) * len(piece))
+        product *= measure_densities(ComplexMeasure(piece, doms, density))[1][at]
+    return float(np.max(np.abs(product - densities))), float(np.max(densities))
 
 
 def relabel(group, perm, name):

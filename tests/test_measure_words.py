@@ -3,12 +3,13 @@ geometric recompile.
 
 ``reorder_max_difference`` re-sorts each domain's word by the cells'
 positions in sigma K, and ``factorization_check`` maps each piece's words
-onto the pasted complex's positions.  The oracles here build sigma K, the
+onto the pasted complex's positions.  The oracles (``reorder_oracle`` and
+``factorization_oracle`` from ``lattice_instances``) build sigma K, the
 pieces and the pasted complex as complexes, let ``ComplexMeasure`` compile
-their words from the geometry, and enumerate every configuration with
-``density_of``; where the checks build arrays they must give the same
-floats exactly, and where the words certify them they read 0.0, the oracle
-differing by its own rounding.
+their words from the geometry, and enumerate every configuration; where
+the checks build arrays they must give the same floats exactly, and where
+the words certify them they read 0.0, the oracle differing by its own
+rounding.
 """
 
 import itertools
@@ -16,11 +17,11 @@ import random
 import tracemalloc
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import (
-    chain_instance, enumerated_density, row_strip, strip_cells, strip_instance,
+    chain_instance, factorization_oracle, reorder_oracle, row_strip, strip_cells,
+    strip_instance,
 )
 
 import cobordseries.cells as cells_mod
@@ -29,7 +30,7 @@ from cobordseries.cells import CellComplex, domain_box, point_cell
 from cobordseries.groups import builtin_group
 from cobordseries.measures import (
     CobordismBox, ComplexMeasure, SemigroupDensity, cut, factorization_check,
-    reorder_max_difference, sigma_action,
+    reorder_max_difference,
 )
 
 GROUPS = ("Z2", "Z3", "S3", "Q8")
@@ -68,35 +69,6 @@ def shuffled(items, keys):
     return [items[i] for i in sorted(range(len(items)), key=lambda i: keys[i])]
 
 
-def reorder_oracle(measure, perm):
-    """sigma K built as a complex; its words compiled from the geometry."""
-    other = ComplexMeasure(sigma_action(perm, measure.complex), measure.domains,
-                           measure.density)
-    return max(abs(measure.density_of(c) - other.density_of(tuple(c[p] for p in perm)))
-               for c in measure.configurations())
-
-
-def factorization_oracle(k, k_prime, k_pp, later, earlier, density):
-    """Each piece and the pasted complex measured on their own cells, the
-    piece densities looked up by cell key: later product times earlier.
-    Returns the worst residual and the largest pasted density."""
-    pasted = ComplexMeasure(k_pp, tuple(earlier) + tuple(later), density)
-    where = {c.key(): pos for pos, c in enumerate(k_pp.cells)}
-    pieces = []
-    for piece, doms in ((k, later), (k_prime, earlier)):
-        m = ComplexMeasure(piece, doms, density)
-        pieces.append(([where[c.key()] for c in piece.cells],
-                       {c: m.density_of(c) for c in m.configurations()}))
-    worst = largest = 0.0
-    for config in pasted.configurations():
-        product = 1.0
-        for positions, dens in pieces:
-            product *= dens[tuple(config[p] for p in positions)]
-        value = pasted.density_of(config)
-        worst, largest = max(worst, abs(product - value)), max(largest, value)
-    return worst, largest
-
-
 def checked_factorization(k, k_prime, k_pp, later, earlier, density):
     """``factorization_check`` against the oracle: with the word certificate
     refused, the arrays give the oracle's float exactly; where the words
@@ -129,7 +101,7 @@ def test_reorder_relabelled_words_match_the_recompiled_measure(case, data):
     measure = ComplexMeasure(CellComplex(cells), domains,
                              SemigroupDensity(builtin_group(gname)))
     perm = tuple(data.draw(st.permutations(range(len(cells)))))
-    assert reorder_max_difference(measure, perm) == reorder_oracle(measure, perm)
+    assert reorder_max_difference(measure, perm) == reorder_oracle(measure, perm).max()
 
 
 @settings(max_examples=100)
@@ -201,7 +173,7 @@ def test_reorder_certifies_the_rotations_of_a_non_abelian_word():
                                    wraps=measures_mod._word_product) as products:
                 difference = reorder_max_difference(measure, perm)
             if products.called:
-                assert difference == reorder_oracle(measure, perm)
+                assert difference == reorder_oracle(measure, perm).max()
             else:
                 certified.add(perm)
                 assert difference == 0.0
@@ -214,7 +186,7 @@ def test_an_unsound_reorder_certificate_disagrees_with_the_oracle():
     measure = plaquette_measure("S3")
     with mock.patch.object(measures_mod, "_same_factor",
                            lambda group, word, other: sorted(word) == sorted(other)):
-        assert any(reorder_max_difference(measure, perm) != reorder_oracle(measure, perm)
+        assert any(reorder_max_difference(measure, perm) != reorder_oracle(measure, perm).max()
                    for perm in itertools.permutations(range(4)))
 
 
@@ -267,8 +239,8 @@ def test_reorder_compiles_no_boundary_word(monkeypatch):
 def test_factorization_of_the_s3_strip_against_a_reordered_paste(order):
     """The S3 strip cut at x = 1, checked against a K'' whose order the pieces
     do not induce: the words fail the certificate, so the arrays are built, and
-    the worst residual matches a vectorised enumeration of all 6**7
-    configurations that reads the words itself."""
+    the worst residual matches the enumerating oracle on all 6**7
+    configurations."""
     density = SemigroupDensity(builtin_group("S3"))
     cells, domains, spans = strip()
     complex_ = CellComplex(cells)
@@ -281,17 +253,7 @@ def test_factorization_of_the_s3_strip_against_a_reordered_paste(order):
         ok, worst = factorization_check(result.k, result.k_prime, k_pp, later, earlier,
                                         density)
     assert products.called
-    group = density.group
-    configs = np.indices((group.order,) * len(k_pp)).reshape(len(k_pp), -1)
-    where = {c.key(): pos for pos, c in enumerate(k_pp.cells)}
-    product = np.ones(configs.shape[1])
-    for piece, doms in ((result.k, later), (result.k_prime, earlier)):
-        m = ComplexMeasure(piece, doms, density)
-        moved_to = [where[c.key()] for c in piece.cells]
-        words = [[(moved_to[pos], exp) for pos, exp in word] for word in m.words]
-        product *= enumerated_density(group, configs, words, m.q_tables)
-    pasted = ComplexMeasure(k_pp, tuple(earlier) + tuple(later), density)
-    expected = np.max(np.abs(product - enumerated_density(group, configs, pasted.words,
-                                                          pasted.q_tables)))
+    expected, _ = factorization_oracle(result.k, result.k_prime, k_pp, later, earlier,
+                                       density)
     assert not ok and expected > 0.1
     assert abs(worst - expected) <= 1e-15 * expected

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import (
-    chain_measure, enumerated_density, facet_complex, guillotine_domains, relabel,
-    relabelled_groups, strip_cells, strip_measure,
+    chain_measure, facet_complex, factorization_oracle, guillotine_domains,
+    markov_oracle, measure_densities, relabel, relabelled_groups, reorder_oracle,
+    strip_cells, strip_measure,
 )
 
 import cobordseries.measures as measures_mod
@@ -170,56 +171,23 @@ def test_mu_chain_example_value():
     density = SemigroupDensity(Z2)
     measure = chain_measure(3, density)
     q1g = (1 - math.exp(-2)) / 2
-    assert abs(measure.density_of((0, 1, 0)) - q1g ** 2) < 1e-14
+    densities = measure_densities(measure)[1].reshape((2,) * 3)
+    assert abs(densities[0, 1, 0] - q1g ** 2) < 1e-14
 
 
 def test_mu_all_identity_configuration():
     density = SemigroupDensity(Z3)
     measure = chain_measure(4, density)
     expected = density.q(1).values[0] ** 3
-    assert abs(measure.density_of((0, 0, 0, 0)) - expected) < 1e-14
+    assert abs(measure_densities(measure)[1][0] - expected) < 1e-14
 
 
 def test_mu_alpha_conditioned_mass_is_one():
     density = SemigroupDensity(Z3)
     measure = chain_measure(4, density)
+    configs, densities = measure_densities(measure)
     for start in Z3.elements():
-        assert abs(measure.conditional_mass({0: start}) - 1.0) < 1e-12
-
-
-def test_conditional_mass_equals_brute_filtered_sum():
-    density = SemigroupDensity(S3)
-    measure = chain_measure(3, density)
-    fixed = {0: 1, 2: 4}
-    brute = 0.0
-    for config in itertools.product(range(S3.order), repeat=3):
-        if config[0] == 1 and config[2] == 4:
-            brute += density.q(1).values[S3.mul(S3.inv(config[0]), config[1])] \
-                * density.q(1).values[S3.mul(S3.inv(config[1]), config[2])]
-    assert abs(measure.conditional_mass(fixed) - brute) < 1e-15
-    assert measure.conditional_mass({}) == sum(
-        measure.density_of(c) for c in measure.configurations())
-
-
-@pytest.mark.parametrize("fixed,match", [
-    ({5: 0}, "fixed position"), ({-1: 0}, "fixed position"), ({True: 0}, "fixed position"),
-    ({1.0: 0}, "fixed position"), ({0: 7}, "fixed value"), ({0: -1}, "fixed value"),
-    ({0: True}, "fixed value"), ({0: 1.0}, "fixed value")])
-def test_conditional_mass_rejects_positions_and_values_outside_range(fixed, match):
-    measure = chain_measure(3, SemigroupDensity(S3))
-    assert measure.conditional_mass({2: 5}) > 0.0
-    with pytest.raises(ValueError, match=match):
-        measure.conditional_mass(fixed)
-
-
-def test_density_of_rejects_malformed_configurations():
-    measure = ComplexMeasure(plaquette_setup(Z3)[1],
-                             [domain_box(((0, 1), (0, 1)))], SemigroupDensity(Z3))
-    assert measure.density_of((0, 1, 2, 2)) > 0.0
-    for bad in [(0, 1, 2, -1), (0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 0, 0),
-                (0, 1, 2, True), (0, 1, 2, 1.0)]:
-        with pytest.raises(ValueError, match="per cell"):
-            measure.density_of(bad)
+        assert abs(densities[configs[0] == start].sum() - 1.0) < 1e-12
 
 
 def test_heat_tables_are_computed_on_first_use():
@@ -393,16 +361,15 @@ def test_mu_domain_order_invariance():
     for perm in itertools.permutations(range(3)):
         domains = [measure.domains[p] for p in perm]
         other = ComplexMeasure(measure.complex, domains, density)
-        for config in measure.configurations():
-            assert abs(measure.density_of(config)
-                       - other.density_of(config)) < 1e-15
+        difference = measure_densities(measure)[1] - measure_densities(other)[1]
+        assert (np.abs(difference) < 1e-15).all()
 
 
 def test_mu_K_convenience():
     density = SemigroupDensity(Z2)
     cells = [point_cell((0,)), point_cell((1,))]
     measure = ComplexMeasure(CellComplex(cells), [domain_box(((0, 1),))], density)
-    value = measure.density_of((0, 1))
+    value = measure_densities(measure)[1].reshape(2, 2)[0, 1]
     assert abs(value - density.q(1).values[1]) < 1e-15
 
 
@@ -571,14 +538,6 @@ def test_sigma_action_rejects_non_integer_entries():
             sigma_action(bad, complex_)
 
 
-def strip_density_oracle(complex_, configs, density):
-    """Densities of the strip measure on ``complex_`` for every column of
-    ``configs`` (one row per position), by table lookups over all columns."""
-    domains = (domain_box(((0, 1), (0, 1))), domain_box(((1, 2), (0, 1))))
-    return enumerated_density(S3, configs, [boundary_word(d, complex_) for d in domains],
-                              [density.q(d.volume).values for d in domains])
-
-
 @pytest.mark.parametrize("perm", [(2, 4, 3, 6, 5, 0, 1), (1, 0, 4, 2, 3, 5, 6),
                                   (4, 3, 2, 1, 5, 6, 0)])
 def test_reorder_tells_sigma_from_its_inverse_on_the_s3_strip(perm):
@@ -586,18 +545,9 @@ def test_reorder_tells_sigma_from_its_inverse_on_the_s3_strip(perm):
     differ for these permutations, and the reorder residual matches a
     vectorised oracle that rebuilds the words on σK and moves the
     configuration along with the cells."""
-    density = SemigroupDensity(S3)
-    measure = strip_measure(density)
-    configs = np.indices((S3.order,) * 7).reshape(7, -1)
-    base = strip_density_oracle(measure.complex, configs, density)
-
-    def oracle(p):
-        moved = strip_density_oracle(sigma_action(p, measure.complex), configs[list(p)],
-                                     density)
-        return float(np.max(np.abs(moved - base)))
-
+    measure = strip_measure(SemigroupDensity(S3))
     inverse = tuple(int(i) for i in np.argsort(perm))
-    expected, expected_inverse = oracle(perm), oracle(inverse)
+    expected, expected_inverse = (reorder_oracle(measure, p).max() for p in (perm, inverse))
     assert expected != expected_inverse
     assert reorder_max_difference(measure, perm) == expected
     assert reorder_max_difference(measure, inverse) == expected_inverse
@@ -866,8 +816,7 @@ def test_factorization_neutral_piece():
     measure = ComplexMeasure(chain, doms, density)
     pasted = paste(chain, CellComplex([]))
     other = ComplexMeasure(pasted, doms, density)
-    for config in measure.configurations():
-        assert measure.density_of(config) == other.density_of(config)
+    assert (measure_densities(measure)[1] == measure_densities(other)[1]).all()
 
 
 # -- lattice model densities -----------------------------------------------------
@@ -1077,10 +1026,9 @@ def weighted(vals):
 
 
 def brute_markov(measure, split, f_plus, f_minus):
-    """The conditional sums as a per-configuration loop over G^K."""
-    densities = ((config, measure.density_of(config)) for config in measure.configurations())
-    return enumerated_markov(densities, side_positions(measure, split), split, split,
-                             f_plus, f_minus)
+    """The enumerating oracle at the one-cell split cells[split]."""
+    return markov_oracle(measure, side_positions(measure, split), split, split,
+                         f_plus, f_minus)
 
 
 def oracle_splits(name):
@@ -1092,12 +1040,69 @@ def oracle_splits(name):
 
 
 @pytest.mark.parametrize("gname,name", ORACLE_INSTANCES)
-def test_density_array_equals_density_of_exactly(gname, name):
+def test_density_array_equals_the_enumerated_densities_exactly(gname, name):
     measure = oracle_measure(gname, name)
     dense = measure.density_array()
     assert dense.shape == (measure.group.order,) * len(measure.complex)
-    for config in measure.configurations():
-        assert dense[config] == measure.density_of(config)
+    assert (dense.reshape(-1) == measure_densities(measure)[1]).all()
+
+
+def looped_densities(measure):
+    """The densities in ``itertools.product`` order, one configuration at a
+    time, each word's product read off the Cayley table letter by letter."""
+    group, out = measure.group, []
+    for config in itertools.product(range(group.order), repeat=len(measure.complex)):
+        density = 1.0
+        for word, q in zip(measure.words, measure.q_tables):
+            phi = group.identity
+            for pos, exp in word:
+                value = config[pos]
+                phi = group.table[phi][value if exp > 0 else group.inv_table[value]]
+            density *= q[phi]
+        out.append(density)
+    return out
+
+
+def assert_enumeration_matches_the_loop(measure):
+    """``measure_densities`` lays G^K out in ``itertools.product`` order and
+    gives the loop's densities bit for bit."""
+    configs, densities = measure_densities(measure)
+    order = itertools.product(range(measure.group.order), repeat=len(measure.complex))
+    assert configs.T.tolist() == [list(config) for config in order]
+    assert [d.hex() for d in densities.tolist()] == [d.hex() for d in looped_densities(measure)]
+
+
+@pytest.mark.parametrize("gname,name", ORACLE_INSTANCES)
+def test_enumerated_densities_equal_a_per_configuration_loop(gname, name):
+    assert_enumeration_matches_the_loop(oracle_measure(gname, name))
+
+
+def test_the_oracles_never_call_the_engine():
+    """The shared oracles run with the engine's word factor and product
+    kernel patched to raise, and agree with the engine run afterwards."""
+    measure, plaquette = oracle_measure("S3", "chain4"), oracle_measure("S3", "plaquette")
+    perm = (0, 1, 3, 2)
+    result = cut(CobordismBox(((0, 3),)), measure.complex, 2)
+    later = [d for d in measure.domains if d.box()[0][0] >= 2]
+    earlier = [d for d in measure.domains if d.box()[0][1] <= 2]
+    args = (result.k, result.k_prime, measure.complex, later, earlier, measure.density)
+    raising = AssertionError("the engine was called")
+    with mock.patch.object(measures_mod, "word_factor", side_effect=raising), \
+            mock.patch.object(measures_mod, "_word_product", side_effect=raising):
+        with pytest.raises(AssertionError, match="the engine was called"):
+            measure.density_array()
+        densities = measure_densities(measure)[1]
+        table, residual = markov_oracle(measure, side_positions(measure, 1), 1, 1,
+                                        weighted, indicator_extreme(min))
+        reordered = reorder_oracle(plaquette, perm).max()
+        factored = factorization_oracle(*args)[0]
+    assert (densities == measure.density_array().reshape(-1)).all()
+    engine_table, engine_residual = markov_check(measure, 1, 1, weighted,
+                                                 indicator_extreme(min))
+    assert list(table) == list(engine_table) and abs(residual - engine_residual) <= 1e-13
+    assert reordered == reorder_max_difference(plaquette, perm) > 0.0
+    with mock.patch.object(measures_mod, "_same_factor", return_value=False):
+        assert factored == factorization_check(*args)[1]
 
 
 @pytest.mark.parametrize("gname,name", [case for case in ORACLE_INSTANCES
@@ -1134,40 +1139,30 @@ def finest_cell_count(extents):
 
 
 @st.composite
-def markov_instances(draw):
+def markov_instances(draw, groups=st.one_of(relabelled_groups(), relabelled_groups(("S3",)))):
     """(relabelled group, guillotine domains, facet complex) with at most
-    CONFIG_BUDGET configurations; relabelled S3 in about half the draws."""
-    _, _, group = draw(st.one_of(relabelled_groups(), relabelled_groups(("S3",))))
+    CONFIG_BUDGET configurations; by default relabelled S3 in about half the
+    draws, and the complex ``swept`` along a drawn axis in about half."""
+    _, _, group = draw(groups)
     extents = draw(st.sampled_from([e for e in BOX_EXTENTS if group.order
                                     ** finest_cell_count(e) <= CONFIG_BUDGET]))
     domains = draw(guillotine_domains(tuple((0, e) for e in extents)))
-    return group, domains, draw(facet_complex(domains))
+    complex_ = draw(facet_complex(domains))
+    if draw(st.booleans()):
+        complex_ = swept(complex_, draw(st.integers(0, len(extents) - 1)))
+    return group, domains, complex_
 
 
-def enumerated_markov(densities, sides, lo, hi, f_plus, f_minus):
-    """The conditional sums in one pass over the (configuration, density_of)
-    pairs; ``sides`` are the plus and minus side positions."""
-    sums = {}
-    for config, w in densities:
-        fp = f_plus({i: config[i] for i in sides[0]})
-        fm = f_minus({i: config[i] for i in sides[1]})
-        acc = sums.setdefault(config[lo:hi + 1], [0.0, 0.0, 0.0, 0.0])
-        acc[0] += w
-        acc[1] += w * fp * fm
-        acc[2] += w * fp
-        acc[3] += w * fm
-    table, residual = {}, 0.0
-    for key, (mass, both, fp, fm) in sums.items():
-        table[key] = None if mass == 0.0 else (both / mass, (fp / mass) * (fm / mass))
-        if table[key] is not None:
-            residual = max(residual, abs(table[key][0] - table[key][1]))
-    return table, residual
+def swept(complex_, axis):
+    """The complex in a sweep order: cells sorted by their midpoints along
+    ``axis``, the sort stable, so equal midpoints keep their shuffled order."""
+    return CellComplex(sorted(complex_.cells, key=lambda cell: sum(cell.box()[axis])))
 
 
 def test_markov_check_matches_enumeration_on_generated_instances():
     """On guillotine facet complexes over relabelled groups, at every lo..hi
-    where splits succeeds, markov_check is within 1e-13 of one enumeration
-    pass over density_of."""
+    where splits succeeds, markov_check is within 1e-13 of the enumerating
+    oracle."""
     checked = {}
     f_minus = lambda vals: 1.0 - 0.05 * max(vals.values())  # noqa: E731
 
@@ -1175,7 +1170,6 @@ def test_markov_check_matches_enumeration_on_generated_instances():
     def check(instance):
         group, domains, complex_ = instance
         measure = ComplexMeasure(complex_, domains, SemigroupDensity(group))
-        densities = [(c, measure.density_of(c)) for c in measure.configurations()]
         region, size = measure.region_cells(), len(complex_)
         for lo in range(size):
             for hi in range(lo, size):
@@ -1186,8 +1180,8 @@ def test_markov_check_matches_enumeration_on_generated_instances():
                           if lo <= i <= hi or inside_closure_oracle(cell, comp)]
                          for comp in split[:2]]
                 table, residual = markov_check(measure, lo, hi, weighted, f_minus)
-                want, want_residual = enumerated_markov(densities, sides, lo, hi,
-                                                        weighted, f_minus)
+                want, want_residual = markov_oracle(measure, sides, lo, hi,
+                                                    weighted, f_minus)
                 assert list(table) == list(want)
                 for key, pair in want.items():
                     if pair is None:
@@ -1201,6 +1195,33 @@ def test_markov_check_matches_enumeration_on_generated_instances():
 
     check()
     assert checked.get("S3") and checked.get("other"), checked
+
+
+@given(markov_instances())
+def test_enumerated_densities_equal_the_loop_on_generated_instances(instance):
+    group, domains, complex_ = instance
+    assert_enumeration_matches_the_loop(ComplexMeasure(complex_, domains,
+                                                       SemigroupDensity(group)))
+
+
+def test_markov_instances_split_in_two_and_three_dimensions():
+    """Over Z2, the one group whose configuration budget admits a cut 2-D and
+    3-D box, generated instances reach a split in 2-D and in 3-D, and some
+    reach none (a single domain never splits)."""
+    verdicts = {}
+
+    @given(markov_instances(relabelled_groups(("Z2",))))
+    def collect(instance):
+        group, domains, complex_ = instance
+        region = ComplexMeasure(complex_, domains, SemigroupDensity(group)).region_cells()
+        size = len(complex_)
+        found = any(splits(complex_, lo, hi, region) is not None
+                    for lo in range(size) for hi in range(lo, size))
+        verdicts.setdefault(len(complex_.cells[0].base), set()).add(found)
+
+    collect()
+    assert True in verdicts[2] and True in verdicts[3], verdicts
+    assert set().union(*verdicts.values()) == {True, False}, verdicts
 
 
 def test_markov_rejects_a_word_reading_both_sides_before_any_side_call():
@@ -1351,20 +1372,7 @@ def test_factorization_contraction_matches_enumeration(gname, name):
             ok, worst = factorization_check(*args)
         with mock.patch.object(measures_mod, "_same_factor", return_value=False):
             arrays_worst = factorization_check(*args)[1]  # the certificate refused
-        pasted = ComplexMeasure(complex_, tuple(earlier) + tuple(later),
-                                measure.density)
-        pieces = []
-        for piece, doms in ((result.k, later), (result.k_prime, earlier)):
-            m = ComplexMeasure(piece, doms, measure.density)
-            pieces.append(([complex_.cells.index(c) for c in piece.cells],
-                           {c: m.density_of(c) for c in m.configurations()}))
-        expected = largest = 0.0
-        for config in pasted.configurations():
-            product = 1.0
-            for positions, dens in pieces:
-                product *= dens[tuple(config[p] for p in positions)]
-            value = pasted.density_of(config)
-            expected, largest = max(expected, abs(product - value)), max(largest, value)
+        expected, largest = factorization_oracle(*args)
         assert arrays_worst == expected
         if products.called:
             assert worst == expected
@@ -1381,13 +1389,8 @@ def test_reorder_contraction_matches_enumeration(gname, name):
         perms = list(itertools.permutations(range(size)))
     else:
         perms = [tuple(reversed(range(size))), tuple(range(1, size)) + (0,)]
-    dens = {c: measure.density_of(c) for c in measure.configurations()}
     for perm in perms:
-        other = ComplexMeasure(sigma_action(perm, measure.complex), measure.domains,
-                               measure.density)
-        expected = max(abs(w - other.density_of(tuple(c[p] for p in perm)))
-                       for c, w in dens.items())
-        assert reorder_max_difference(measure, perm) == expected
+        assert reorder_max_difference(measure, perm) == reorder_oracle(measure, perm).max()
 
 
 # -- input validation ----------------------------------------------------------------

@@ -410,6 +410,32 @@ def test_a_time_that_is_not_a_number_is_rejected(entry, t):
         BOOL_TIME_ENTRY_POINTS[entry](t)
 
 
+@pytest.mark.parametrize("t", [np.array([0.5]), np.array([0.5, 0.2])], ids=["1", "2"])
+@pytest.mark.parametrize("entry", ["boundary_limits", "c", "check_membership", "dc_dt",
+                                   "seminorm_drift"])
+def test_an_array_time_is_rejected(entry, t):
+    with pytest.raises(ValueError, match="t must lie"):
+        BOOL_TIME_ENTRY_POINTS[entry](t)
+
+
+@pytest.mark.parametrize("t", [np.array([0.5]), np.array([0.5, 0.2])], ids=["1", "2"])
+def test_ode_escape_rejects_an_array_time(t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        nr.ode_escape_check(t)
+
+
+def test_a_zero_dimensional_time_array_is_accepted():
+    x = np.array([0.25, 0.5])
+    assert (nr.c(np.array(0.5), x) == nr.c(0.5, x)).all()
+    assert (nr.dc_dt(np.array(-0.5), x) == nr.dc_dt(-0.5, x)).all()
+    assert nr.ode_escape_check(np.array(0.5)) is True
+
+
+def test_full_report_rejects_a_single_time():
+    with pytest.raises(ValueError, match="ts must be an iterable of times, not 0.5"):
+        nr.full_report(ts=0.5, grid_size=1000)
+
+
 @pytest.mark.parametrize("f, x", [(nr.c, math.nan), (nr.c, None), (nr.dc_dt, math.nan),
                                   (nr.c, [0.5, math.nan])], ids=["c", "c-None", "dc_dt", "c-array"])
 def test_a_nan_point_is_outside_the_open_interval(f, x):

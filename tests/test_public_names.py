@@ -27,10 +27,11 @@ not itself an orphan, so a helper that only a dead helper calls is flagged
 too.  Tests and ``perfbench/`` do not count for private names.
 
 An optional parameter of a package def (a top-level function or a method,
-dunders excepted, since frameworks call them) must be passed, by keyword
-or by position, by at least one call of the def's name in the package, in
-``perfbench/`` or in the tests.  Calls are matched by name, so a call of
-another def of the same name counts too.
+dunders other than ``__init__`` excepted, since frameworks call them) must
+be passed, by keyword or by position, by at least one call of the def's
+name in the package, in ``perfbench/`` or in the tests; an ``__init__`` is
+called by its class's name or by ``super().__init__``.  Calls are matched by
+name, so a call of another def of the same name counts too.
 """
 import ast
 import re
@@ -52,8 +53,6 @@ KEEP = {
     "phi": "tests/test_nonregular.py::test_phi_one_half",
     "sigma_action": "tests/test_acceptance.py::test_criterion_6_reordering",
     "Cell.reverse": "tests/test_cells.py::test_reverse_flips_sign_and_swaps_labels",
-    "ComplexMeasure.conditional_mass":
-        "tests/test_measures.py::test_conditional_mass_equals_brute_filtered_sum",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -185,19 +184,36 @@ def member_orphans(package_sources: dict, other_sources=()) -> list:
 
 
 def package_defs(tree):
-    """(qualified name, def, self offset) for the module's top-level
-    functions and its classes' methods, dunders excepted; a method's first
-    parameter is bound by the call, unless it is a staticmethod."""
+    """(qualified name, def, self offset, callee names) for the module's
+    top-level functions and its classes' methods, dunders other than
+    ``__init__`` excepted; a method's first parameter is bound by the call,
+    unless it is a staticmethod.  A def is called by its own name, an
+    ``__init__`` by its class's name or by ``super().__init__``."""
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             for member in stmt.body:
-                if isinstance(member, ast.FunctionDef) and not (
-                        member.name.startswith("__") and member.name.endswith("__")):
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                if member.name == "__init__":
+                    yield f"{stmt.name}.__init__", member, 1, (stmt.name, "super().__init__")
+                elif not (member.name.startswith("__") and member.name.endswith("__")):
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                                  for d in member.decorator_list)
-                    yield f"{stmt.name}.{member.name}", member, 0 if static else 1
+                    yield (f"{stmt.name}.{member.name}", member, 0 if static else 1,
+                           (member.name,))
         elif isinstance(stmt, ast.FunctionDef):
-            yield stmt.name, stmt, 0
+            yield stmt.name, stmt, 0, (stmt.name,)
+
+
+def callee_name(call):
+    """The name a call is matched by: the called name or attribute, and
+    ``super().__init__`` for a call of the parent class's initializer."""
+    func = call.func
+    if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"):
+        return "super().__init__"
+    return getattr(func, "id", getattr(func, "attr", None))
 
 
 def passes(call, index, name) -> bool:
@@ -219,11 +235,10 @@ def unpassed_options(package_sources: dict, other_sources=()) -> list:
     for tree in [*trees.values(), *map(ast.parse, other_sources)]:
         for call in ast.walk(tree):
             if isinstance(call, ast.Call):
-                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
-                calls.setdefault(callee, []).append(call)
+                calls.setdefault(callee_name(call), []).append(call)
     found = []
     for module, tree in trees.items():
-        for qualname, fn, offset in package_defs(tree):
+        for qualname, fn, offset, callees in package_defs(tree):
             args = fn.args
             positional = [*args.posonlyargs, *args.args]
             first = len(positional) - len(args.defaults)
@@ -231,7 +246,8 @@ def unpassed_options(package_sources: dict, other_sources=()) -> list:
             options += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
                         if default is not None]
             found += [(module, f"{qualname}.{name}") for index, name in options
-                      if not any(passes(call, index, name) for call in calls.get(fn.name, ()))]
+                      if not any(passes(call, index, name)
+                                 for callee in callees for call in calls.get(callee, ()))]
     return sorted(found)
 
 
@@ -361,10 +377,30 @@ def test_scanner_flags_an_unpassed_option():
     }
     tests = ["def test_box(word):\n    box(((0, 1),), -1)\n    word.read(1, True)\n"
              "    word.read(2, strict=True)\n    Word.empty(3)\n"]
-    assert unpassed_options(package, tests) == [("core", "box.labels")]
+    assert unpassed_options(package, tests) == [("core", "Word.__init__.check"),
+                                                ("core", "box.labels")]
     assert unpassed_options(package) == [
-        ("core", "Word.empty.size"), ("core", "Word.read.cover"), ("core", "Word.read.strict"),
+        ("core", "Word.__init__.check"), ("core", "Word.empty.size"),
+        ("core", "Word.read.cover"), ("core", "Word.read.strict"),
         ("core", "box.labels"), ("core", "box.sign")]
+
+
+def test_scanner_flags_an_unpassed_constructor_option():
+    """An ``__init__`` option counts as passed by a call of its class's name
+    (self bound, so positions shift by one) or by a ``super().__init__``."""
+    package = {
+        "__init__": "from .core import Box, Cube\n",
+        "core": ("class Box:\n"
+                 "    def __init__(self, spans, axis=0, sign=1, labels=()):\n"
+                 "        self.spans = spans\n\n"
+                 "class Cube(Box):\n"
+                 "    def __init__(self, spans):\n"
+                 "        super().__init__(spans, sign=-1)\n"),
+    }
+    tests = ["def test_box():\n    Box(((0, 1),), 1)\n"]
+    assert unpassed_options(package, tests) == [("core", "Box.__init__.labels")]
+    assert unpassed_options(package) == [("core", "Box.__init__.axis"),
+                                         ("core", "Box.__init__.labels")]
 
 
 def test_scanner_counts_a_local_import_from_the_package():
