@@ -156,7 +156,11 @@ def derivative_at_zero(x, fd_step=1e-4):
 def ode_escape_check(t) -> bool:
     """The candidate solution of dg/dt o g^{-1} = 1 is g_t(x) = x + t; it
     escapes the group exactly when t > 0 (boundary limit 1 + t > 1)."""
-    if not (np.ndim(_not_bool("t", t)) == 0 and np.isfinite(t) and t >= 0):
+    try:
+        valid = np.ndim(_not_bool("t", t)) == 0 and np.isfinite(t) and t >= 0
+    except TypeError:  # a t numpy cannot test, or one without an order (None, "1", 1j)
+        valid = False
+    if not valid:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return bool(t > 0)
 

@@ -5,7 +5,7 @@ where v takes values in the positive-grade part of a truncated series
 algebra.  Three routes are implemented and cross-checked:
 
 * ``solve_left_ode``      — the series' level solve u = 1 + integral(v·u);
-* ``iterated_integrals``  — the time-ordered simplex integrals, summed per grade;
+* ``iterated_integrals``  — the simplex integrals by layer and grade, the top grade summed once;
 * ``euler_product``       — the ordered finite product
       u_n(s) = (1 + (s - j/n) v(j/n)) * prod_{i=1..j} (1 + (1/n) v((j-i)/n)),
   j = floor(n s), the latest time leftmost (the coefficients need not commute).
@@ -30,7 +30,9 @@ from math import comb
 
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
-from .series import FormalSeries, _convolve, _dot, _is_exact_scalar
+from .series import FormalSeries, _convolve, _dot, _is_exact_scalar, _pairs
+
+_reciprocal = cache(lambda n: Fraction(1, n))  # an integral's 1/(k + 1), formed once per k
 
 
 def _exact_time(t) -> Fraction:
@@ -103,9 +105,9 @@ class CoeffPoly:
         return self + (-other)
 
     @staticmethod
-    def _dot(pairs, start=None, ratio=1):
-        """ratio·(start + Σ p·q) over the non-empty ``pairs``: the nonzero coefficient
-        pairs grouped by degree, each degree one coefficient ``_dot``."""
+    def _dot(pairs, start=None, ratio=1, shift=0):
+        """ratio·(start + Σ p·q) over the non-empty ``pairs``, or with shift=1 its integral
+        from 0 (degree k to k + 1, ratio/(k + 1)): pairs grouped by degree, one ``_dot`` each."""
         groups = {}
         for p, q in pairs:
             for i, a in enumerate(p.coeffs):
@@ -113,12 +115,15 @@ class CoeffPoly:
                     for j, b in enumerate(q.coeffs):
                         if b:
                             groups.setdefault(i + j, []).append((a, b))
-        out = {k: c if ratio == 1 or k in groups else c * ratio
+        rate = ((lambda k: _reciprocal(k + 1) if ratio == 1 else Fraction(ratio, k + 1))
+                if shift else (lambda k: ratio))
+        out = {k + shift: c if k in groups or not shift and ratio == 1 else c * rate(k)
                for k, c in enumerate(start.coeffs if start else ())}
         for k, group in groups.items():
-            out[k] = _dot(group, out.get(k), ratio)
-        top, p = max(out, default=-1) + 1, pairs[0][0]
-        return CoeffPoly([out[k] if k in out else p.zero_coeff for k in range(top)], p.unit)
+            out[k + shift] = _dot(group, out.get(k + shift), rate(k))
+        top, p = max(out, default=-1) + 1, pairs[0][0]  # an integral's gap k > 0: 0·rate(k - 1)
+        return CoeffPoly([out[k] if k in out else p.zero_coeff * rate(k - 1) if shift and k
+                          else p.zero_coeff for k in range(top)], p.unit)
 
     def __mul__(self, other):
         if isinstance(other, CoeffPoly):
@@ -137,10 +142,6 @@ class CoeffPoly:
     def derivative(self) -> "CoeffPoly":
         return CoeffPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1),
                          self.unit)
-
-    def integral(self) -> "CoeffPoly":
-        """Antiderivative vanishing at 0: the left sum's h -> 0 limit."""
-        return self._left_sum(0)
 
     def _left_sum(self, h, powers=None) -> "CoeffPoly":
         """P with P(kh) = Σ_{i<k} h·p(ih) for all integers k >= 0: Faulhaber's identity (module
@@ -220,7 +221,7 @@ def solve_left_ode(v: AlgebraPath) -> AlgebraPath:
     u = 1 + integral(v·u), each grade of u read off strictly lower ones."""
     if not v.has_zero_e_part():
         raise ValueError("the direction of the ODE must have no neutral component")
-    return v._level_solve(CoeffPoly.integral)
+    return v._level_solve(lambda pairs: CoeffPoly._dot(pairs, shift=1))
 
 
 def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
@@ -251,22 +252,27 @@ def iterated_integrals(v: AlgebraPath, grade: int):
 
     With J_0 = 1 and J_k(t) = integral_0^t v(s)·J_{k-1}(s) ds, the grade-m
     part of sum_k J_k(1) equals the grade-m component of the ODE solution
-    at s = 1; the outermost (latest) time sits leftmost in each product.
+    at s = 1; the outermost (latest) time sits leftmost in each product.  Each J_k is
+    held by grade below ``grade``; that grade's pairs of all layers are summed once.
     """
     if type(grade) is not int or not 0 <= grade <= v.order:
         raise ValueError(f"grade must be an int in 0..{v.order}, not {grade!r}")
     if not v.has_zero_e_part():
         raise ValueError("the direction must have no neutral component")
-    gpd = v.groupoid
-    # grades add under products, so layers truncated at ``grade`` are exact there
-    v_series = FormalSeries._trusted(
-        gpd, grade, {e: p for e, p in v.coeffs.items() if gpd._ord(e) <= grade}, v.unit)
-    total = layer = FormalSeries.one(gpd, grade, v.unit)
-    for _ in range(1, grade + 1):
-        layer = FormalSeries._trusted(
-            gpd, grade, {e: p.integral() for e, p in (v_series * layer).coeffs.items()}, v.unit)
-        total = total + layer
-    return grade_component(total, grade)(1)
+    if not grade:
+        return v.unit(1)
+    gpd, ord_ = v.groupoid, v.groupoid._ord
+    left = {e: p for e, p in v.coeffs.items() if ord_(e) <= grade}
+    levels, top = {0: [(gpd.neutral, v.unit)]}, []
+    while levels:
+        out, levels = _pairs(gpd, grade, left, levels), {}
+        for k, pairs in out.items():
+            if (g := ord_(k)) == grade:
+                top += pairs
+            elif x := CoeffPoly._dot(pairs, shift=1):
+                levels.setdefault(g, []).append((k, x))
+    coeffs = CoeffPoly._dot(top, shift=1).coeffs if top else ()
+    return sum(coeffs[1:], coeffs[0]) if coeffs else v.unit.zero_coeff  # the value at s = 1
 
 
 def grade_component(series: FormalSeries, grade: int):
@@ -293,7 +299,7 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     t, h, one = Fraction(j, n), Fraction(1, n), FormalSeries.one(v.groupoid, v.order, v.unit.unit)
     longest = max((len(p.coeffs) for p in v.polys.values()), default=0)
     powers = [h ** k for k in range(v.order * longest)]  # a grade-g level's degree < g·longest
-    u = v._level_solve(lambda p: p._left_sum(h, powers))(t) if j else one
+    u = v._level_solve(lambda p: _dot(p)._left_sum(h, powers))(t) if j else one
     if s == t:
         return u
     lead = one + v(t).scale(s - t)

@@ -16,10 +16,10 @@ over exact coefficient arithmetic.
 
 The kernels work grade by grade on validated supports, through the unchecked
 ``_compose`` and ``_ord``.  A product pairs each left element with the right
-operand's grade levels; a level solve x = 1 + post(a·x) gives the inverse (post
-the identity), the left ODE of ``paths`` (the time integral) and its Euler product
-(the left Riemann sum); exp and log are one power sum, term k the last one times a
-and r_k (1/k, or -(k-1)/k for log).
+operand's grade levels; a level solve x = 1 + a·x, each coefficient one per-level dot
+of its pairs, gives the inverse (``_dot``), the left ODE of ``paths`` (the dot that
+integrates in time) and its Euler product (the dot, then the left Riemann sum); exp
+and log are one power sum, term k the last one times a and r_k (1/k, or -(k-1)/k for log).
 Each output coefficient is one ``_dot``: a sum of products (times r_k) normalized once.
 """
 
@@ -174,12 +174,12 @@ class FormalSeries:
         solution is the geometric sum's."""
         if not self.is_unital():
             raise ValueError("inverse requires leading coefficient equal to the unit")
-        return (-self)._level_solve(lambda c: c)
+        return (-self)._level_solve(_dot)
 
-    def _level_solve(self, post):
-        """x = 1 + post(a·x) for a = self's positive part, as ``type(self)``: level g
-        is post(sum of a_i·x_j over j in level g - ord(i)), each pair composed once
-        (grade additivity is checked by ``axiom_violations``); post(0) must be 0."""
+    def _level_solve(self, dot):
+        """x = 1 + a·x for a = self's positive part, as ``type(self)``, with x_k at level g
+        dot(its pairs (a_i, x_j), j in level g - ord(i)) and zeros dropped; each pair is
+        composed once (grade additivity is checked by ``axiom_violations``)."""
         gpd, order = self.groupoid, self.order
         terms = [(i, v, g) for i, v in self.coeffs.items() if (g := gpd._ord(i)) > 0]
         levels = {0: [(gpd.neutral, self.unit)]}
@@ -187,7 +187,7 @@ class FormalSeries:
             out = {}
             for i, v, g in terms:
                 _convolve(gpd._compose, out, i, v, levels.get(grade - g, ()))
-            levels[grade] = [(k, x) for k, p in out.items() if (x := post(_dot(p)))]
+            levels[grade] = [(k, x) for k, p in out.items() if (x := dot(p))]
         return type(self)._trusted(gpd, order, {k: v for level in levels.values()
                                                 for k, v in level}, self.unit)
 

@@ -373,6 +373,12 @@ def test_ode_escape_rejects_a_non_finite_time(t):
         nr.ode_escape_check(t)
 
 
+@pytest.mark.parametrize("t", [None, "1", 1j], ids=["None", "str", "complex"])
+def test_ode_escape_rejects_a_time_that_is_not_a_real_number(t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        nr.ode_escape_check(t)
+
+
 @pytest.mark.parametrize("t, x", [(5.0, 2.0), (0.5, 0.0), (1.0, 0.5), (math.nan, 0.5)])
 def test_dc_dt_checks_the_domain_like_c(t, x):
     with pytest.raises(ValueError, match="must lie"):

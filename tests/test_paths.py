@@ -54,7 +54,7 @@ def test_poly_arithmetic_and_calculus():
     p = CoeffPoly((ONE, Fraction(2)))           # 1 + 2s
     q = CoeffPoly((0, 0, Fraction(1, 2)))       # s^2/2
     assert (p * q).coeffs == (0, 0, Fraction(1, 2), ONE)
-    assert p.integral().coeffs == (0, ONE, ONE)
+    assert p._left_sum(0).coeffs == (0, ONE, ONE)
     assert q.derivative().coeffs == (0, ONE)
     assert p(Fraction(1, 2)) == Fraction(2)
 
@@ -298,18 +298,19 @@ def test_unreachable_grade_gives_zero():
     assert iterated_integrals(v, 3) == 0
 
 
-def full_order_iterated_integrals(v, grade):
-    """Oracle: every layer built at the path's order, then one grade kept."""
+def full_order_iterated_integrals(v):
+    """Oracle: every layer built at the path's order and summed once, then each
+    grade read off that one total (a layer past grade g adds only grades above g)."""
     gpd = v.groupoid
     total = FormalSeries.one(gpd, v.order, v.unit)
     layer = total
-    for _ in range(1, grade + 1):
+    for _ in range(v.order):
         layer = v * layer
         layer = FormalSeries._trusted(gpd, v.order,
-                                      {e: p.integral() for e, p in layer.coeffs.items()},
+                                      {e: p._left_sum(0) for e, p in layer.coeffs.items()},
                                       v.unit)
         total = total + layer
-    return grade_component(total, grade)(1)
+    return [grade_component(total, grade)(1) for grade in range(v.order + 1)]
 
 
 @st.composite
@@ -338,8 +339,54 @@ def polynomial_paths(draw, groupoids=(NAT, make_interval_groupoid(0, 4)), max_le
 
 @given(polynomial_paths())
 def test_iterated_integrals_match_full_order_layers(v):
-    for grade in range(v.order + 1):
-        assert iterated_integrals(v, grade) == full_order_iterated_integrals(v, grade)
+    got = [iterated_integrals(v, grade) for grade in range(v.order + 1)]
+    expected = full_order_iterated_integrals(v)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def edge_path(spec, matrix, support):
+    """A direction at order 4 over ``spec`` on ``support``, two time coefficients each."""
+    unit = MATRIX_UNIT if matrix else ONE
+    values = [Fraction(3, 2), Fraction(-1, 3), 2, Fraction(5, 7)]
+    coeff = (lambda x: RationalMatrix([[x, 1], [-x, Fraction(1, 2)]])) if matrix else Fraction
+    return AlgebraPath(from_spec(spec), 4, {
+        e: CoeffPoly([coeff(values[n % 4]), coeff(values[(n + 1) % 4])], unit)
+        for n, e in enumerate(support)}, unit)
+
+
+# per groupoid: a support reaching every grade; one of grade 2 only, so grade 3 is
+# unreachable; one whose layers empty out before the grade asked (nat: grade 3 only,
+# so J_2 falls past the order; interval: 1..3 after 0..1 is 0..3, and nothing follows it)
+EDGE_SUPPORTS = {
+    "nat": {"dense": [1, 2, 4], "grade-2": [2], "early-empty": [3]},
+    "interval:0..4": {"dense": [(0, 1), (1, 2), (0, 2), (2, 4)],
+                      "grade-2": [(0, 2), (1, 3), (2, 4)], "early-empty": [(0, 1), (1, 3)]},
+}
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["fraction", "matrix"])
+@pytest.mark.parametrize("spec", sorted(EDGE_SUPPORTS))
+def test_iterated_integrals_stay_independent_and_exact_at_their_edges(spec, matrix, monkeypatch):
+    """With the level solve and the ODE solver made to fail, the simplex integrals
+    reproduce the full-order oracle's values and reprs at grade 0 (the unit), at an
+    unreachable grade (the value algebra's zero, a Fraction for scalar paths) and on
+    a support whose layers empty out before the grade asked."""
+    paths_ = {name: edge_path(spec, matrix, support)
+              for name, support in EDGE_SUPPORTS[spec].items()}
+    expected = {name: full_order_iterated_integrals(v) for name, v in paths_.items()}
+
+    def fail(*args):
+        raise AssertionError("the simplex integrals reached an ODE solver")
+
+    monkeypatch.setattr(FormalSeries, "_level_solve", fail)
+    monkeypatch.setattr(paths, "solve_left_ode", fail)
+    got = {name: [iterated_integrals(v, g) for g in range(5)] for name, v in paths_.items()}
+    assert repr(got) == repr(expected)
+    unit, zero = paths_["dense"].unit.unit, paths_["dense"].unit.zero_coeff
+    assert got["dense"][0] == unit and all(got["dense"])
+    assert type(got["grade-2"][3]) is type(zero) and got["grade-2"][3] == zero
+    assert got["early-empty"][3] and not got["early-empty"][4]
 
 
 def inverse_product_log_derivative(u):
@@ -555,7 +602,8 @@ def test_left_sum_at_step_zero_is_the_integral(matrix):
     for p in left_sum_polys(matrix):
         antiderivative = CoeffPoly([p.zero_coeff] + [c * Fraction(1, d + 1)
                                                      for d, c in enumerate(p.coeffs)], p.unit)
-        assert p._left_sum(0) == p.integral() == antiderivative
+        assert p._left_sum(0) == antiderivative
+        assert CoeffPoly._dot([(p, CoeffPoly.one(p.unit))], shift=1) == antiderivative
 
 
 def test_euler_product_of_a_million_steps_is_the_binomial_expansion():

@@ -291,6 +291,23 @@ def test_dot_matches_the_pairwise_accumulate(data):
         assert out == (pairs[0][0] * 0 if start is None else start * ratio)
 
 
+@given(st.data())
+def test_integrating_dot_matches_the_pairwise_integral(data):
+    """With shift=1 the time-polynomial ``_dot`` is the pairwise accumulate's
+    antiderivative, start and ratio included, with the same coefficient types (an int
+    unit's zeros are ints, but a zero coefficient of an integral is a Fraction)."""
+    unit = data.draw(st.sampled_from([Fraction(1), 1, I2]))
+    values = st.lists(square(2) if unit is I2 else scalars, max_size=3).map(
+        lambda c: CoeffPoly(c, unit))
+    pairs = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=4))
+    start = data.draw(st.one_of(st.none(), values))
+    ratio = data.draw(st.one_of(st.just(1), RATIOS))
+    out = CoeffPoly._dot(pairs, start, ratio, shift=1)
+    oracle = pairwise_dot(pairs, start, ratio)._left_sum(0)
+    assert out == oracle
+    assert repr(out) == repr(oracle)
+
+
 def test_dot_sums_float_group_functions_left_to_right():
     """Floats keep the earlier order of additions, then one product by a ratio,
     bit for bit."""
@@ -469,12 +486,21 @@ def kernel_outputs(a, b, v):
 def counted(calls, name, fn):
     """``fn``, counting its calls on more than one pair or with a start (a kernel
     that fell back to one product at a time would make none) and, apart, its
-    calls with a ratio other than 1."""
-    def wrapper(pairs, start=None, ratio=1):
+    calls with a ratio other than 1 and those that integrate (``shift``)."""
+    def wrapper(pairs, start=None, ratio=1, **shift):
         calls[name] += len(pairs) > 1 or start is not None
         calls[name, "ratio"] += ratio != 1
-        return fn(pairs, start, ratio)
+        calls[name, "shift"] += bool(shift.get("shift"))
+        return fn(pairs, start, ratio, **shift)
     return wrapper
+
+
+def pairwise_integral(pairs, start=None, ratio=1, shift=0):
+    """Oracle for the integrating ``CoeffPoly._dot``: ``pairwise_dot``, then the
+    antiderivative ``_left_sum(0)``; any other call is a fused kernel reached."""
+    if not shift:
+        raise AssertionError("the reference reached a fused kernel")
+    return pairwise_dot(pairs, start, ratio)._left_sum(0)
 
 
 @pytest.mark.parametrize("matrix_valued", [False, True], ids=["fraction", "matrix"])
@@ -482,8 +508,8 @@ def counted(calls, name, fn):
 def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
     """Products, inverse, exp/log of series and of paths, both ODE directions, the
     simplex integrals and the Euler product give the same exact values on the fused
-    sum as with every coefficient built pair by pair; the fused kernels must be
-    reached."""
+    sum as with every coefficient built pair by pair, each time integral the pairwise
+    sum's ``_left_sum(0)``; the fused kernels, the integrating one too, must be reached."""
     a, b, v = kernel_inputs(spec, matrix_valued, seed=len(spec) + matrix_valued)
     calls = Counter()
     with monkeypatch.context() as patch:
@@ -494,7 +520,7 @@ def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
         patch.setattr(CoeffPoly, "_dot", staticmethod(counted(calls, "poly", CoeffPoly._dot)))
         fused = kernel_outputs(a, b, v)
     assert calls["dot"] and calls["poly"] and bool(calls["matrix"]) == matrix_valued
-    assert calls["dot", "ratio"] and calls["poly", "ratio"]
+    assert calls["dot", "ratio"] and calls["poly", "ratio"] and calls["poly", "shift"]
     assert bool(calls["matrix", "ratio"]) == matrix_valued
 
     def unreachable(*args):
@@ -505,9 +531,11 @@ def test_kernels_match_the_pairwise_reference(spec, matrix_valued, monkeypatch):
         for module in (series, paths):
             patch.setattr(module, "_dot", pairwise_dot)
         patch.setattr(RationalMatrix, "_dot", unreachable)
-        patch.setattr(CoeffPoly, "_dot", unreachable)
+        patch.setattr(CoeffPoly, "_dot", staticmethod(
+            counted(calls, "reference", pairwise_integral)))
         patch.setattr(CoeffPoly, "__mul__", lambda p, q: pairwise_mul(p, q)
                       if isinstance(q, CoeffPoly) else poly_mul(p, q))
         reference = kernel_outputs(a, b, v)
+    assert calls["reference", "shift"]
     assert fused == reference
     assert repr(fused) == repr(reference)
