@@ -45,6 +45,8 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
+from ._checks import _int_in, _int_spans
+
 
 # ---------------------------------------------------------------------------
 # box arithmetic (boxes are tuples of (lo, hi) per ambient axis, lo <= hi)
@@ -228,9 +230,7 @@ def edge_cell(base, axis, sign=1) -> Cell:
 
 def domain_box(spans, sign=1) -> Cell:
     """Full box on the given per-axis spans; degenerate axes stay unspanned."""
-    spans = tuple(spans)
-    if any(hi < lo for lo, hi in spans):
-        raise ValueError(f"box spans must have lo <= hi, got {spans!r}")
+    spans = _int_spans("box spans", spans, degenerate=True)
     base = tuple(lo for lo, hi in spans)
     axes = tuple(a for a, (lo, hi) in enumerate(spans) if hi > lo)
     extents = tuple(hi - lo for lo, hi in spans if hi > lo)
@@ -374,8 +374,7 @@ def splits(complex_: CellComplex, lo: int, hi: int, region):
     the plus side and the before cells on the minus side, or None.  The
     region is a list of top-dimensional unit cells (one dimension above the
     complex cells); lo and hi are ints, never bools."""
-    if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi < len(complex_):
-        raise ValueError("subcomplex indices out of range")
+    _int_in("hi", hi, _int_in("lo", lo, 0, len(complex_) - 1), len(complex_) - 1)
     comps = region_components(region, [c.box() for c in complex_.cells[lo:hi + 1]])
     if len(comps) != 2:
         return None
@@ -534,9 +533,7 @@ class Cosurface:
         self.group = group
         values = {}
         for cell, value in assignments:
-            if type(value) is not int or not 0 <= value < group.order:
-                raise ValueError(f"value {value!r} on {cell!r} is not an element "
-                                 f"of {group.name}")
+            _int_in("value", value, 0, group.order - 1)
             stored = value if cell.sign > 0 else group.inv(value)
             if values.setdefault(cell.key(), stored) != stored:
                 raise ValueError(f"conflicting values for {cell!r}")

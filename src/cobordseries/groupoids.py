@@ -17,9 +17,10 @@ additivity, associativity (if either nested composite is defined, both are
 and they agree), and absence of inverses.  Each k is i o j in finitely many
 ways, since both factors lie in the finite window of grades up to ord(k).
 
-All three test integer coordinates with the same check, ``type(x) is int``:
-``bool`` is an ``int`` subclass but never an element, and the inline test
-costs no extra call on the membership check every ``ord``/``compose`` makes.
+All three test integer coordinates with ``type(x) is int`` (``bool`` is an
+``int`` subclass but never an element): inline in the membership check every
+``ord``/``compose`` makes, through ``_checks`` (each scalar input rule stated
+once) for the windows, the axis and the grade bound.
 
 ``compose`` and ``ord`` validate their arguments and delegate to ``_compose``
 and ``_ord``, the same maps unchecked, which an instance implements; callers
@@ -29,6 +30,8 @@ whose elements are known members (series supports, window elements) call those.
 from __future__ import annotations
 
 from itertools import product as iter_product
+
+from ._checks import _int_in, _int_spans
 
 
 class _Neutral:
@@ -46,13 +49,6 @@ class _Neutral:
 
 
 NEUTRAL = _Neutral()
-
-
-def _grade_bound(max_grade) -> int:
-    """max_grade, if it is an int (not a bool) >= 0."""
-    if type(max_grade) is not int or max_grade < 0:
-        raise ValueError(f"grade bound must be an int >= 0, not {max_grade!r}")
-    return max_grade
 
 
 class GradedGroupoid:
@@ -119,7 +115,7 @@ class NatMonoid(GradedGroupoid):
         return i + j
 
     def elements_up_to(self, max_grade):
-        return list(range(_grade_bound(max_grade) + 1))
+        return list(range(_int_in("grade bound", max_grade) + 1))
 
     def element_id(self, element):
         return f"n:{element}"
@@ -143,9 +139,7 @@ class IntervalGroupoid(GradedGroupoid):
     """
 
     def __init__(self, a: int, b: int):
-        if not (type(a) is int and type(b) is int and a < b):
-            raise ValueError("interval window must satisfy a < b")
-        self.window = (a, b)
+        (self.window,) = _int_spans("interval window", ((a, b),))
         self.name = f"interval:{a}..{b}"
 
     @property
@@ -177,7 +171,7 @@ class IntervalGroupoid(GradedGroupoid):
 
     def elements_up_to(self, max_grade):
         a, b = self.window
-        max_grade, out = _grade_bound(max_grade), [NEUTRAL]
+        max_grade, out = _int_in("grade bound", max_grade), [NEUTRAL]
         for lo in range(a, b):
             for hi in range(lo + 1, min(b, lo + max_grade) + 1):
                 out.append((lo, hi))
@@ -211,17 +205,9 @@ class BoxGroupoid(GradedGroupoid):
     """
 
     def __init__(self, window, axis: int = 0):
-        window = tuple(window)
-        if not window or not all(isinstance(span, (tuple, list)) and len(span) == 2
-                                 and type(span[0]) is type(span[1]) is int
-                                 and span[0] < span[1] for span in window):
-            raise ValueError(f"box window spans must be pairs of ints lo < hi, not {window!r}")
-        window = tuple(map(tuple, window))
-        if type(axis) is not int or not 0 <= axis < len(window):
-            raise ValueError(f"composition axis must be an int axis index, not {axis!r}")
-        self.window = window
+        self.window = window = _int_spans("box window spans", window)
         self.dim = len(window)
-        self.axis = axis
+        self.axis = _int_in("composition axis", axis, 0, self.dim - 1)  # an empty window has none
         spans = "x".join(f"{lo}..{hi}" for lo, hi in window)
         self.name = f"box:{self.dim}:{spans}"
 
@@ -263,7 +249,7 @@ class BoxGroupoid(GradedGroupoid):
         return tuple(merged)
 
     def elements_up_to(self, max_grade):
-        max_grade, out = _grade_bound(max_grade), [NEUTRAL]
+        max_grade, out = _int_in("grade bound", max_grade), [NEUTRAL]
         ranges = [[(lo2, hi2) for lo2 in range(lo, hi) for hi2 in range(lo2 + 1, hi + 1)]
                   for lo, hi in self.window]
         for combo in iter_product(*ranges):
@@ -298,7 +284,7 @@ def make_interval_groupoid(a: int, b: int) -> IntervalGroupoid:
 
 def make_box_groupoid(dim: int, window, axis: int = 0) -> BoxGroupoid:
     window = tuple(window)
-    if len(window) != dim:
+    if len(window) != _int_in("dim", dim, 1):
         raise ValueError("window must provide one span per axis")
     return BoxGroupoid(window, axis=axis)
 

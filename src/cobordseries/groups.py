@@ -14,6 +14,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from ._checks import _int_in
+
 
 class FiniteGroup:
     """A finite group: order, labels, multiplication table, inverses, classes."""
@@ -107,8 +109,7 @@ class FiniteGroup:
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with additive notation, element k labelled by its residue."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"cyclic group order must be an int >= 1, got {n!r}")
+    _int_in("cyclic group order", n, 1)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(f"Z{n}", table, labels=[str(k) for k in range(n)])
 
@@ -278,8 +279,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 def delta(group: FiniteGroup, g: int = 0) -> GroupFunction:
     """The convolution unit translated to g: the indicator of g."""
-    if type(g) is not int or not 0 <= g < group.order:
-        raise ValueError(f"{g!r} is not an element of {group.name}")
+    _int_in("g", g, 0, group.order - 1)
     return GroupFunction(group, tuple(1 if x == g else 0 for x in group.elements()))
 
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from ._checks import _int_in
+
 
 @cache
 def _kernels(n: int):
@@ -39,19 +41,10 @@ def _entry(x) -> Fraction:
                      f"not {x!r}")
 
 
-def _check_size(n):
-    """n, if it is an int (not a bool) >= 1."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"matrix size must be an int >= 1, not {n!r}")
-    return n
-
-
 def _check_index(n, ij):
-    """ij, if it is a pair of ints (not bools) in 0..n-1."""
+    """ij as (i, j), if it is a pair of ints (not bools) in 0..n-1."""
     i, j = ij
-    if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-        raise ValueError(f"matrix index must be a pair of ints in 0..{n - 1}, not {ij!r}")
-    return ij
+    return _int_in("matrix index i", i, 0, n - 1), _int_in("matrix index j", j, 0, n - 1)
 
 
 class RationalMatrix:
@@ -98,13 +91,13 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        _check_size(n)
+        _int_in("matrix size", n, 1)
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "RationalMatrix":
         """Matrix with a single nonzero entry at (i, j)."""
-        _check_index(_check_size(n), (i, j))
+        _check_index(_int_in("matrix size", n, 1), (i, j))
         return cls(tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(n))
                          for r in range(n)))
 
@@ -168,8 +161,7 @@ class RationalMatrix:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if type(k) is not int or k < 0:
-            raise ValueError("only non-negative integer powers")
+        k = _int_in("k", k)
         out = RationalMatrix.identity(self.n)
         base = self
         while k:

@@ -42,10 +42,10 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product as iter_product
-from numbers import Real
 
 import numpy as np
 
+from ._checks import _finite_nonnegative, _int_in, _int_spans
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
     covers, domain_box, is_saturated, region_components, splits,
@@ -135,14 +135,6 @@ class SemigroupDensity:
                 values = [v + p * growth for v, p in zip(values, pi)]
             self._cache[t] = GroupFunction(self.group, values)
         return self._cache[t]
-
-
-def _finite_nonnegative(name, x) -> float:
-    """x as a float, if it is a real number (not a bool), finite and >= 0."""
-    if not (type(x) is float or type(x) is int or isinstance(x, Real) and type(x) is not bool) \
-            or not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"{name} must be a finite real number >= 0, got {x!r}")
-    return float(x)
 
 
 def semigroup_axiom_residuals(density: SemigroupDensity, times) -> dict:
@@ -285,8 +277,6 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     Returns (table, max_residual) where table maps each L-assignment to a
     (lhs, rhs) pair or None on zero-mass conditioning events.
     """
-    if type(lo) is not int or type(hi) is not int:
-        raise ValueError(f"split indices must be ints, got {lo!r}, {hi!r}")
     if not (callable(f_plus) and callable(f_minus)):
         raise ValueError(f"side functions must be callable, got {f_plus!r}, {f_minus!r}")
     complex_ = measure.complex
@@ -389,12 +379,8 @@ class CobordismBox:
     face in that axis is the initial part, the upper face the final part."""
 
     def __init__(self, spans, axis: int = 0):
-        self.spans = tuple((lo, hi) for lo, hi in spans)
-        if any(type(lo) is not int or type(hi) is not int or lo >= hi for lo, hi in self.spans):
-            raise ValueError(f"box spans must be non-degenerate int pairs, got {self.spans!r}")
-        if type(axis) is not int or not 0 <= axis < len(self.spans):
-            raise ValueError(f"time axis must be an int axis of the box, got {axis!r}")
-        self.axis = axis
+        self.spans = _int_spans("box spans", spans)
+        self.axis = _int_in("time axis", axis, 0, len(self.spans) - 1)
 
     @property
     def dim(self):
@@ -533,8 +519,7 @@ def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
     covering, the earlier part the initial-face covering, and both share
     the interface covering; orders are induced by the ambient complex."""
     lo, hi = cob.spans[cob.axis]
-    if type(interface) is not int or not lo < interface < hi:
-        raise ValueError(f"interface must be an int inside {(lo, hi)}, got {interface!r}")
+    _int_in("interface", interface, lo + 1, hi - 1)
     y = CobordismBox(_with_span(cob.spans, cob.axis, (interface, hi)), cob.axis)
     y_prime = CobordismBox(_with_span(cob.spans, cob.axis, (lo, interface)), cob.axis)
     plane = y.alpha_box()

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import _finite_nonnegative, _int_in, _not_bool, _real_in
+
 BLOCK = 1 << 14   # grid points per slice of check_membership (128 KiB per array)
 
 
@@ -45,25 +47,13 @@ def _dc_dx(t, dp, p, out=None, work=None):
     return (np.add if t >= 0 else np.subtract)(1.0, dphi, out=out)
 
 
-def _not_bool(name, value):
-    """value, unless it is a bool (Python, numpy or an array): never read as 0 or 1."""
-    if np.asarray(value).dtype == bool:
-        raise ValueError(f"{name} must be a number, not the bool {value!r}")
-    return value
-
-
 def _domain(t, x):
     """x as a float array, once it lies in (0, 1) and t, a scalar, in (-1, 1); nan
     lies in neither."""
     x = np.asarray(x, dtype=float)
     if np.any(~((x > 0) & (x < 1))):
         raise ValueError("x must lie in the open unit interval")
-    try:
-        inside = np.ndim(_not_bool("t", t)) == 0 and -1 < t < 1
-    except TypeError:
-        inside = False
-    if not inside:
-        raise ValueError("t must lie in (-1, 1)")
+    _real_in("t", t, -1, 1)
     return x
 
 
@@ -97,11 +87,9 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
     cross-checks the exact space derivative against central finite
     differences to 1e-8.  Returns a report dict with the worst slacks.
     """
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 1:
-        raise ValueError(f"grid_size must be a positive int, got {grid_size!r}")
-    if not 0 < fd_step < 0.5:   # also rejects nan and inf
-        raise ValueError(f"fd_step must lie in (0, 1/2), got {fd_step!r}")
-    _domain(t, ())   # checks t; the grid itself lies in (0, 1)
+    _int_in("grid_size", grid_size, 1)
+    _real_in("fd_step", fd_step, 0, 0.5)
+    _real_in("t", t, -1, 1)
     ft, h = float(t), float(fd_step)   # ufuncs writing float64 buffers take float scalars
     grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     lo, hi = np.searchsorted(grid, h, "right"), np.searchsorted(grid, 1.0 - h)
@@ -145,8 +133,7 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
 def derivative_at_zero(x, fd_step=1e-4):
     """Closed-form d/dt c_t at t = 0 (identically 1) and its forward
     finite-difference approximation (c_h - c_0)/h with O(h) error."""
-    if not _not_bool("fd_step", fd_step) > 0:   # c rejects fd_step >= 1, nan and inf
-        raise ValueError(f"fd_step must be positive, got {fd_step!r}")
+    _real_in("fd_step", fd_step, 0, 1)   # a time of c
     x = np.asarray(x, dtype=float)
     closed = dc_dt(0.0, x)
     fd = (c(fd_step, x) - c(0.0, x)) / fd_step
@@ -156,20 +143,14 @@ def derivative_at_zero(x, fd_step=1e-4):
 def ode_escape_check(t) -> bool:
     """The candidate solution of dg/dt o g^{-1} = 1 is g_t(x) = x + t; it
     escapes the group exactly when t > 0 (boundary limit 1 + t > 1)."""
-    try:
-        valid = np.ndim(_not_bool("t", t)) == 0 and np.isfinite(t) and t >= 0
-    except TypeError:  # a t numpy cannot test, or one without an order (None, "1", 1j)
-        valid = False
-    if not valid:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    _finite_nonnegative("t", _not_bool("t", t))
     return bool(t > 0)
 
 
 def seminorm_drift(t, n) -> float:
     """sup over [1/(n+1), n/(n+1)] of |c_t(x) - x| for an int n >= 1;
     bounded by sup P < 1/8."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    _int_in("n", n, 1)
     x = np.linspace(1.0 / (n + 1), n / (n + 1), 10_001)
     return float(np.max(np.abs(c(t, x) - x)))
 

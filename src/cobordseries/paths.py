@@ -28,18 +28,12 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+from ._checks import _exact_time, _int_in
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
 from .series import FormalSeries, _convolve, _dot, _is_exact_scalar, _pairs
 
 _reciprocal = cache(lambda n: Fraction(1, n))  # an integral's 1/(k + 1), formed once per k
-
-
-def _exact_time(t) -> Fraction:
-    """A time given exactly, as an int (not bool) or a Fraction."""
-    if type(t) is int or isinstance(t, Fraction):
-        return Fraction(t)
-    raise ValueError(f"time must be an int or a Fraction, not {t!r}")
 
 
 class CoeffPoly:
@@ -157,7 +151,10 @@ class CoeffPoly:
         return CoeffPoly(out, self.unit)
 
     def __call__(self, t):
-        t = _exact_time(t)
+        """Value at an exact time t by Horner; at t = 1 the same sum without products by 1."""
+        t = _exact_time("time", t)
+        if t == 1:
+            return sum(reversed(self.coeffs), self.zero_coeff * t)
         value = self.zero_coeff
         for c in reversed(self.coeffs):
             value = value * t + c
@@ -255,8 +252,7 @@ def iterated_integrals(v: AlgebraPath, grade: int):
     at s = 1; the outermost (latest) time sits leftmost in each product.  Each J_k is
     held by grade below ``grade``; that grade's pairs of all layers are summed once.
     """
-    if type(grade) is not int or not 0 <= grade <= v.order:
-        raise ValueError(f"grade must be an int in 0..{v.order}, not {grade!r}")
+    _int_in("grade", grade, 0, v.order)
     if not v.has_zero_e_part():
         raise ValueError("the direction must have no neutral component")
     if not grade:
@@ -271,14 +267,12 @@ def iterated_integrals(v: AlgebraPath, grade: int):
                 top += pairs
             elif x := CoeffPoly._dot(pairs, shift=1):
                 levels.setdefault(g, []).append((k, x))
-    coeffs = CoeffPoly._dot(top, shift=1).coeffs if top else ()
-    return sum(coeffs[1:], coeffs[0]) if coeffs else v.unit.zero_coeff  # the value at s = 1
+    return CoeffPoly._dot(top, shift=1)(1) if top else v.unit.zero_coeff
 
 
 def grade_component(series: FormalSeries, grade: int):
     """Sum of the coefficients of all elements of the given grade."""
-    if type(grade) is not int or not 0 <= grade <= series.order:
-        raise ValueError(f"grade must be an int in 0..{series.order}, not {grade!r}")
+    _int_in("grade", grade, 0, series.order)
     gpd = series.groupoid
     values = [v for e, v in series.coeffs.items() if gpd._ord(e) == grade] or [series.zero_coeff]
     return sum(values[1:], values[0])
@@ -288,9 +282,8 @@ def euler_product(v: AlgebraPath, n: int, s) -> FormalSeries:
     """The ordered product approximation u_n(s) of the left ODE solution: at j/n, the
     level solve with the left Riemann sum ``CoeffPoly._left_sum`` at h = 1/n (exact by
     Faulhaber, B_1 = -1/2) in place of the integral; off the grid, one leading factor."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int >= 1, not {n!r}")
-    s = _exact_time(s)
+    _int_in("n", n, 1)
+    s = _exact_time("time", s)
     if not 0 <= s <= 1:
         raise ValueError("time must lie in [0, 1]")
     if not v.has_zero_e_part():

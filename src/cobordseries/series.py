@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
+from ._checks import _int_in
 from .matrices import RationalMatrix
 
 
@@ -38,10 +39,8 @@ class FormalSeries:
     __slots__ = ("groupoid", "order", "unit", "coeffs")
 
     def __init__(self, groupoid, order, coeffs=None, unit=Fraction(1)):
-        if type(order) is not int or order < 0:
-            raise ValueError(f"truncation order must be an int >= 0, not {order!r}")
         self.groupoid = groupoid
-        self.order = order
+        self.order = _int_in("truncation order", order)
         self.unit = unit
         scalar_unit = _is_exact_scalar(unit)
         clean = {}
@@ -147,10 +146,8 @@ class FormalSeries:
     __rmul__ = __mul__  # only a scalar on the left reaches it
 
     def __pow__(self, k: int):
-        if type(k) is not int or k < 0:
-            raise ValueError("only non-negative integer powers")
         out = self._unit_series()
-        for _ in range(k):
+        for _ in range(_int_in("k", k)):
             out = out * self
         return out
 

@@ -274,7 +274,7 @@ def test_cayley_file_entries_must_be_int_indices(tmp_path, entry):
 
 @pytest.mark.parametrize("g", [7, -1, True, 1.0, "1"])
 def test_delta_rejects_a_non_element(g):
-    with pytest.raises(ValueError, match="not an element of Z3"):
+    with pytest.raises(ValueError, match="g must be an int in 0..2"):
         delta(cyclic(3), g)
 
 

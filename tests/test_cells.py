@@ -127,6 +127,13 @@ def test_domain_box_rejects_reversed_span():
     assert domain_box(((1, 1), (0, 1))).axes == (1,)
 
 
+@pytest.mark.parametrize("hi", [True, 1.0], ids=["bool", "float"])
+def test_domain_box_rejects_a_bound_that_is_not_an_int(hi):
+    # hi - lo would read True as 1 and give Cell[+0..1]
+    with pytest.raises(ValueError, match="box spans must be int pairs"):
+        domain_box(((0, hi),))
+
+
 # -- gluing ---------------------------------------------------------------------
 
 def test_glue_segments_star():
@@ -233,7 +240,7 @@ def test_splits_chain_at_middle_point():
 def test_splits_rejects_indices_out_of_range(lo, hi):
     chain = CellComplex([point_cell((0,)), point_cell((1,)), point_cell((2,))])
     region = [Cell((0,), (0,), (1,)), Cell((1,), (0,), (1,))]
-    with pytest.raises(ValueError, match="subcomplex indices out of range"):
+    with pytest.raises(ValueError, match="(lo|hi) must be an int in"):
         splits(chain, lo, hi, region)
 
 
@@ -336,7 +343,7 @@ def test_cosurface_conflicting_values_rejected():
                          ids=["negative", "order-on-reversed-cell", "bool", "float"])
 def test_cosurface_rejects_values_outside_the_group(sign, value):
     e = edge_cell((0,), 0, sign)
-    with pytest.raises(ValueError, match="not an element of Z5"):
+    with pytest.raises(ValueError, match="value must be an int in 0..4"):
         Cosurface(cyclic(5), [(e, value)])
 
 

@@ -336,3 +336,10 @@ def test_box_window_rejects_non_int_spans(window):
 def test_box_axis_must_be_an_int_axis_index(axis):
     with pytest.raises(ValueError, match="composition axis"):
         BoxGroupoid(((0, 2), (0, 2)), axis=axis)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, 0], ids=["bool", "float", "zero"])
+def test_box_dim_must_be_an_int_of_at_least_one(dim):
+    # len(window) != dim is False for True and 1.0 on a one-span window
+    with pytest.raises(ValueError, match="dim must be an int >= 1"):
+        make_box_groupoid(dim, ((0, 1),))

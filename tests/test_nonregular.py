@@ -342,7 +342,7 @@ def test_membership_rejects_a_bad_grid_size(grid_size):
         nr.check_membership(0.5, grid_size)
 
 
-@pytest.mark.parametrize("fd_step", [0.0, -1e-5, 0.5, 0.6, math.nan, math.inf])
+@pytest.mark.parametrize("fd_step", [0.0, -1e-5, 0.5, 0.6, math.nan, math.inf, None, "1e-5"])
 def test_membership_rejects_a_bad_fd_step(fd_step):
     with pytest.raises(ValueError, match="fd_step"):
         nr.check_membership(0.5, 1000, fd_step=fd_step)
@@ -352,6 +352,12 @@ def test_membership_rejects_a_grid_with_no_interior_point_for_the_step():
     # grid {1/3, 2/3}: no point lies more than 0.4 inside (0, 1)
     with pytest.raises(ValueError, match="fd_step"):
         nr.check_membership(0.5, 2, fd_step=0.4)
+
+
+@pytest.mark.parametrize("fd_step", [None, "1e-4"], ids=["None", "str"])
+def test_derivative_at_zero_rejects_a_step_that_is_not_a_number(fd_step):
+    with pytest.raises(ValueError, match="fd_step"):
+        nr.derivative_at_zero(np.array([0.5]), fd_step)
 
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-4])
@@ -375,7 +381,7 @@ def test_ode_escape_rejects_a_non_finite_time(t):
 
 @pytest.mark.parametrize("t", [None, "1", 1j], ids=["None", "str", "complex"])
 def test_ode_escape_rejects_a_time_that_is_not_a_real_number(t):
-    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+    with pytest.raises(ValueError, match="t must be a finite real number >= 0"):
         nr.ode_escape_check(t)
 
 
@@ -426,7 +432,7 @@ def test_an_array_time_is_rejected(entry, t):
 
 @pytest.mark.parametrize("t", [np.array([0.5]), np.array([0.5, 0.2])], ids=["1", "2"])
 def test_ode_escape_rejects_an_array_time(t):
-    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+    with pytest.raises(ValueError, match="t must be a finite real number >= 0"):
         nr.ode_escape_check(t)
 
 

@@ -18,21 +18,18 @@ holds the copies to their originals.
 """
 
 import ast
-import tomllib
 import warnings
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PYPROJECT = ROOT / "pyproject.toml"
 CONFTEST = ROOT / "tests" / "conftest.py"
 HARNESS = ROOT / "perfbench" / "harness.py"
 
 
-def test_a_failing_property_does_not_stop_the_session(pytester):
-    filters = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"][
-        "filterwarnings"]
+def test_a_failing_property_does_not_stop_the_session(pytester, pytestconfig):
+    filters = pytestconfig.getini("filterwarnings")
     pytester.makeini("[pytest]\nfilterwarnings =\n"
                      + "".join(f"    {f}\n" for f in filters))
     pytester.makepyfile(
