@@ -534,7 +534,7 @@ class Cosurface:
         values = {}
         for cell, value in assignments:
             _int_in("value", value, 0, group.order - 1)
-            stored = value if cell.sign > 0 else group.inv(value)
+            stored = value if cell.sign > 0 else group.inv_table[value]
             if values.setdefault(cell.key(), stored) != stored:
                 raise ValueError(f"conflicting values for {cell!r}")
         self.values = values
@@ -543,7 +543,7 @@ class Cosurface:
         if cell.key() not in self.values:
             raise ValueError(f"no value assigned on {cell!r}")
         v = self.values[cell.key()]
-        return v if cell.sign > 0 else self.group.inv(v)
+        return v if cell.sign > 0 else self.group.inv_table[v]
 
     def evaluate_word(self, complex_: CellComplex, word) -> int:
         """Ordered product of the word's cell values, cell signs folded into

@@ -57,10 +57,11 @@ class FiniteGroup:
                         raise ValueError("Cayley table is not associative")
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        n = self.order - 1
+        return self.table[_int_in("a", a, 0, n)][_int_in("b", b, 0, n)]
 
     def inv(self, a: int) -> int:
-        return self.inv_table[a]
+        return self.inv_table[_int_in("a", a, 0, self.order - 1)]
 
     @property
     def identity(self) -> int:
@@ -216,7 +217,7 @@ class GroupFunction:
         raise AttributeError("GroupFunction is immutable")
 
     def __call__(self, g: int):
-        return self.values[g]
+        return self.values[_int_in("g", g, 0, self.group.order - 1)]
 
     def _check_compatible(self, other):
         if self.group != other.group:

@@ -6,30 +6,40 @@ path of increasing diffeomorphisms of the open unit interval fixing the
 boundary limits, with d/dt c_t = 1 at t = 0.  Yet the left ODE
 dg/dt o g^{-1} = 1 admits only the translations g_t(x) = x + t, which leave
 the group for every t > 0 because the boundary limit at 1 becomes 1 + t.
-All claims are checked numerically on dense grids; ``check_membership``
-walks its grid in cache-sized slices through one reused buffer block, takes
-P, P' and dc/dx once per point, and checks x +/- h at its ends (rounding is
+All claims are checked numerically on dense grids; ``check_membership`` never
+builds its grid: it writes each cache-sized slice into one reused buffer block,
+takes P, P' and dc/dx once per point, and checks x +/- h at its ends (rounding is
 monotone).  Every reported float is bitwise the value of one whole-grid pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from ._checks import _finite_nonnegative, _int_in, _not_bool, _real_in
+from ._checks import _finite_nonnegative, _int_in, _is_real, _not_bool, _real_in
 
 BLOCK = 1 << 14   # grid points per slice of check_membership (128 KiB per array)
 
 
 def p_poly(x):
-    return (x - x * x) / 2.0
+    return _p_poly(x)
 
 
 def p_prime(x):
-    return (1.0 - 2.0 * x) / 2.0
+    return _p_prime(x)
 
 
-# In _bump, _c and _dc_dx, out and work (never x) take the result and the temporaries.
+# In _p_poly, _bump, _c and _dc_dx, out and work (never x) take the result and the temporaries.
+def _p_poly(x, out=None):   # * 0.5 halves exactly, as / 2.0 does
+    return np.multiply(np.subtract(x, np.multiply(x, x, out=out), out=out), 0.5, out=out)
+
+
+def _p_prime(x, out=None):   # (1 - 2x)/2 rounded once, as 2x and the halving are exact
+    return np.subtract(0.5, x, out=out)
+
+
 def _bump(u, p, out=None, work=None):
     den = np.add(np.multiply(np.subtract(1.0, p, out=work), u, out=work), p, out=work)
     return np.divide(np.multiply(p, u, out=out), den, out=out)
@@ -59,10 +69,10 @@ def _domain(t, x):
 
 def phi(t, x):
     """Homographic bump, defined for t >= 0 and x in (0, 1)."""
-    t = np.asarray(_not_bool("t", t), dtype=float)
-    if np.any(t < 0):
-        raise ValueError("phi is defined for t >= 0")
-    return _bump(t, p_poly(np.asarray(x, dtype=float)))
+    times = np.asarray(_not_bool("t", t))
+    if not all(map(_is_real, times.flat)) or np.any(~(times >= 0)):   # nan is not >= 0
+        raise ValueError(f"t must be real and >= 0, got {t!r}")
+    return _bump(times.astype(float), p_poly(np.asarray(x, dtype=float)))
 
 
 def c(t, x):
@@ -91,26 +101,26 @@ def check_membership(t, grid_size=1_000_000, fd_step=1e-5):
     _real_in("fd_step", fd_step, 0, 0.5)
     _real_in("t", t, -1, 1)
     ft, h = float(t), float(fd_step)   # ufuncs writing float64 buffers take float scalars
-    grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    lo, hi = np.searchsorted(grid, h, "right"), np.searchsorted(grid, 1.0 - h)
-    if lo >= hi:   # the sorted grid's inner points h < x < 1 - h are grid[lo:hi]
+    # The grid, never built: np.linspace(0, 1, grid_size + 2)[1:-1] is i * step, i in ids.
+    step, ids = 1.0 / (grid_size + 1), range(1, grid_size + 1)
+    lo, hi = bisect_right(ids, h, key=step.__mul__), bisect_left(ids, 1.0 - h, key=step.__mul__)
+    if lo >= hi:   # the sorted grid's inner points h < x < 1 - h are those of index lo:hi
         raise ValueError(f"no grid point lies more than fd_step={fd_step!r} inside (0, 1)")
-    _domain(t, (grid[lo] - h, grid[hi - 1] + h))   # rounded x -/+ h is monotone in x
-    buffers, mins, fd_errs = np.empty((5, BLOCK)), [], []
+    _domain(t, (ids[lo] * step - h, ids[hi - 1] * step + h))   # rounded x -/+ h is monotone
+    buffers, index, mins, fd_errs = np.empty((7, BLOCK)), np.arange(1.0, BLOCK + 1), [], []
     for start in range(0, grid_size, BLOCK):
-        x = grid[start:start + BLOCK]
-        ct, work, _, deriv, dev = buffers[:, :x.size]
-        p, dp = p_poly(x), p_prime(x)
-        _c(ft, x, p, ct, work)
-        np.abs(np.subtract(_dc_dx(ft, dp, p, deriv, work), 1.0, out=dev), out=dev)
+        x, deriv, p, dp, ct, work, dev = buffers[:, :min(BLOCK, grid_size - start)]
+        np.multiply(np.add(index[:x.size], start, out=x), step, out=x)
+        _c(ft, x, _p_poly(x, p), ct, work)
+        np.abs(np.subtract(_dc_dx(ft, _p_prime(x, dp), p, deriv, work), 1.0, out=dev), out=dev)
         mins.append([np.min(np.subtract(ct, np.subtract(x, p, out=work), out=work)),
                      np.min(np.subtract(np.add(x, p, out=work), ct, out=work)),
                      np.min(np.subtract(np.abs(dp, out=dp), dev, out=dp)), np.min(deriv)])
         a, b = max(lo - start, 0), min(hi - start, x.size)
         if a < b:   # c_t at the shifted points xs, then the finite difference's error
-            plus, work, minus, _, xs = buffers[:, :b - a]
-            _c(ft, np.add(x[a:b], h, out=xs), p_poly(xs), plus, work)
-            _c(ft, np.subtract(x[a:b], h, out=xs), p_poly(xs), minus, work)
+            ps, plus, minus, work, xs = buffers[2:, :b - a]
+            _c(ft, np.add(x[a:b], h, out=xs), _p_poly(xs, ps), plus, work)
+            _c(ft, np.subtract(x[a:b], h, out=xs), _p_poly(xs, ps), minus, work)
             fd = np.divide(np.subtract(plus, minus, out=plus), 2.0 * h, out=plus)
             fd_errs.append(np.max(np.abs(np.subtract(fd, deriv[a:b], out=fd), out=fd)))
     lower_slack, upper_slack, deriv_bound_slack, deriv_min = map(float, np.min(mins, axis=0))

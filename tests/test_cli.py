@@ -2,6 +2,7 @@ import argparse
 import json
 
 import pytest
+from nonregular_reference import whole_grid_membership
 
 from cobordseries.cli import build_parser, main
 
@@ -83,6 +84,13 @@ def test_nonregular_subcommand(tmp_path):
     assert code == 0
     assert report["pass"] is True
     assert all(case["escape"] for case in report["cases"])
+    # the membership floats, through JSON, are the whole-grid oracle's
+    for case, t in zip(report["cases"], (0.5, -0.5), strict=True):
+        whole = whole_grid_membership(t, 20_000)
+        assert case["name"] == f"t={t}"
+        assert case["min_bound_slack"] == min(whole["lower_slack"], whole["upper_slack"])
+        # both slacks are positive and the closed-form time derivative is exactly 1
+        assert case["residual"] == whole["fd_cross_check"]
 
 
 def test_table_file_group(tmp_path):

@@ -7,75 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from nonregular_reference import whole_c, whole_dc_dx, whole_grid_membership, whole_phi
 
 from cobordseries import nonregular as nr
 
 PAPER_TS = (0.0, 0.1, -0.1, 0.5, -0.5, 0.9, -0.9)
-
-
-# The whole-grid membership check as it stood before the blocked rewrite,
-# with its own copies of the formulas: the oracle for the blocked pass.
-def _whole_p(x):
-    return (x - x * x) / 2.0
-
-
-def _whole_p_prime(x):
-    return (1.0 - 2.0 * x) / 2.0
-
-
-def _whole_phi(t, x):
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("phi is defined for t >= 0")
-    p = _whole_p(x)
-    return p * t / ((1.0 - p) * t + p)
-
-
-def _whole_c(t, x):
-    x = np.asarray(x, dtype=float)
-    if np.any((x <= 0) | (x >= 1)):
-        raise ValueError("x must lie in the open unit interval")
-    if not -1 < t < 1:
-        raise ValueError("t must lie in (-1, 1)")
-    if t >= 0:
-        return x + _whole_phi(t, x)
-    return x - _whole_phi(-t, x)
-
-
-def _whole_dc_dx(t, x):
-    x = np.asarray(x, dtype=float)
-    u = abs(t)
-    p = _whole_p(x)
-    dphi = (u * u * _whole_p_prime(x)) / (u + p * (1.0 - u)) ** 2 if u > 0 \
-        else np.zeros_like(x)
-    return 1.0 + dphi if t >= 0 else 1.0 - dphi
-
-
-def whole_grid_membership(t, grid_size=1_000_000, fd_step=1e-5, fd_tol=1e-8):
-    x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    ct = _whole_c(t, x)
-    p = _whole_p(x)
-    lower_slack = float(np.min(ct - (x - p)))
-    upper_slack = float(np.min((x + p) - ct))
-    deriv = _whole_dc_dx(t, x)
-    deriv_bound_slack = float(np.min(np.abs(_whole_p_prime(x)) - np.abs(deriv - 1.0)))
-    inner = x[(x > fd_step) & (x < 1.0 - fd_step)]
-    fd = (_whole_c(t, inner + fd_step) - _whole_c(t, inner - fd_step)) / (2.0 * fd_step)
-    fd_err = float(np.max(np.abs(fd - _whole_dc_dx(t, inner))))
-    return {
-        "t": t,
-        "grid_size": grid_size,
-        "lower_slack": lower_slack,
-        "upper_slack": upper_slack,
-        "derivative_bound_slack": deriv_bound_slack,
-        "derivative_min": float(np.min(deriv)),
-        "fd_cross_check": fd_err,
-        "sup_p_prime": 0.5,
-        "pass": (lower_slack > 0 and upper_slack > 0
-                 and deriv_bound_slack >= -1e-15
-                 and np.min(deriv) > 0 and fd_err <= fd_tol),
-    }
 
 
 def assert_same_report(t, grid_size, **kw):
@@ -181,9 +117,22 @@ def test_full_report_passes():
 def test_formulas_match_the_whole_grid_copies():
     x = np.linspace(1e-6, 1 - 1e-6, 10_001)
     for t in PAPER_TS:
-        assert np.array_equal(nr.c(t, x), _whole_c(t, x))
-        assert np.array_equal(nr._dc_dx(t, nr.p_prime(x), nr.p_poly(x)), _whole_dc_dx(t, x))
-        assert np.array_equal(nr.phi(abs(t), x), _whole_phi(abs(t), x))
+        assert np.array_equal(nr.c(t, x), whole_c(t, x))
+        assert np.array_equal(nr._dc_dx(t, nr.p_prime(x), nr.p_poly(x)), whole_dc_dx(t, x))
+        assert np.array_equal(nr.phi(abs(t), x), whole_phi(abs(t), x))
+
+
+UNIT_FLOATS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=2.0**-1022, exclude_min=True),   # the subnormal end
+    st.integers(-64, 64).map(lambda k: 0.5 + k * 2.0**-54))   # the floats next to 1/2
+
+
+@given(UNIT_FLOATS)
+def test_p_kernels_equal_the_halving_formulas(x):
+    p, dp, out = (x - x * x) / 2.0, (1.0 - 2.0 * x) / 2.0, np.empty(1)
+    assert nr.p_poly(x) == p and nr._p_poly(np.array([x]), out)[0] == p
+    assert nr.p_prime(x) == dp and nr._p_prime(np.array([x]), out)[0] == dp
 
 
 @pytest.mark.parametrize("t", PAPER_TS)
@@ -198,6 +147,22 @@ SLICE_GRIDS = (1, 2, nr.BLOCK - 1, nr.BLOCK, nr.BLOCK + 1, 3 * nr.BLOCK + 7)
 @pytest.mark.parametrize("t", (0.0, 0.5, -0.9))
 def test_membership_equals_whole_grid_on_slice_boundaries(t, grid_size):
     assert_same_report(t, grid_size)
+
+
+@pytest.mark.parametrize("grid_size", SLICE_GRIDS + (1_000_000,))
+def test_membership_slices_are_the_linspace_grid(monkeypatch, grid_size):
+    # P' is taken once per slice, on that slice of the grid
+    slices, real_p_prime = [], nr._p_prime
+
+    def recorded_p_prime(x, out):
+        slices.append(x.copy())
+        return real_p_prime(x, out)
+
+    monkeypatch.setattr(nr, "_p_prime", recorded_p_prime)
+    nr.check_membership(0.5, grid_size)
+    assert [x.size for x in slices[:-1]] == [nr.BLOCK] * (len(slices) - 1)
+    grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    assert np.concatenate(slices).tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("t", (0.5, -0.5))
@@ -293,13 +258,13 @@ def test_membership_evaluates_p_once_per_point(monkeypatch):
     # P is computed once per grid point and once per shifted point x +/- h;
     # slices that overlap or miss part of the grid change the count.
     sizes = []
-    real_p = nr.p_poly
+    real_p = nr._p_poly
 
-    def counted_p(x):
+    def counted_p(x, out=None):
         sizes.append(np.size(x))
-        return real_p(x)
+        return real_p(x, out)
 
-    monkeypatch.setattr(nr, "p_poly", counted_p)
+    monkeypatch.setattr(nr, "_p_poly", counted_p)
     grid_size, fd_step = 3 * nr.BLOCK + 7, 1e-3
     nr.check_membership(0.5, grid_size, fd_step=fd_step)
     x = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
@@ -325,6 +290,17 @@ def test_membership_peak_memory_stays_near_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_membership_builds_no_grid_length_array():
+    # the grid alone would be 7.6 MiB; the buffer block and the slice index take 1 MiB
+    tracemalloc.start()
+    try:
+        nr.check_membership(0.5, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0, math.nan])
@@ -458,6 +434,22 @@ def test_a_nan_point_is_outside_the_open_interval(f, x):
 def test_phi_rejects_a_bool_time_array():
     with pytest.raises(ValueError, match="t must be a number, not the bool"):
         nr.phi(np.array([True, False]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("t", ["0.1", None, math.nan, -0.1, 1j, [0.5, None], [0.5, "0.1"],
+                               np.array([0.5, math.nan]), np.array([0.5, -0.1])],
+                         ids=["str", "None", "nan", "negative", "complex", "list-None",
+                              "list-str", "array-nan", "array-negative"])
+def test_phi_rejects_a_time_that_is_not_a_real_number_at_least_zero(t):
+    with pytest.raises(ValueError, match=r"^t must be real and >= 0"):
+        nr.phi(t, np.array([0.5]))
+
+
+@pytest.mark.parametrize("t", [np.array([0.1, 0.5]), np.array([0, 1]), [Fraction(1, 10), 0.5]],
+                         ids=["float", "int", "Fraction"])
+def test_phi_takes_real_arrays_of_times(t):
+    x = np.array([0.5, 0.25])
+    assert np.array_equal(nr.phi(t, x), whole_phi(np.asarray(t, dtype=float), x))
 
 
 @pytest.mark.parametrize("fd_step", [False, True, np.True_], ids=["False", "True", "np.True_"])

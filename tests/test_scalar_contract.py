@@ -72,6 +72,10 @@ ROWS = {
                          "composition axis", "int", [-1, 2]),
     "make_box_groupoid dim": (lambda x: make_box_groupoid(x, ((0, 1),)), 1, "dim", "int", [0]),
     "cyclic": (cyclic, 3, "cyclic group order", "int", [0]),
+    "FiniteGroup.mul a": (lambda x: cyclic(3).mul(x, 1), 2, "a", "int", [-1, 3]),
+    "FiniteGroup.mul b": (lambda x: cyclic(3).mul(1, x), 2, "b", "int", [-1, 3]),
+    "FiniteGroup.inv": (cyclic(3).inv, 2, "a", "int", [-1, 3]),
+    "GroupFunction.__call__": (delta(cyclic(3), 1), 2, "g", "int", [-1, 3]),
     "delta": (lambda x: delta(cyclic(3), x), 2, "g", "int", [-1, 3]),
     "RationalMatrix.identity": (RationalMatrix.identity, 2, "matrix size", "int", [0]),
     "RationalMatrix.unit size": (lambda x: RationalMatrix.unit(x, 0, 0), 2, "matrix size",
