@@ -9,8 +9,8 @@ be overridden per facet.  Reversing a cell flips the sign and swaps the
 initial/final assignment.  Base coordinates, axes, extents and the sign are
 Python ``int`` (``bool`` and floats are rejected) held in tuples, so every
 cell lies on the integer lattice.  A cell is immutable, so it compiles its
-``key`` and ``box`` at construction and its ``facets`` on the first call;
-facets and unit pieces skip re-validation, since those of a valid cell are.
+``key`` and ``box`` at construction and its ``facets`` and ``unit_pieces`` on
+the first call; facets and pieces skip re-validation, as a valid cell's are.
 
 Every closed lattice box is the disjoint union of its open unit faces: the
 boxes with (c, c) or (c, c + 1) on each axis.  The geometric predicates
@@ -110,8 +110,8 @@ FINAL = "final"
 @dataclass(frozen=True)
 class Cell:
     """Oriented box cell; ``labels`` overrides the default facet assignment.
-    ``key``, ``box`` and ``facets`` are compiled once; facets and unit pieces skip
-    validation."""
+    ``key``, ``box``, ``facets`` and unit pieces are compiled once; facets and unit
+    pieces skip validation."""
 
     base: tuple
     axes: tuple
@@ -147,6 +147,7 @@ class Cell:
         object.__setattr__(self, "_key", (self.base, self.axes, self.extents))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_facets", None)
+        object.__setattr__(self, "_pieces", None)
 
     @property
     def dim(self) -> int:
@@ -198,9 +199,13 @@ class Cell:
 
     def unit_pieces(self):
         """Decompose the box into unit cells of the same dimension and sign:
-        its top-dimensional open faces, in lexicographic order."""
-        return [_trusted_cell(tuple(lo for lo, _ in face), self.axes, (1,) * self.dim, self.sign)
-                for face in _unit_faces(self.box())]
+        its top-dimensional open faces, in lexicographic order (a new list of
+        the cells compiled on the first call)."""
+        if self._pieces is None:
+            object.__setattr__(self, "_pieces", tuple(
+                _trusted_cell(tuple(lo for lo, _ in face), self.axes, (1,) * self.dim, self.sign)
+                for face in _unit_faces(self._box)))
+        return list(self._pieces)
 
     def __repr__(self):
         spans = dict(zip(self.axes, self.extents))

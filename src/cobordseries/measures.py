@@ -18,10 +18,13 @@ the resulting group element to the heat density at time |A_i| = the cell
 count of the domain.
 Each domain is a factor that reads only its word's cells: ``word_factor``
 tabulates q_{|A_i|}(phi_{A_i}) from the position word [(pos, +-1)] alone,
-and ``_word_product``, the one product kernel, multiplies words' factors
-into an array over G^K (or over one side of it) in place.  The Markov check
-reduces each side on its own: once L splits the region, every word reads
-one side only, so each conditional sum is a product of two one-sided sums.
+as one gather through its index phi, compiled once per Cayley table and
+word (``_word_index``), and ``_word_product``, the one product kernel,
+multiplies words' factors into an array over G^K (or over one side of it)
+in place.  The Markov check reduces each side on its own: once L splits
+the region (the domains' unit pieces, compiled once per cell), every word
+reads one side only, so each conditional sum is a product of two one-sided
+sums.
 Reordering and pasting only relabel the words (sigma re-sorts each by its
 cells' positions in sigma K; a piece's words keep their order on the pasted
 positions); the factor products are built and compared as arrays over G^K
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -192,16 +195,27 @@ def _group_arrays(group: FiniteGroup):
     return arrays
 
 
-def word_factor(group: FiniteGroup, word, q):
-    """(q[phi], axes): phi = ``cells.word_value`` of the word (same products, same
-    order) on every assignment of its distinct positions ``axes`` (sorted), one axis each."""
+@lru_cache(maxsize=1024)
+def _word_index(group: FiniteGroup, word: tuple):
+    """phi = ``cells.word_value`` of the word (same products, same order) on every
+    assignment of its distinct positions (sorted), one axis each, as a read-only
+    array, once per Cayley table and word (the 1024 last used, since words are
+    inputs, not a fixed few)."""
     (table, inverse), n = _group_arrays(group), group.order
     axes = sorted({pos for pos, _ in word})
     phi = np.asarray(group.identity)
     for pos, exp in word:
         value = np.arange(n).reshape([n if a == pos else 1 for a in axes])
         phi = table[phi, value if exp > 0 else inverse[value]]
-    return np.asarray(q)[phi], tuple(axes)
+    phi.flags.writeable = False
+    return phi
+
+
+def word_factor(group: FiniteGroup, word, q):
+    """(q[phi], axes): phi = ``_word_index`` of the word, over its distinct
+    positions ``axes`` (sorted)."""
+    return (np.asarray(q)[_word_index(group, tuple(word))],
+            tuple(sorted({pos for pos, _ in word})))
 
 
 def _word_product(group: FiniteGroup, positions: range, words, q_tables, out=None):

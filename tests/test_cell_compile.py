@@ -1,7 +1,8 @@
 """A cell's compiled geometry against the formulas it replaces.
 
 ``Cell`` fixes its ``key`` and ``box`` at construction and builds its
-``facets`` once, from a trusted constructor that skips validation.  The
+``facets`` and ``unit_pieces`` once, from a trusted constructor that skips
+validation.  The
 oracles here are the per-call formulas and the validated constructor; the
 cells are the generated boxes of the face-predicate and cobordism-border
 tests, reversed and relabelled.  ``border_reduce`` finds a facet's border
@@ -15,7 +16,7 @@ from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
-from cobordseries.cells import Cell, FINAL, INITIAL, domain_box, region_components
+from cobordseries.cells import Cell, FINAL, INITIAL, domain_box, region_components, _unit_faces
 from cobordseries.measures import CobordismBox, border_reduce
 from lattice_instances import cobordism_instances
 from test_cobordism_border import border_fragments, border_reduce_oracle, cells_near_a_box
@@ -89,6 +90,21 @@ def test_compiled_cell_equals_copy_and_survives_pickle(cell):
     assert back == cell and hash(back) == hash(cell)
     assert back.key() == key_oracle(cell) and back.box() == box_oracle(cell)
     assert back.facets() == fresh.facets()
+
+
+@given(any_cells())
+def test_unit_pieces_are_compiled_once_into_fresh_lists(cell):
+    """Each call gets a new list of the same compiled cells, equal field by
+    field to validated cells built from the box's unit faces."""
+    first, second = cell.unit_pieces(), cell.unit_pieces()
+    assert type(first) is list and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    validated = [Cell(tuple(lo for lo, _ in face), cell.axes, (1,) * cell.dim, cell.sign)
+                 for face in _unit_faces(cell.box())]
+    assert [field_values(p) for p in first] == [field_values(v) for v in validated]
+    first.clear()
+    assert cell.unit_pieces() == second == validated
+    assert pickle.loads(pickle.dumps(cell)).unit_pieces() == validated
 
 
 @settings(max_examples=100)

@@ -20,7 +20,7 @@ from lattice_instances import (
 import cobordseries.measures as measures_mod
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
-    domain_box, edge_cell, point_cell, splits,
+    domain_box, edge_cell, point_cell, splits, word_value,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid, make_nat_monoid
 from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
@@ -30,7 +30,8 @@ from cobordseries.measures import (
     cut, default_generators, factorization_check, gibbs_density, heat_spectrum,
     is_adapted, is_complex_for_cobordism, markov_check, measure_series,
     measure_series_multiplicativity, paste, reorder_max_difference,
-    semigroup_axiom_residuals, sigma_action, _group_arrays, _heat_terms,
+    semigroup_axiom_residuals, sigma_action, word_factor, _group_arrays, _heat_terms,
+    _word_index, _word_product,
 )
 from cobordseries.series import FormalSeries
 
@@ -348,6 +349,32 @@ def test_word_factor_reads_shared_read_only_group_tables():
         inverse[0] = 1
 
 
+def test_word_index_is_compiled_once_per_cayley_table():
+    """An equal-table relabelling shares the compiled index, a permuted
+    table gets its own, and the index is read-only."""
+    word = ((0, 1), (2, -1), (1, 1), (0, -1))
+    phi = _word_index(S3, word)
+    assert _word_index(relabel(S3, tuple(range(6)), "other"), word) is phi
+    permuted = relabel(S3, (0, 1, 2, 3, 5, 4), "permuted")
+    assert permuted != S3
+    assert _word_index(permuted, word) is _word_index(permuted, word) is not phi
+    with pytest.raises(ValueError, match="read-only"):
+        phi[0, 0, 0] = 1
+
+
+@given(relabelled_groups(),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=6))
+def test_word_factor_equals_word_value_on_every_assignment(drawn, word):
+    """With q the element numbers, the factor is ``word_value`` itself on
+    every assignment of the word's positions, its axes sorted."""
+    group = drawn[2]
+    factor, axes = word_factor(group, word, [float(g) for g in group.elements()])
+    assert axes == tuple(sorted({pos for pos, _ in word}))
+    assert np.shape(factor) == (group.order,) * len(axes)
+    for values in itertools.product(group.elements(), repeat=len(axes)):
+        assert factor[values] == word_value(group, word, dict(zip(axes, values)))
+
+
 def test_mu_requires_saturation():
     density = SemigroupDensity(Z2)
     cells = [point_cell((0,)), point_cell((2,))]
@@ -426,6 +453,37 @@ def test_markov_rejects_more_cells_than_einsum_indices():
                                          r"33554432 times, more than 2\*\*24"):
         markov_check(measure, 26, 26, counted, counted)
     assert calls == []
+
+
+class Sentinel(Exception):
+    """Raised where a size guard has let a call through."""
+
+
+@pytest.mark.parametrize("k,raised", [(24, Sentinel), (25, ValueError)])
+def test_word_product_guard_at_its_edge(k, raised):
+    """Exactly 2**24 configurations (Z2, 24 read positions) pass the guard
+    and reach the allocation, patched to raise so nothing is allocated;
+    2**25 raise before it."""
+    word = [(pos, 1) for pos in range(k)]
+    with mock.patch.object(measures_mod.np, "ones", side_effect=Sentinel), \
+            pytest.raises(raised, match=None if k == 24 else r"2\*\*25 configurations"):
+        _word_product(Z2, range(k), [word], [(0.5, 0.5)])
+
+
+def test_markov_reaches_the_side_function_of_a_24_cell_side():
+    """A 24-cell side over Z2 makes 2**24 calls, exactly the guard's edge,
+    so its side function is called; it raises on its first call.  The side
+    table is taken from ``np.empty`` here, so no page of it is written."""
+    measure = chain_measure(47, SemigroupDensity(Z2))
+    calls = []
+
+    def raising(vals):
+        calls.append(vals)
+        raise Sentinel
+
+    with mock.patch.object(measures_mod.np, "ones", np.empty), pytest.raises(Sentinel):
+        markov_check(measure, 23, 23, raising, raising)
+    assert len(calls) == 1 and list(calls[0]) == list(range(23, 47))
 
 
 def inside_closure_oracle(cell, component):

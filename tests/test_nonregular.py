@@ -282,7 +282,8 @@ def test_membership_checks_the_shifted_points_against_the_domain():
 
 
 def test_membership_peak_memory_stays_near_the_grid():
-    # The grid itself is 7.6 MiB; the whole-grid pass peaked at about 76 MiB.
+    # The whole-grid pass peaked at about 76 MiB; the pass builds no grid now
+    # (a 1M-point one would be 7.6 MiB), which the 2 MiB test below bounds.
     tracemalloc.start()
     try:
         nr.check_membership(0.5, 1_000_000)
