@@ -7,7 +7,8 @@ by a single ``gcd(den, *num)``, so the form is canonical (``den > 0`` and
 a tuple comparison.  The ``Fraction`` view (``rows``, ``m[i, j]``,
 ``repr``) is built only at the boundary.  The arithmetic runs through per-size
 kernels: one unrolled expression each, compiled once from index literals; a sum
-of products (``_dot``) adds unreduced numerators, scales them by a ratio and reduces once.
+of products (``_dot``) adds unreduced numerators, one fused c*s + (a·b)*t kernel
+call per pair, then scales them by a ratio and reduces once.
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ from ._checks import _int_in
 
 @cache
 def _kernels(n: int):
-    """(a·b row by column, a*db + b*da, a*s, a//s) on flat n x n numerator tuples.
-    The generated source holds only integer index literals and the fixed names
-    a, b, da, db and s; no caller data ever reaches ``eval``."""
+    """(a·b row by column, a*db + b*da, a*s, a//s, c*s + (a·b)*t) on flat n x n
+    numerator tuples.  The generated source holds only integer index literals and
+    the fixed names a, b, c, da, db, s and t; no caller data ever reaches ``eval``."""
     flat = range(n * n)
-    product = ", ".join(" + ".join(f"a[{i * n + k}]*b[{k * n + j}]" for k in range(n))
-                        for i in range(n) for j in range(n))
-    return (eval(f"lambda a, b: ({product},)"),
+    dots = [" + ".join(f"a[{i * n + k}]*b[{k * n + j}]" for k in range(n))
+            for i in range(n) for j in range(n)]
+    fma = ", ".join(f"c[{i}]*s + ({dot})*t" for i, dot in enumerate(dots))
+    return (eval(f"lambda a, b: ({', '.join(dots)},)"),
             eval(f"lambda a, b, da, db: ({', '.join(f'a[{i}]*db + b[{i}]*da' for i in flat)},)"),
             eval(f"lambda a, s: ({', '.join(f'a[{i}]*s' for i in flat)},)"),
-            eval(f"lambda a, s: ({', '.join(f'a[{i}]//s' for i in flat)},)"))
+            eval(f"lambda a, s: ({', '.join(f'a[{i}]//s' for i in flat)},)"),
+            eval(f"lambda c, a, b, s, t: ({fma},)"))
 
 
 def _entry(x) -> Fraction:
@@ -175,7 +178,7 @@ class RationalMatrix:
     def _dot(cls, pairs, start=None, ratio=1):
         """ratio·(start + Σ a·b) over the non-empty ``pairs``: products summed as
         numerators over a common denominator, scaled, reduced once by ``_make``."""
-        product, combine, scale = _kernels(n := pairs[0][0].n)[:3]
+        _, _, scale, _, fma = _kernels(n := pairs[0][0].n)
         num, den = ((0,) * (n * n), 1) if start is None else (start.num, start.den)
         if len(num) != n * n:
             raise ValueError(f"matrix size mismatch: {start.n} vs {n}")
@@ -184,7 +187,7 @@ class RationalMatrix:
                 raise ValueError(f"matrix size mismatch: {n} vs {b.n if a.n == n else a.n}")
             d = a.den * b.den
             g = gcd(den, d)
-            num, den = combine(num, product(a.num, b.num), den // g, d // g), den // g * d
+            num, den = fma(num, a.num, b.num, d // g, den // g), den // g * d
         return cls._make(n, num if ratio == 1 else scale(num, ratio.numerator),
                          den * ratio.denominator)
 

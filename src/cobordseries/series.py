@@ -247,12 +247,14 @@ def _is_exact_scalar(value) -> bool:
 def _pairs(gpd, order, left, levels):
     """The coefficient pairs of left · right by output element, for ``left`` a
     validated coefficient dict and ``levels`` the right operand's ``_levels``."""
-    out = {}
+    out, compose, ord_ = {}, gpd._compose, gpd._ord
     for i, a in left.items():
-        room = order - gpd._ord(i)
+        room = order - ord_(i)
         for grade, level in levels.items():
             if grade <= room:
-                _convolve(gpd._compose, out, i, a, level)
+                for j, b in level:
+                    if (k := compose(i, j)) is not None:
+                        out.setdefault(k, []).append((a, b))
     return out
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from cobordseries.groupoids import (
-    NEUTRAL, BoxGroupoid, IntervalGroupoid, axiom_violations, from_spec,
+    NEUTRAL, BoxGroupoid, IntervalGroupoid, NatMonoid, axiom_violations, from_spec,
     make_box_groupoid, make_interval_groupoid, make_nat_monoid,
 )
 
@@ -265,6 +265,14 @@ class SkewGrades(IntervalGroupoid):
         return grade + 1 if grade > 2 else grade
 
 
+class LeftHeavyNat(NatMonoid):
+    """i o j = 2i + j on positive i and j, 0 still neutral: every nested composite
+    is defined, and (i o j) o k = 4i + 2j + k differs from i o (j o k) = 2i + 2j + k."""
+
+    def compose(self, i, j):
+        return 2 * i + j if i and j else i + j
+
+
 @pytest.mark.parametrize("gpd", [
     make_nat_monoid(),
     make_interval_groupoid(0, 4),
@@ -273,8 +281,9 @@ class SkewGrades(IntervalGroupoid):
     AnyFaceBoxes(((0, 2), (0, 2))),
     AnyFaceBoxes(((0, 3), (0, 2)), axis=1),
     SkewGrades(0, 4),
+    LeftHeavyNat(),
 ], ids=["nat", "interval", "box-axis0", "box-axis1", "any-face", "any-face-axis1",
-        "skew-grades"])
+        "skew-grades", "left-heavy"])
 @pytest.mark.parametrize("max_grade", range(5))
 def test_axiom_violations_match_the_all_compose_oracle(gpd, max_grade):
     assert axiom_violations(gpd, max_grade) == all_compose_axiom_violations(gpd, max_grade)
@@ -304,6 +313,10 @@ def test_axiom_violations_composes_each_window_pair_once(gpd, monkeypatch):
 def test_oracle_flags_the_broken_groupoids():
     assert all_compose_axiom_violations(AnyFaceBoxes(((0, 2), (0, 2))), 4)
     assert all_compose_axiom_violations(SkewGrades(0, 4), 4)
+    left_heavy = LeftHeavyNat()
+    assert left_heavy.compose(left_heavy.compose(1, 1), 1) == 7
+    assert left_heavy.compose(1, left_heavy.compose(1, 1)) == 5
+    assert "associativity fails on (1, 1, 1)" in all_compose_axiom_violations(left_heavy, 4)
 
 
 def test_compose_validates_and_unchecked_compose_agrees():

@@ -269,7 +269,7 @@ def square(n):
 # each entry draws the strategy of one coefficient algebra
 DOT_ALGEBRAS = {
     "scalar": st.just(scalars),
-    "matrix": st.sampled_from([square(1), square(2), square(3)]),
+    "matrix": st.sampled_from([square(n) for n in range(1, 6)]),
     "scalar-poly": st.just(st.lists(scalars, max_size=3).map(CoeffPoly)),
     "matrix-poly": st.just(st.lists(square(2), max_size=3).map(lambda c: CoeffPoly(c, I2))),
 }
