@@ -27,7 +27,10 @@ way.  Coverage and boundary words are questions about
 unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
 which maps each unit piece of a complex to the cells containing it.  A
 complex is immutable, so it compiles each domain's boundary word and
-coverage, and its own regularity, once (``CellComplex.word``, ``.regular``).
+coverage, its own regularity, and each split (``CellComplex.word``,
+``.regular``, ``._split``) once.  A piece (``CellComplex._sub``, as returned
+by ``measures.cut``) is not re-validated; it takes over what its parent has
+compiled (regularity; index and covered words renumbered), compiling the rest.
 
 A complex is an ordered sequence of distinct cells of equal dimension; the
 order is semantically relevant for every non-abelian product taken along
@@ -245,6 +248,8 @@ def domain_box(spans, sign=1) -> Cell:
 class CellComplex:
     """Ordered sequence of pairwise-distinct cells of one dimension."""
 
+    _parent = None  # a piece's (parent, {parent position: own position})
+
     def __init__(self, cells):
         cells = tuple(cells)
         if len({c.dim for c in cells}) > 1:
@@ -252,12 +257,26 @@ class CellComplex:
         if len({c.key() for c in cells}) != len(cells):
             raise ValueError("complex cells must be pairwise distinct")
         self.cells = cells
-        self._words = {}
+        self._words, self._splits = {}, {}
+
+    @classmethod
+    def _sub(cls, parent, positions):
+        """The parent's cells at the increasing ``positions``: valid, so unvalidated."""
+        piece = object.__new__(cls)
+        piece.cells = tuple(parent.cells[pos] for pos in positions)
+        piece._words, piece._splits = {}, {}
+        piece._parent = parent, {pos: i for i, pos in enumerate(positions)}
+        return piece
 
     @cached_property
     def pieces(self) -> dict:
         """Unit-piece index: each unit piece (box) of a cell mapped to the
         positions of the cells containing it, in complex order."""
+        if self._parent and "pieces" in vars(self._parent[0]):
+            parent, new = self._parent
+            kept = ((face, tuple(new[p] for p in hits if p in new))
+                    for face, hits in parent.pieces.items())
+            return {face: hits for face, hits in kept if hits}
         pieces = {}
         for pos, cell in enumerate(self.cells):
             for face in _unit_faces(cell.box()):
@@ -266,15 +285,31 @@ class CellComplex:
 
     @cached_property
     def regular(self) -> bool:
-        """``is_regular`` of the cells."""
-        return is_regular(self.cells)
+        """``is_regular`` of the cells, true of every piece of a regular complex."""
+        return bool(self._parent and vars(self._parent[0]).get("regular")) or is_regular(self.cells)
 
     def word(self, domain: Cell, need_cover=False) -> tuple:
-        """``boundary_word`` as a tuple, compiled once per domain; failures are not cached."""
+        """``boundary_word`` as a tuple, compiled once per domain, or renumbered from the
+        parent's when it is covered and the piece keeps its cells; failures are not cached."""
         entry = self._words.get(domain)
+        if entry is None and self._parent:
+            parent, new = self._parent
+            word, covered = parent._words.get(domain, ((), False))
+            if covered and all(pos in new for pos, _ in word):
+                entry = self._words[domain] = tuple((new[p], e) for p, e in word), True
         if entry is None or (need_cover and not entry[1]):
             entry = self._words[domain] = _compile_word(domain, self, need_cover)
         return entry[0]
+
+    def _split(self, lo, hi, domains):
+        """``splits`` of cells[lo:hi+1] over the unit pieces of the domains (a tuple),
+        once per (lo, hi, domains); lo and hi are checked first, as True hashes like 1."""
+        _int_in("hi", hi, _int_in("lo", lo, 0, len(self) - 1), len(self) - 1)
+        key = lo, hi, domains
+        if key not in self._splits:
+            self._splits[key] = splits(self, lo, hi, [piece for dom in domains
+                                                      for piece in dom.unit_pieces()])
+        return self._splits[key]
 
     def __len__(self):
         return len(self.cells)

@@ -22,9 +22,9 @@ as one gather through its index phi, compiled once per Cayley table and
 word (``_word_index``), and ``_word_product``, the one product kernel,
 multiplies words' factors into an array over G^K (or over one side of it)
 in place.  The Markov check reduces each side on its own: once L splits
-the region (the domains' unit pieces, compiled once per cell), every word
-reads one side only, so each conditional sum is a product of two one-sided
-sums.
+the region (the domains' unit pieces; the complex compiles each split once,
+whatever the group), every word reads one side only, so each conditional
+sum is a product of two one-sided sums.
 Reordering and pasting only relabel the words (sigma re-sorts each by its
 cells' positions in sigma K; a piece's words keep their order on the pasted
 positions); the factor products are built and compared as arrays over G^K
@@ -51,7 +51,7 @@ import numpy as np
 from ._checks import _finite_nonnegative, _int_in, _int_spans
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
-    covers, domain_box, is_saturated, region_components, splits,
+    covers, domain_box, is_saturated, region_components,
     INITIAL, FINAL, _open_faces, _unit_boxes,
 )
 from .groups import FiniteGroup, GroupFunction, convolve, delta, is_class_function
@@ -256,10 +256,6 @@ class ComplexMeasure:
         return _word_product(self.group, range(len(self.complex)), self.words,
                              self.q_tables)
 
-    def region_cells(self):
-        """Unit top-cells of the union of the domains (the ambient region)."""
-        return [piece for dom in self.domains for piece in dom.unit_pieces()]
-
 
 # ---------------------------------------------------------------------------
 # Markov property
@@ -278,7 +274,7 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
 
     f_plus / f_minus are called with a fresh dict {position: value} for each
     assignment of the cells of their side (component closure plus L), in
-    ``itertools.product`` order.  Once ``splits`` succeeds, the side
+    ``itertools.product`` order.  Once the complex's cached ``splits`` succeeds, the side
     functions read the contiguous runs cells[lo:] (plus) and cells[:hi+1]
     (minus): a cell in both closures would share a unit piece with L, which
     a saturated complex does not allow; they must return finite floats.
@@ -294,7 +290,7 @@ def markov_check(measure: ComplexMeasure, lo: int, hi: int, f_plus, f_minus):
     if not (callable(f_plus) and callable(f_minus)):
         raise ValueError(f"side functions must be callable, got {f_plus!r}, {f_minus!r}")
     complex_ = measure.complex
-    if splits(complex_, lo, hi, measure.region_cells()) is None:
+    if complex_._split(lo, hi, measure.domains) is None:
         raise ValueError("the subcomplex does not split the region")
     n = measure.group.order
     sides = (("f_plus", f_plus, range(lo, len(complex_)), [], []),
@@ -531,28 +527,28 @@ class CutResult:
 def cut(cob: CobordismBox, complex_: CellComplex, interface: int) -> CutResult:
     """Cut the box at a time coordinate: the later part keeps the final-face
     covering, the earlier part the initial-face covering, and both share
-    the interface covering; orders are induced by the ambient complex."""
+    the interface covering; orders (and compiled geometry) come from the ambient complex."""
     lo, hi = cob.spans[cob.axis]
     _int_in("interface", interface, lo + 1, hi - 1)
     y = CobordismBox(_with_span(cob.spans, cob.axis, (interface, hi)), cob.axis)
     y_prime = CobordismBox(_with_span(cob.spans, cob.axis, (lo, interface)), cob.axis)
     plane = y.alpha_box()
     in_later, in_earlier, shared = [], [], []
-    for cell in complex_.cells:
+    for pos, cell in enumerate(complex_.cells):
         if box_contains(plane, cell.box()):
-            shared.append(cell)
-            in_later.append(cell)
-            in_earlier.append(cell)
+            shared.append(pos)
+            in_later.append(pos)
+            in_earlier.append(pos)
         elif box_contains(y.spans, cell.box()):
-            in_later.append(cell)
+            in_later.append(pos)
         elif box_contains(y_prime.spans, cell.box()):
-            in_earlier.append(cell)
+            in_earlier.append(pos)
         else:
             raise ValueError(f"cell {cell!r} crosses the cutting interface")
-    if not covers(plane, _unit_boxes(shared)):
+    if not covers(plane, _unit_boxes(complex_.cells[pos] for pos in shared)):
         raise ValueError("the interface is not covered by complex cells")
-    return CutResult(CellComplex(in_later), CellComplex(in_earlier),
-                     CellComplex(shared), y, y_prime)
+    return CutResult(*(CellComplex._sub(complex_, run) for run in (in_later, in_earlier, shared)),
+                     y, y_prime)
 
 
 def paste(k: CellComplex, k_prime: CellComplex, cos=None, cos_prime=None) -> CellComplex:
@@ -694,16 +690,19 @@ def measure_series(groupoid, density: SemigroupDensity, order: int) -> FormalSer
 
 def measure_series_multiplicativity(series: FormalSeries, tol=1e-12):
     """Worst |coefficient(i∘j) - coefficient(i) * coefficient(j)| over all
-    composable pairs inside the truncation window."""
+    composable pairs inside the truncation window, each distinct triple of
+    coefficient objects (as a ``measure_series`` repeats q_t by volume) once."""
     _finite_nonnegative("tol", tol)
     gpd, coeffs, zero = series.groupoid, series.coeffs, series.zero_coeff
-    elems, worst = gpd.elements_up_to(series.order), 0.0
+    elems, worst, seen = gpd.elements_up_to(series.order), 0.0, set()
     for i in elems:
         for j in elems:
             k = gpd._compose(i, j)
             if k is None or gpd._ord(k) > series.order:
                 continue
-            lhs, rhs = coeffs.get(k, zero), coeffs.get(i, zero) * coeffs.get(j, zero)
-            worst = max(worst, max(abs(a - b)
-                                   for a, b in zip(lhs.values, rhs.values)))
+            lhs, left, right = coeffs.get(k, zero), coeffs.get(i, zero), coeffs.get(j, zero)
+            if (key := (id(lhs), id(left), id(right))) not in seen:
+                seen.add(key)
+                rhs = left * right
+                worst = max(worst, max(abs(a - b) for a, b in zip(lhs.values, rhs.values)))
     return worst <= tol, worst

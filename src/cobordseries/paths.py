@@ -31,7 +31,7 @@ from math import comb
 from ._checks import _exact_time, _int_in
 from .groupoids import NatMonoid
 from .matrices import RationalMatrix
-from .series import FormalSeries, _convolve, _dot, _is_exact_scalar, _pairs
+from .series import FormalSeries, _dot, _is_exact_scalar, _pairs
 
 _reciprocal = cache(lambda n: Fraction(1, n))  # an integral's 1/(k + 1), formed once per k
 
@@ -226,7 +226,7 @@ def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
     product kernel, the solved levels of v as left factors, each pair once."""
     if not u.is_unital():
         raise ValueError("left logarithmic derivative needs a unital path")
-    gpd, du, minus_u = u.groupoid, {}, {}
+    gpd, compose, du, minus_u = u.groupoid, u.groupoid._compose, {}, {}
     for k, p in u.coeffs.items():
         if (g := gpd._ord(k)) > 0:
             du.setdefault(g, {})[k] = p.derivative()
@@ -237,7 +237,9 @@ def left_log_derivative(u: AlgebraPath) -> AlgebraPath:
         for h, level in levels.items():
             right = minus_u.get(grade - h, ())
             for i, vi in level:
-                _convolve(gpd._compose, pairs, i, vi, right)
+                for j, b in right:
+                    if (k := compose(i, j)) is not None:
+                        pairs.setdefault(k, []).append((vi, b))
         out.update((k, _dot(p, out.get(k))) for k, p in pairs.items())
         levels[grade] = [(k, p) for k, p in out.items() if p]
     return AlgebraPath._trusted(gpd, u.order, {k: p for level in levels.values()

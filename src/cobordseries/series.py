@@ -177,13 +177,15 @@ class FormalSeries:
         """x = 1 + a·x for a = self's positive part, as ``type(self)``, with x_k at level g
         dot(its pairs (a_i, x_j), j in level g - ord(i)) and zeros dropped; each pair is
         composed once (grade additivity is checked by ``axiom_violations``)."""
-        gpd, order = self.groupoid, self.order
+        gpd, order, compose = self.groupoid, self.order, self.groupoid._compose
         terms = [(i, v, g) for i, v in self.coeffs.items() if (g := gpd._ord(i)) > 0]
         levels = {0: [(gpd.neutral, self.unit)]}
         for grade in range(1, order + 1):
             out = {}
             for i, v, g in terms:
-                _convolve(gpd._compose, out, i, v, levels.get(grade - g, ()))
+                for j, b in levels.get(grade - g, ()):
+                    if (k := compose(i, j)) is not None:
+                        out.setdefault(k, []).append((v, b))
             levels[grade] = [(k, x) for k, p in out.items() if (x := dot(p))]
         return type(self)._trusted(gpd, order, {k: v for level in levels.values()
                                                 for k, v in level}, self.unit)
@@ -256,15 +258,6 @@ def _pairs(gpd, order, left, levels):
                     if (k := compose(i, j)) is not None:
                         out.setdefault(k, []).append((a, b))
     return out
-
-
-def _convolve(compose, out, i, a, level):
-    """Append (a, b) to ``out[compose(i, j)]`` for each composable (j, b) in ``level``;
-    ``compose`` is the unchecked ``_compose``, as both supports are validated."""
-    for j, b in level:
-        k = compose(i, j)
-        if k is not None:
-            out.setdefault(k, []).append((a, b))
 
 
 def _dot(pairs, start=None, ratio=1):

@@ -10,7 +10,8 @@ built-in group whose non-identity elements are renumbered by a random
 permutation.  The chain and the two-plaquette strip are the CLI's own
 ``chain_instance`` and ``strip_instance``.  The rectangle skeleton is the
 boundary of a rectangle plus the edges of guillotine cuts; the row strip is
-the skeleton of a 1 x n rectangle cut into unit squares.
+the skeleton of a 1 x n rectangle cut into unit squares.  ``region_cells``
+is the region a Markov split separates: the domains' unit pieces.
 The library evaluates a measure's densities through its word-factor
 engine; the tests enumerate them.  ``enumerated_density`` is the one
 enumerator of G^K: it reads the words off the Cayley table for every
@@ -72,6 +73,12 @@ def strip_cells():
 def strip_measure(density):
     """The two unit squares of ``strip_cells`` as domains."""
     return ComplexMeasure(*strip_instance(), density)
+
+
+def region_cells(domains):
+    """The unit top cells of the union of the domains (the region a Markov
+    split separates), domain by domain."""
+    return [piece for dom in domains for piece in dom.unit_pieces()]
 
 
 def enumerated_density(group, configs, words, q_tables):

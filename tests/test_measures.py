@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from lattice_instances import (
     chain_measure, facet_complex, factorization_oracle, guillotine_domains,
-    markov_oracle, measure_densities, relabel, relabelled_groups, reorder_oracle,
-    strip_cells, strip_measure,
+    markov_oracle, measure_densities, region_cells, relabel, relabelled_groups,
+    reorder_oracle, strip_cells, strip_measure,
 )
 
+import cobordseries.cells as cells_mod
 import cobordseries.measures as measures_mod
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
@@ -25,6 +26,7 @@ from cobordseries.cells import (
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid, make_nat_monoid
 from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
 from cobordseries.groups import FiniteGroup, GroupFunction
+from cobordseries.cli import chain_instance
 from cobordseries.measures import (
     BorderPiece, CobordismBox, ComplexMeasure, SemigroupDensity, border_reduce,
     cut, default_generators, factorization_check, gibbs_density, heat_spectrum,
@@ -498,7 +500,7 @@ def side_positions(measure, split):
     """Positions each side function reads: the closure of its component of
     the region minus the splitting cell, plus that cell."""
     complex_ = measure.complex
-    m_plus, m_minus = splits(complex_, split, split, measure.region_cells())
+    m_plus, m_minus = splits(complex_, split, split, region_cells(measure.domains))
     return [[i for i, cell in enumerate(complex_.cells)
              if i == split or inside_closure_oracle(cell, component)]
             for component in (m_plus, m_minus)]
@@ -536,7 +538,7 @@ def test_split_sides_are_contiguous_runs():
         name, cells = instance
         domains = SPLIT_INSTANCES[name][1]
         measure = ComplexMeasure(CellComplex(cells), domains, SemigroupDensity(Z2))
-        region, n = measure.region_cells(), len(cells)
+        region, n = region_cells(domains), len(cells)
         for lo in range(n):
             for hi in range(lo, n):
                 split = splits(measure.complex, lo, hi, region)
@@ -984,6 +986,20 @@ def test_measure_series_multiplicativity_matches_the_validating_oracle(gpd, orde
         assert not ok and worst > 0
 
 
+def test_measure_series_multiplicativity_reads_each_composite_of_a_repeated_pair():
+    """On interval:0..3 at order 2 the unit intervals share one coefficient, so
+    both grade-2 indices are composites of the same pair; a bump of the later
+    one is found."""
+    gpd = make_interval_groupoid(0, 3)
+    series = measure_series(gpd, SemigroupDensity(Z3), 2)
+    later = [e for e in gpd.elements_up_to(2) if gpd.ord(e) == 2][-1]
+    bumped = dict(series.coeffs)
+    bumped[later] = bumped[later] * 1.5
+    broken = FormalSeries(gpd, 2, bumped, series.unit)
+    ok, worst = measure_series_multiplicativity(broken)
+    assert (ok, worst) == multiplicativity_oracle(broken) and not ok
+
+
 def test_extract_preserves_original_orders():
     from cobordseries.measures import extract
 
@@ -1228,7 +1244,7 @@ def test_markov_check_matches_enumeration_on_generated_instances():
     def check(instance):
         group, domains, complex_ = instance
         measure = ComplexMeasure(complex_, domains, SemigroupDensity(group))
-        region, size = measure.region_cells(), len(complex_)
+        region, size = region_cells(domains), len(complex_)
         for lo in range(size):
             for hi in range(lo, size):
                 split = splits(complex_, lo, hi, region)
@@ -1270,9 +1286,8 @@ def test_markov_instances_split_in_two_and_three_dimensions():
 
     @given(markov_instances(relabelled_groups(("Z2",))))
     def collect(instance):
-        group, domains, complex_ = instance
-        region = ComplexMeasure(complex_, domains, SemigroupDensity(group)).region_cells()
-        size = len(complex_)
+        _, domains, complex_ = instance
+        region, size = region_cells(domains), len(complex_)
         found = any(splits(complex_, lo, hi, region) is not None
                     for lo in range(size) for hi in range(lo, size))
         verdicts.setdefault(len(complex_.cells[0].base), set()).add(found)
@@ -1401,6 +1416,39 @@ def test_markov_split_indices_must_lie_in_the_complex(lo, hi):
 
     with pytest.raises(ValueError, match="(lo|hi) must be an int in"):
         markov_check(measure, lo, hi, never, never)
+
+
+def test_markov_splits_a_complex_once_over_every_group(monkeypatch):
+    """One complex checked over five groups is split once; the indices are
+    still checked on every call, before the cached split is looked up (True
+    hashes like 1)."""
+    calls, real_splits = [], cells_mod.splits
+    monkeypatch.setattr(cells_mod, "splits",
+                        lambda *args: calls.append(args) or real_splits(*args))
+    complex_, domains = chain_instance(4)
+    for name in ("Z2", "Z3", "Z6", "S3", "Q8"):
+        measure = ComplexMeasure(complex_, domains, SemigroupDensity(builtin_group(name)))
+        assert markov_check(measure, 1, 1, weighted, weighted)[1] <= 1e-12
+    assert len(calls) == 1
+    for lo, hi in ((True, 1), (1, True), (1, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="(lo|hi) must be an int in"):
+            markov_check(measure, lo, hi, weighted, weighted)
+    assert len(calls) == 1
+
+
+def test_cached_splits_equal_fresh_splits_on_generated_instances():
+    @given(markov_instances())
+    def check(instance):
+        _, domains, complex_ = instance
+        for doms in (tuple(domains), tuple(domains[:-1])):  # one complex, two regions
+            region = region_cells(doms)
+            for lo in range(len(complex_)):
+                for hi in range(lo, len(complex_)):
+                    fresh = splits(complex_, lo, hi, region)
+                    assert complex_._split(lo, hi, doms) == fresh
+                    assert complex_._split(lo, hi, doms) == fresh
+
+    check()
 
 
 @pytest.mark.parametrize("bad", ["x", None, 1])

@@ -5,24 +5,29 @@
 oracles: every call re-reads the domain's facets, checks coverage with a
 second facet pass and evaluates through a per-call value dict.  The library
 compiles each (complex, domain) pair once into ``CellComplex.word``; its
-words, values and errors must be the same on every call.
+words, values and errors must be the same on every call.  The pieces
+``cut`` returns read their geometry off the parent's compiled one; a
+complex built afresh from a piece's cells is their oracle.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from lattice_instances import skeleton_cells
+from lattice_instances import cobordism_instances, skeleton_cells
 
 from cobordseries import cells as cells_mod
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, _unit_faces, boundary_word, box_contains,
     covers, dimension_extend, domain_box, edge_cell, extend_abelian, is_regular,
-    word_value,
+    is_saturated, word_value,
 )
+from cobordseries.cli import chain_instance, strip_instance
 from cobordseries.groups import builtin_group
+from cobordseries.measures import CobordismBox, ComplexMeasure, SemigroupDensity, cut
 
 GROUPS = {name: builtin_group(name) for name in ("Z3", "S3")}
 
@@ -240,3 +245,134 @@ def test_criterion_7_cube_loop_compiles_each_pair_once(monkeypatch):
         assert dimension_extend(c_faces, reordered_faces, cube) == 0
     assert len(compiled) == len(faces) + 2
     assert set(compiled.values()) == {1}
+
+
+# -- cut pieces against complexes built afresh --------------------------------------
+
+def config_measure_cuts():
+    """(spans, axis, complex, domains, interfaces) of the chains of 3-5 points and
+    the two-plaquette strip, at the interfaces where they are cut."""
+    return [(((0, n - 1),), 0, *chain_instance(n), range(1, n - 1)) for n in (3, 4, 5)] + [
+        (((0, 2), (0, 1)), 0, *strip_instance(), [1])]
+
+
+def irregular_cut():
+    """The bottom and top unit edges of [0,3]x[0,1], its three unit sides and
+    a long bottom edge over [1,3]: the later piece at x = 1 overlaps itself, the
+    earlier one does not."""
+    cells = [edge_cell((x, y), 0) for x in range(3) for y in (0, 1)]
+    cells += [edge_cell((x, 0), 1) for x in (0, 1, 3)] + [Cell((1, 0), (0,), (2,))]
+    domains = [domain_box(((0, 1), (0, 1))), domain_box(((1, 3), (0, 1)))]
+    return ((0, 3), (0, 1)), 0, CellComplex(cells), domains, [1]
+
+
+def compile_parent(complex_, domains, parts):
+    """Compile the named ``parts`` of the complex: its pieces, regularity, and
+    each domain's word, cover-checked for every other domain."""
+    if "pieces" in parts:
+        complex_.pieces
+    if "regular" in parts:
+        complex_.regular
+    if "words" in parts:
+        for i, dom in enumerate(domains):
+            outcome(complex_.word, dom, i % 2 == 0)
+
+
+def answers(complex_, domain_sets, words_first):
+    """The complex's pieces, regularity, saturation of each domain set, and
+    twice each domain's word without and with the coverage check (errors as
+    their messages), the words asked first or last."""
+    words = []
+    for _ in range(2):
+        for dom in domain_sets[-1]:
+            words += [outcome(boundary_word, dom, complex_), outcome(complex_.word, dom, True)]
+    geometry = [complex_.pieces, complex_.regular,
+                *(is_saturated(complex_, doms) for doms in domain_sets)]
+    return (words + geometry) if words_first else (geometry + words)
+
+
+def assert_pieces_match_fresh(spans, axis, complex_, domains, interfaces, words_first):
+    """At every interface the complex is cut at, each piece equals the complex
+    built from its cells, answers as it does, before and after a pickle round
+    trip; returns the number of cuts."""
+    cuts = 0
+    for at in interfaces:
+        try:
+            result = cut(CobordismBox(spans, axis), complex_, at)
+        except ValueError:
+            continue
+        cuts += 1
+        sets = ([d for d in domains if d.box()[axis][0] >= at],
+                [d for d in domains if d.box()[axis][1] <= at], domains)
+        for piece in (result.k, result.k_prime, result.k_b):
+            fresh = CellComplex(piece.cells)
+            thawed = pickle.loads(pickle.dumps(piece))
+            assert piece == fresh == thawed
+            expected = answers(fresh, sets, words_first)
+            assert answers(piece, sets, words_first) == expected
+            assert answers(thawed, sets, words_first) == expected
+            assert answers(pickle.loads(pickle.dumps(piece)), sets, words_first) == expected
+    return cuts
+
+
+def test_pieces_match_fresh_complexes_on_generated_instances():
+    cuts = []
+
+    @given(cobordism_instances(), st.sets(st.sampled_from(("pieces", "regular", "words"))),
+           st.booleans())
+    def check(instance, parts, words_first):
+        spans, axis, domains, complex_ = instance
+        compile_parent(complex_, domains, parts)
+        interfaces = range(spans[axis][0] + 1, spans[axis][1])
+        cuts.append(assert_pieces_match_fresh(spans, axis, complex_, domains,
+                                              interfaces, words_first))
+
+    check()
+    assert sum(cuts), cuts
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_pieces_match_fresh_complexes_on_the_benchmark_and_irregular_cuts(which):
+    parts = ("pieces", "regular", "words")
+    for r, words_first in itertools.product(range(4), (False, True)):
+        for compiled in itertools.combinations(parts, r):
+            spans, axis, complex_, domains, interfaces = (config_measure_cuts()
+                                                          + [irregular_cut()])[which]
+            compile_parent(complex_, domains, compiled)
+            assert assert_pieces_match_fresh(spans, axis, complex_, domains, interfaces,
+                                             words_first) == len(interfaces)
+
+
+@given(cobordism_instances(), st.booleans())
+def test_cutting_an_uncompiled_parent_compiles_nothing_on_it(instance, words_first):
+    spans, axis, domains, complex_ = instance
+    assert_pieces_match_fresh(spans, axis, complex_, domains,
+                              range(spans[axis][0] + 1, spans[axis][1]), words_first)
+    assert complex_._words == {}
+    assert not {"pieces", "regular"} & complex_.__dict__.keys()
+
+
+def test_pieces_of_a_measured_complex_compile_no_word_or_regularity(monkeypatch):
+    """Once a measure compiled the parent, the measures of its cut pieces read
+    every word and their regularity off it."""
+    density = SemigroupDensity(builtin_group("Z2"))
+    regular_of, real_is_regular = [], cells_mod.is_regular
+
+    def no_compile(domain, complex_, need_cover):
+        pytest.fail(f"compiled the word of {domain!r}")
+
+    def recording(cells):
+        regular_of.append(cells)
+        return real_is_regular(cells)
+
+    for spans, axis, complex_, domains, interfaces in config_measure_cuts():
+        ComplexMeasure(complex_, domains, density)
+        monkeypatch.setattr(cells_mod, "_compile_word", no_compile)
+        monkeypatch.setattr(cells_mod, "is_regular", recording)
+        for at in interfaces:
+            result = cut(CobordismBox(spans, axis), complex_, at)
+            for piece, doms in ((result.k, [d for d in domains if d.box()[0][0] >= at]),
+                                (result.k_prime, [d for d in domains if d.box()[0][1] <= at])):
+                assert ComplexMeasure(piece, doms, density).words
+                assert all(cells is not piece.cells for cells in regular_of)
+        monkeypatch.undo()
