@@ -21,15 +21,15 @@ domain facets have the same top-dimensional faces (``is_saturated``); and
 cells of one dimension are adjacent when they share a facet box from
 opposite sides (``region_components``); ``splits`` returns the two
 components (M_plus, M_minus) of a region that a contiguous run of a
-complex separates.  ``measures.is_adapted`` and
-``measures.border_reduce`` ask the cobordism-border questions the same
-way.  Coverage and boundary words are questions about
-unit pieces (top-dimensional faces), answered through ``CellComplex.pieces``,
-which maps each unit piece of a complex to the cells containing it.  A
-complex is immutable, so it compiles each domain's boundary word and
-coverage, its own regularity, and each split (``CellComplex.word``,
-``.regular``, ``._split``) once.  A piece (``CellComplex._sub``, as returned
-by ``measures.cut``) is not re-validated; it takes over what its parent has
+complex separates.  ``measures.is_adapted`` and ``measures.border_reduce``
+ask the cobordism-border questions the same way.  Coverage and boundary
+words are questions about unit pieces (top-dimensional faces), answered
+through ``CellComplex.pieces``, which maps each unit piece of a complex to
+the cells containing it.  A complex is immutable, so it compiles each
+domain's boundary word and coverage, its own regularity, each split and each
+domain tuple's saturation (``CellComplex.word``, ``.regular``, ``._split``,
+``._saturated``) once.  A piece (``CellComplex._sub``, as returned by
+``measures.cut``) is not re-validated; it takes over what its parent has
 compiled (regularity; index and covered words renumbered), compiling the rest.
 
 A complex is an ordered sequence of distinct cells of equal dimension; the
@@ -257,14 +257,14 @@ class CellComplex:
         if len({c.key() for c in cells}) != len(cells):
             raise ValueError("complex cells must be pairwise distinct")
         self.cells = cells
-        self._words, self._splits = {}, {}
+        self._words, self._splits, self._saturates = {}, {}, {}
 
     @classmethod
     def _sub(cls, parent, positions):
         """The parent's cells at the increasing ``positions``: valid, so unvalidated."""
         piece = object.__new__(cls)
         piece.cells = tuple(parent.cells[pos] for pos in positions)
-        piece._words, piece._splits = {}, {}
+        piece._words, piece._splits, piece._saturates = {}, {}, {}
         piece._parent = parent, {pos: i for i, pos in enumerate(positions)}
         return piece
 
@@ -310,6 +310,15 @@ class CellComplex:
             self._splits[key] = splits(self, lo, hi, [piece for dom in domains
                                                       for piece in dom.unit_pieces()])
         return self._splits[key]
+
+    def _saturated(self, domains):
+        """``is_saturated`` of the domains (a tuple of cells), once per tuple; one hash a hit."""
+        if (verdict := self._saturates.get(domains)) is None:
+            verdict = self._saturates[domains] = is_saturated(self, domains)
+        return verdict
+
+    def __reduce__(self):  # pickled as the plain complex of its cells: no parent, no cache
+        return CellComplex, (self.cells,)
 
     def __len__(self):
         return len(self.cells)
@@ -357,17 +366,26 @@ def _unit_boxes(cells):
     return {face for cell in cells for face in _unit_faces(cell.box())}
 
 
+def _complex_domains(complex_, domains) -> tuple:
+    """The domains as a tuple, if ``complex_`` is a CellComplex and each domain a Cell."""
+    if not isinstance(complex_, CellComplex):
+        raise ValueError(f"complex_ must be a CellComplex, not {complex_!r}")
+    cells = tuple(domains) if hasattr(domains, "__iter__") else None
+    if cells is None or not all(isinstance(d, Cell) for d in cells):
+        raise ValueError(f"domains must be an iterable of Cells, not {domains!r}")
+    return cells
+
+
 def is_saturated(complex_: CellComplex, domains) -> bool:
     """The cells exactly tile the boundaries of the (pairwise interior-
     disjoint) domain boxes: every domain is one dimension above the cells,
     both are regular, and the cells and the domain facets have the same
     unit pieces."""
-    domains = list(domains)
+    domains = _complex_domains(complex_, domains)
     dims = {c.dim for c in complex_.cells} | {d.dim - 1 for d in domains}
     if len(dims) > 1 or not (is_regular(complex_) and is_regular(domains)):
         return False
-    facets = [f for dom in domains for f, _ in dom.facets()]
-    return complex_.pieces.keys() == _unit_boxes(facets)
+    return complex_.pieces.keys() == _unit_boxes(f for dom in domains for f, _ in dom.facets())
 
 
 def region_components(region_cells, blocked_boxes):

@@ -52,7 +52,7 @@ from ._checks import _finite_nonnegative, _int_in, _int_spans
 from .cells import (
     Cell, CellComplex, boundary_word, box_contains, box_dim, box_intersect,
     covers, domain_box, is_saturated, region_components,
-    INITIAL, FINAL, _open_faces, _unit_boxes,
+    INITIAL, FINAL, _complex_domains, _open_faces, _unit_boxes,
 )
 from .groups import FiniteGroup, GroupFunction, convolve, delta, is_class_function
 from .series import FormalSeries
@@ -237,11 +237,11 @@ class ComplexMeasure:
     """Unnormalized density on G^K for a saturated complex with box domains."""
 
     def __init__(self, complex_: CellComplex, domains, density: SemigroupDensity):
-        self.complex = complex_
-        self.domains = tuple(domains)
-        self.density = density
-        self.group = density.group
-        if not is_saturated(complex_, self.domains):
+        self.complex, self.domains = complex_, _complex_domains(complex_, domains)
+        if not isinstance(density, SemigroupDensity):
+            raise ValueError(f"density must be a SemigroupDensity, not {density!r}")
+        self.density, self.group = density, density.group
+        if not complex_._saturated(self.domains):
             raise ValueError("complex is not saturated for the domains")
         self.words = tuple(boundary_word(dom, complex_) for dom in self.domains)
 
@@ -419,8 +419,7 @@ def is_adapted(cells, cob: CobordismBox) -> bool:
     face are labelled initial (final).  Point cells are trivially
     transversal, and cells along the lateral faces of the box (which a
     genuine cobordism does not have) are unconstrained."""
-    alpha = cob.alpha_box()
-    beta = cob.beta_box()
+    alpha, beta = cob.alpha_box(), cob.beta_box()
     for cell in cells:
         if cell.dim == 0:
             continue
@@ -483,8 +482,7 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
             labels = set()
             boxes = [cell.box() for cell in piece]
             for s in boundary:
-                inter_boxes = [box_intersect(s.box(), b) for b in boxes]
-                touched = [b for b in inter_boxes if b is not None]
+                touched = [b for b in (box_intersect(s.box(), c) for c in boxes) if b is not None]
                 if not touched:
                     continue
                 if any(box_dim(b) >= cob.dim - 1 for b in touched):
@@ -500,8 +498,7 @@ def border_reduce(complex_: CellComplex, cob: CobordismBox, domains):
 def is_complex_for_cobordism(complex_: CellComplex, cob: CobordismBox, domains) -> bool:
     """The complex partitions into an alpha-face covering, a beta-face
     covering, and an adapted part, and it saturates the domains."""
-    alpha = cob.alpha_box()
-    beta = cob.beta_box()
+    alpha, beta = cob.alpha_box(), cob.beta_box()
     k_alpha, k_beta, k_a = [], [], []
     for cell in complex_.cells:
         if box_contains(alpha, cell.box()):

@@ -8,6 +8,7 @@ dimensions and empty inputs.
 """
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -317,6 +318,28 @@ def test_is_saturated_matches_pairwise_oracle(inputs):
     assert is_saturated(complex_, domains) == saturated_oracle(complex_, domains)
 
 
+def measure_built(complex_, domains) -> bool:
+    """Whether a Z2 measure is built on the domains; it may refuse only as unsaturated."""
+    try:
+        ComplexMeasure(complex_, domains, SemigroupDensity(cyclic(2)))
+    except ValueError as exc:
+        assert "not saturated" in str(exc)
+        return False
+    return True
+
+
+@given(saturation_inputs())
+def test_measures_are_built_exactly_on_saturated_inputs(inputs):
+    """Twice, on the domains reversed, on all but the last and after a pickle
+    round trip, a measure is built exactly when the oracle saturates the
+    domains: each verdict the complex keeps per domain tuple is the oracle's."""
+    complex_, domains = inputs
+    thawed = pickle.loads(pickle.dumps(complex_))
+    for other, doms in ((complex_, domains), (complex_, domains), (complex_, domains[::-1]),
+                        (complex_, domains[:-1]), (thawed, domains)):
+        assert measure_built(other, doms) == saturated_oracle(other, doms)
+
+
 @given(region_inputs())
 def test_region_components_match_pairwise_oracle(inputs):
     region, blocked = inputs
@@ -407,6 +430,16 @@ def test_points_do_not_saturate_a_rectangle():
     cosurface = Cosurface(cyclic(2), [(c, 0) for c in complex_])
     with pytest.raises(ValueError, match="not covered"):
         dimension_extend(cosurface, complex_, rectangle)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("domains", [((0, 2), (0, 1))]), ("domains", [[(0, 2), (0, 1)]]), ("domains", 5),
+    ("domains", domain_box(((0, 2), (0, 1)))), ("complex_", list(staircase_points())),
+], ids=["tuple-domain", "list-domain", "int-domains", "cell-domains", "list-complex"])
+def test_is_saturated_names_an_invalid_argument(argument, value):
+    args = {"complex_": staircase_points(), "domains": [domain_box(((0, 2), (0, 1)))]}
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        is_saturated(**{**args, argument: value})
 
 
 def test_boundary_word_rejects_cells_of_another_dimension():

@@ -21,7 +21,7 @@ import cobordseries.cells as cells_mod
 import cobordseries.measures as measures_mod
 from cobordseries.cells import (
     Cell, CellComplex, Cosurface, FINAL, INITIAL, box_contains, boundary_word,
-    domain_box, edge_cell, point_cell, splits, word_value,
+    domain_box, edge_cell, is_saturated, point_cell, splits, word_value,
 )
 from cobordseries.groupoids import make_box_groupoid, make_interval_groupoid, make_nat_monoid
 from cobordseries.groups import builtin_group, convolve, cyclic, delta, is_class_function
@@ -382,6 +382,22 @@ def test_mu_requires_saturation():
     cells = [point_cell((0,)), point_cell((2,))]
     with pytest.raises(ValueError):
         ComplexMeasure(CellComplex(cells), [domain_box(((0, 1),))], density)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("domains", [((0, 1),)]), ("domains", [[(0, 1)]]), ("domains", 5),
+    ("domains", domain_box(((0, 1),))), ("complex_", [point_cell((0,)), point_cell((1,))]),
+    ("density", "x"), ("density", Z2),
+], ids=["tuple-domain", "list-domain", "int-domains", "cell-domains", "list-complex",
+        "str-density", "group-density"])
+def test_mu_names_an_invalid_argument(argument, value):
+    """One argument of a valid measure replaced; checked before the complex's
+    saturation verdicts are looked up, which a list domain (unhashable) could not be."""
+    args = {"complex_": CellComplex([point_cell((0,)), point_cell((1,))]),
+            "domains": [domain_box(((0, 1),))], "density": SemigroupDensity(Z2)}
+    assert ComplexMeasure(**args).words
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        ComplexMeasure(**{**args, argument: value})
 
 
 def test_mu_domain_order_invariance():
@@ -1434,6 +1450,37 @@ def test_markov_splits_a_complex_once_over_every_group(monkeypatch):
         with pytest.raises(ValueError, match="(lo|hi) must be an int in"):
             markov_check(measure, lo, hi, weighted, weighted)
     assert len(calls) == 1
+
+
+def test_measures_saturate_a_complex_once_per_domain_tuple_over_every_group(monkeypatch):
+    """Measures over five groups check each (complex, domain tuple) once: the
+    domains, the domains reversed, all but the last (unsaturated, refused on
+    every construction) and an equal complex of the same cells."""
+    calls, real_is_saturated = [], cells_mod.is_saturated
+    monkeypatch.setattr(cells_mod, "is_saturated",
+                        lambda *args: calls.append(args) or real_is_saturated(*args))
+    complex_, domains = chain_instance(4)
+    twin = CellComplex(complex_.cells)
+    for name in ("Z2", "Z3", "Z6", "S3", "Q8"):
+        density = SemigroupDensity(builtin_group(name))
+        for _ in range(2):
+            for other, doms in ((complex_, domains), (complex_, domains[::-1]), (twin, domains)):
+                assert ComplexMeasure(other, doms, density).words
+            with pytest.raises(ValueError, match="not saturated"):
+                ComplexMeasure(complex_, domains[:-1], density)
+    assert [(id(other), doms) for other, doms in calls] == [
+        (id(complex_), tuple(domains)), (id(complex_), tuple(domains[::-1])),
+        (id(twin), tuple(domains)), (id(complex_), tuple(domains[:-1]))]
+
+
+def test_saturation_predicates_stay_uncached():
+    """``is_saturated`` and ``is_complex_for_cobordism`` leave a complex's
+    compiled verdicts as they are."""
+    complex_, domains = chain_instance(4)
+    for _ in range(2):
+        assert is_saturated(complex_, domains)
+        assert is_complex_for_cobordism(complex_, CobordismBox(((0, 3),)), domains)
+    assert complex_._saturates == {}
 
 
 def test_cached_splits_equal_fresh_splits_on_generated_instances():

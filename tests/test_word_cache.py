@@ -30,6 +30,7 @@ from cobordseries.groups import builtin_group
 from cobordseries.measures import CobordismBox, ComplexMeasure, SemigroupDensity, cut
 
 GROUPS = {name: builtin_group(name) for name in ("Z3", "S3")}
+Z2_DENSITY = SemigroupDensity(builtin_group("Z2"))
 
 
 def oracle_boundary_word(domain, complex_):
@@ -266,9 +267,16 @@ def irregular_cut():
     return ((0, 3), (0, 1)), 0, CellComplex(cells), domains, [1]
 
 
+def measure_words(complex_, domains):
+    return ComplexMeasure(complex_, domains, Z2_DENSITY).words
+
+
 def compile_parent(complex_, domains, parts):
-    """Compile the named ``parts`` of the complex: its pieces, regularity, and
-    each domain's word, cover-checked for every other domain."""
+    """Compile the named ``parts`` of the complex: its pieces, regularity,
+    saturation of the domains (by a measure), and each domain's word,
+    cover-checked for every other domain."""
+    if "saturation" in parts:
+        outcome(measure_words, complex_, domains)
     if "pieces" in parts:
         complex_.pieces
     if "regular" in parts:
@@ -279,15 +287,16 @@ def compile_parent(complex_, domains, parts):
 
 
 def answers(complex_, domain_sets, words_first):
-    """The complex's pieces, regularity, saturation of each domain set, and
-    twice each domain's word without and with the coverage check (errors as
-    their messages), the words asked first or last."""
+    """The complex's pieces, regularity, saturation of each domain set and the
+    words of a measure on it, and twice each domain's word without and with the
+    coverage check (errors as their messages), the words asked first or last."""
     words = []
     for _ in range(2):
         for dom in domain_sets[-1]:
             words += [outcome(boundary_word, dom, complex_), outcome(complex_.word, dom, True)]
     geometry = [complex_.pieces, complex_.regular,
-                *(is_saturated(complex_, doms) for doms in domain_sets)]
+                *(is_saturated(complex_, doms) for doms in domain_sets),
+                *(outcome(measure_words, complex_, doms) for doms in domain_sets)]
     return (words + geometry) if words_first else (geometry + words)
 
 
@@ -318,8 +327,8 @@ def assert_pieces_match_fresh(spans, axis, complex_, domains, interfaces, words_
 def test_pieces_match_fresh_complexes_on_generated_instances():
     cuts = []
 
-    @given(cobordism_instances(), st.sets(st.sampled_from(("pieces", "regular", "words"))),
-           st.booleans())
+    @given(cobordism_instances(),
+           st.sets(st.sampled_from(("saturation", "pieces", "regular", "words"))), st.booleans())
     def check(instance, parts, words_first):
         spans, axis, domains, complex_ = instance
         compile_parent(complex_, domains, parts)
@@ -333,8 +342,8 @@ def test_pieces_match_fresh_complexes_on_generated_instances():
 
 @pytest.mark.parametrize("which", range(5))
 def test_pieces_match_fresh_complexes_on_the_benchmark_and_irregular_cuts(which):
-    parts = ("pieces", "regular", "words")
-    for r, words_first in itertools.product(range(4), (False, True)):
+    parts = ("saturation", "pieces", "regular", "words")
+    for r, words_first in itertools.product(range(5), (False, True)):
         for compiled in itertools.combinations(parts, r):
             spans, axis, complex_, domains, interfaces = (config_measure_cuts()
                                                           + [irregular_cut()])[which]
@@ -376,3 +385,35 @@ def test_pieces_of_a_measured_complex_compile_no_word_or_regularity(monkeypatch)
                 assert ComplexMeasure(piece, doms, density).words
                 assert all(cells is not piece.cells for cells in regular_of)
         monkeypatch.undo()
+
+
+def test_a_pickled_piece_is_the_plain_complex_of_its_cells():
+    """A piece pickles as ``CellComplex(piece.cells)``: without its parent, and no
+    compiled word, split or saturation verdict rides in a pickle."""
+    for spans, axis, complex_, domains, interfaces in config_measure_cuts():
+        ComplexMeasure(complex_, domains, Z2_DENSITY)
+        for at in interfaces:
+            result = cut(CobordismBox(spans, axis), complex_, at)
+            for piece in (complex_, result.k, result.k_prime, result.k_b):
+                assert pickle.dumps(piece) == pickle.dumps(CellComplex(piece.cells))
+                thawed = pickle.loads(pickle.dumps(piece))
+                assert thawed._parent is None
+                assert (thawed._words, thawed._splits, thawed._saturates) == ({}, {}, {})
+
+
+def test_pieces_and_fresh_complexes_carry_the_same_compiled_caches():
+    """A cache added to one constructor (``__init__`` or ``_sub``) cannot be
+    missed in the other, and no piece shares one of its parent's."""
+    spans, axis, complex_, domains, interfaces = config_measure_cuts()[2]
+    ComplexMeasure(complex_, domains, Z2_DENSITY)
+    caches = {"_words", "_splits", "_saturates"}
+
+    def compiled(other):
+        return {name for name in vars(other) if name.startswith("_")} - {"_parent"}
+
+    assert compiled(CellComplex(complex_.cells)) == caches
+    for at in interfaces:
+        result = cut(CobordismBox(spans, axis), complex_, at)
+        for piece in (result.k, result.k_prime, result.k_b):
+            assert compiled(piece) == caches
+            assert all(getattr(piece, name) is not getattr(complex_, name) for name in caches)
